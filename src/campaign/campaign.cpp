@@ -18,6 +18,7 @@ CampaignRunner::CampaignRunner(const net::Topology& topo,
                                CampaignConfig config)
     : topo_(topo), config_(std::move(config)) {
   config_.params.validate();
+  config_.faults.validate(config_.params.slot_seconds);
   if (config_.measurer_hosts.empty())
     throw std::invalid_argument("CampaignRunner: no measurers");
   if (!config_.measurer_capacity_bits.empty() &&
@@ -98,17 +99,16 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
   const std::uint64_t layout_micros = rec ? rec->now() - layout_start : 0;
 
   // Deterministic fault oracle for this period. With all rates zero the
-  // plan is inert, no fault path below is entered, and the run is
-  // byte-identical to a build without the fault layer.
+  // plan is inert: no slot fails, so no retry round runs and the sinks
+  // emit no fault columns.
   const fault::FaultPlan fault_plan(config_.faults, config_.seed);
-  const bool faults_on = fault_plan.enabled();
 
   RunPlan plan;
   plan.relays = static_cast<int>(relays.size());
   plan.slots_in_period = stats.slots_in_period;
   plan.slots_to_execute = static_cast<int>(occupied.size());
   plan.team_capacity_bits = team_capacity;
-  plan.faults_enabled = faults_on;
+  plan.faults_enabled = fault_plan.enabled();
   sink.begin(plan);
 
   // Relay-name hashes for the per-target noise substreams, computed once
@@ -197,7 +197,7 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
     const std::uint64_t sub_seed =
         slot_domain ^ static_cast<std::uint64_t>(slot);
     core::SlotRunner runner(topo_, params, sim::Rng(sub_seed));
-    // Inert plans disarm: the runner's fault-free path stays untouched.
+    // Every slot runs the one aggregation; an inert plan faults nothing.
     // Retry slots are fresh slot indices, so a retried relay gets fresh
     // fault draws rather than deterministically failing the same way.
     runner.arm_faults(&fault_plan, static_cast<std::uint64_t>(slot));

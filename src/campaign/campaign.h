@@ -76,8 +76,8 @@ struct CampaignConfig {
   /// per-second series per relay, which adds up over a large population.
   bool record_outcomes = false;
   /// Deterministic fault injection (fault::FaultPlan keyed by `seed`).
-  /// All-zero rates (the default) keep every fault path unentered: the
-  /// run is byte-identical to a build without the fault layer.
+  /// All-zero rates (the default) make the plan inert: every slot keeps
+  /// its full evidence (quality 1.0) and nothing is retried.
   fault::FaultSpec faults;
   /// Optional telemetry session (borrowed; must outlive the run). Null —
   /// the default — skips every instrumentation site: no clock reads
@@ -234,7 +234,7 @@ class CampaignRunner {
  public:
   /// Resolves the team's capacities up front (override or iPerf mesh), so
   /// repeated runs reuse the same measurer estimates. Validates
-  /// `config.params` (core::Params::validate).
+  /// `config.params` and `config.faults` against the slot length.
   CampaignRunner(const net::Topology& topo, CampaignConfig config);
 
   /// Streams the whole population through `sink`, one delivery per

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "core/verification.h"
@@ -13,6 +12,10 @@
 
 namespace flashflow::core {
 
+namespace {
+const fault::FaultPlan kNoFaults{};  // an unarmed runner's plan: no faults
+}  // namespace
+
 double clamp_background(double reported_y_bits, double x_bits,
                         double ratio_r) {
   if (ratio_r < 0.0 || ratio_r >= 1.0)
@@ -20,18 +23,18 @@ double clamp_background(double reported_y_bits, double x_bits,
   return std::min(reported_y_bits, x_bits * ratio_r / (1.0 - ratio_r));
 }
 
-SlotRunner::SlotRunner(const net::Topology& topo, Params params, sim::Rng rng)
-    : topo_(topo), params_(params), rng_(std::move(rng)) {}
-
-double SlotRunner::offered_rate(const MeasurerSlot& m,
-                                net::HostId relay_host) const {
+double offered_rate(const MeasurerSlot& m, const net::KernelProfile& kernel,
+                    const net::PathCharacteristics& path) {
   if (m.sockets <= 0 || m.allocated_bits <= 0.0) return 0.0;
-  double rtt = topo_.rtt(m.host, relay_host);
+  double rtt = path.rtt_s;
   if (rtt <= 0.0) rtt = 0.0005;  // co-located hosts: sub-millisecond path
-  const double per_socket = net::tcp_socket_throughput(
-      topo_.host(m.host).kernel, rtt, topo_.loaded_loss(m.host, relay_host));
+  const double per_socket =
+      net::tcp_socket_throughput(kernel, rtt, path.loaded_loss);
   return std::min(m.allocated_bits, per_socket * m.sockets);
 }
+
+SlotRunner::SlotRunner(const net::Topology& topo, Params params, sim::Rng rng)
+    : topo_(topo), params_(params), rng_(std::move(rng)) {}
 
 SlotOutcome SlotRunner::run(const tor::RelayModel& relay,
                             net::HostId relay_host,
@@ -54,12 +57,12 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
     std::span<const ConcurrentTarget> targets, SlotWorkspace& ws) {
   const int t_seconds = params_.slot_seconds;
   const std::size_t n_targets = targets.size();
-  const bool have_faults = fault_plan_ != nullptr;
+  const fault::FaultPlan& faults = fault_plan_ ? *fault_plan_ : kNoFaults;
 
   // Whole-slot timeout: the slot never runs. Series stay empty (shaped
   // per team so downstream consumers can still iterate), every target
   // fails, and rng_ is never touched — the decision is the plan's alone.
-  if (have_faults && fault_plan_->slot_timeout(fault_slot_)) {
+  if (faults.slot_timeout(fault_slot_)) {
     std::vector<SlotOutcome> outcomes(n_targets);
     for (std::size_t t = 0; t < n_targets; ++t) {
       outcomes[t].x_by_measurer.resize(targets[t].team.size());
@@ -88,44 +91,10 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
   // contention at that boundary), when the relay drops off, and how much
   // of each member's report the BWAuth will receive. segment_bounds_
   // partitions [0, t) at the distinct crash seconds — the ranges over
-  // which the flow set is constant. Without faults none of this runs and
-  // the slot executes as a single [0, t) segment.
-  ws.segment_bounds_.clear();
-  ws.segment_bounds_.push_back(0);
-  if (have_faults) {
-    ws.member_crash_.resize(n_members);
-    ws.report_end_.resize(n_members);
-    ws.relay_down_.resize(n_targets);
-    for (std::size_t t = 0; t < n_targets; ++t) {
-      const ConcurrentTarget& target = targets[t];
-      const std::uint64_t relay_hash =
-          target.name_hash != 0 ? target.name_hash
-                                : sim::hash_tag(target.relay->name);
-      const int down = fault_plan_->relay_disconnect_second(
-          fault_slot_, relay_hash, t_seconds);
-      ws.relay_down_[t] = down >= 0 ? down : t_seconds;
-      for (std::size_t i = 0; i < target.team.size(); ++i) {
-        const std::size_t m = ws.team_offset_[t] + i;
-        const int crash = fault_plan_->measurer_crash_second(
-            fault_slot_, target.team[i].host, t_seconds);
-        ws.member_crash_[m] = crash >= 0 ? crash : t_seconds;
-        // A crashed member's log covers only its live seconds; report
-        // faults shorten (or drop) what arrives on top of that.
-        ws.report_end_[m] = std::min(
-            ws.member_crash_[m],
-            fault_plan_->report_seconds(fault_slot_, relay_hash,
-                                        target.team[i].host, t_seconds));
-        if (crash > 0 && crash < t_seconds)
-          ws.segment_bounds_.push_back(crash);
-      }
-    }
-    std::sort(ws.segment_bounds_.begin(), ws.segment_bounds_.end());
-    ws.segment_bounds_.erase(std::unique(ws.segment_bounds_.begin(),
-                                         ws.segment_bounds_.end()),
-                             ws.segment_bounds_.end());
-  }
-  ws.segment_bounds_.push_back(t_seconds);
-
+  // which the flow set is constant. Under an inert plan every member
+  // sends and reports all t seconds, the relay stays up, and the slot
+  // runs as a single [0, t) segment.
+  //
   // Noise processes, one per target, plus per-slot condition factors.
   //
   // Relay-side: a slot-long capacity factor plus per-second wobble and
@@ -141,39 +110,62 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
   //
   // The rng_ call sequence in this loop is load-bearing: it must match the
   // pre-workspace implementation draw for draw so fixed-seed results stay
-  // bit-identical (tests/test_golden_determinism.cpp pins this).
+  // bit-identical (tests/test_golden_determinism.cpp pins this). The fault
+  // queries interleaved with it never touch rng_.
   //
   // Each target's noise series comes from its own forked substream, so the
   // whole slot's worth of factors can be drawn here in one batched pass
   // per target (tor::RelayNoise::fill_factors) without perturbing any
   // other stream — the per-second loop then just reads the arena.
   const std::size_t n_seconds = static_cast<std::size_t>(t_seconds);
+  ws.relay_down_.resize(n_targets);
+  ws.member_crash_.resize(n_members);
+  ws.report_end_.resize(n_members);
+  ws.segment_bounds_.assign(1, 0);
   ws.slot_factor_.resize(n_targets);
   ws.path_factor_.resize(n_members);
   ws.noise_factor_.resize(n_targets * n_seconds);
   for (std::size_t t = 0; t < n_targets; ++t) {
     const ConcurrentTarget& target = targets[t];
-    const std::uint64_t name_hash = target.name_hash != 0
-                                        ? target.name_hash
-                                        : sim::hash_tag(target.relay->name);
+    const std::uint64_t relay_hash = target.name_hash != 0
+                                         ? target.name_hash
+                                         : sim::hash_tag(target.relay->name);
+    const int down =
+        faults.relay_disconnect_second(fault_slot_, relay_hash, t_seconds);
+    ws.relay_down_[t] = down >= 0 ? down : t_seconds;
     // Identical substream to forking on relay->name + "/noise": FNV-1a
     // continues from the precomputed name hash.
     tor::RelayNoise noise(tor::RelayNoise::Params{},
-                          rng_.fork(sim::hash_tag("/noise", name_hash)));
+                          rng_.fork(sim::hash_tag("/noise", relay_hash)));
     noise.fill_factors(
         {ws.noise_factor_.data() + t * n_seconds, n_seconds});
     ws.slot_factor_[t] =
         std::clamp(1.0 + rng_.normal(-0.01, 0.04), 0.85, 1.04);
     for (std::size_t i = 0; i < target.team.size(); ++i) {
+      const std::size_t m = ws.team_offset_[t] + i;
+      const net::HostId host = target.team[i].host;
+      const int crash =
+          faults.measurer_crash_second(fault_slot_, host, t_seconds);
+      ws.member_crash_[m] = crash >= 0 ? crash : t_seconds;
+      // A crashed member's log covers only its live seconds; report
+      // faults shorten (or drop) what arrives on top of that.
+      ws.report_end_[m] = std::min(
+          ws.member_crash_[m],
+          faults.report_seconds(fault_slot_, relay_hash, host, t_seconds));
+      if (crash > 0 && crash < t_seconds) ws.segment_bounds_.push_back(crash);
       // Occasionally a measurer's transit path has a bad half hour and
       // delivers well under its allocation; most slots see mild weather.
-      const double factor =
+      ws.path_factor_[m] =
           rng_.chance(0.12)
               ? rng_.uniform(0.36, 0.70)
               : std::clamp(1.0 + rng_.normal(-0.02, 0.06), 0.75, 1.02);
-      ws.path_factor_[ws.team_offset_[t] + i] = factor;
     }
   }
+  std::sort(ws.segment_bounds_.begin(), ws.segment_bounds_.end());
+  ws.segment_bounds_.erase(
+      std::unique(ws.segment_bounds_.begin(), ws.segment_bounds_.end()),
+      ws.segment_bounds_.end());
+  ws.segment_bounds_.push_back(t_seconds);
 
   // Per-second capacity jitter, batched off the slot RNG. The loop below
   // used to draw one normal per (second, target) pair, second-major; a
@@ -261,20 +253,12 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
     const std::size_t target_res = host_resource(targets[t].host);
     for (std::size_t i = 0; i < targets[t].team.size(); ++i) {
       const auto& m = targets[t].team[i];
-      // Same operation order as offered_rate(), reading the pre-resolved
-      // characteristics (paths are symmetric, so target→member equals the
-      // member→target read offered_rate performs).
-      double offered = 0.0;
-      if (m.sockets > 0 && m.allocated_bits > 0.0) {
-        const net::PathCharacteristics& pc =
-            ws.path_chars_[ws.team_offset_[t] + i];
-        double rtt = pc.rtt_s;
-        if (rtt <= 0.0) rtt = 0.0005;  // co-located: sub-millisecond path
-        const double per_socket = net::tcp_socket_throughput(
-            topo_.host(m.host).kernel, rtt, pc.loaded_loss);
-        offered = std::min(m.allocated_bits, per_socket * m.sockets);
-      }
-      offered *= ws.path_factor_[ws.team_offset_[t] + i];
+      // Paths are symmetric: the target→member resolution is the
+      // member→target path the flow runs on.
+      const std::size_t k = ws.team_offset_[t] + i;
+      const double offered =
+          offered_rate(m, topo_.host(m.host).kernel, ws.path_chars_[k]) *
+          ws.path_factor_[k];
       if (offered <= 0.0) continue;
       if (n_flows == ws.flows_.size()) {
         ws.flows_.emplace_back();
@@ -306,9 +290,8 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
   // each boundary after the first, the crashed members' flows leave the
   // fair-share contention — their caps zero out, which the solver folds
   // away at prepare time, so the re-prepare happens here (outside the hot
-  // region, at most a handful of times per faulted slot). The fault-free
-  // path has exactly one segment [0, t): the per-second loop below then
-  // runs the exact pre-fault code path, byte for byte.
+  // region, at most a handful of times per faulted slot). A slot without
+  // crashes has exactly one segment [0, t).
   const std::size_t n_segments = ws.segment_bounds_.size() - 1;
   if (probe_) probe_->note_segments(static_cast<int>(n_segments));
   for (std::size_t seg = 0; seg < n_segments; ++seg) {
@@ -351,10 +334,9 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
       // here, scaled from the batched standard normals).
       cap = cap * ws.slot_factor_[t] * ws.noise_factor_[t * n_seconds + s] +
             net::mbit(0.15) * ws.jitter_[s * n_targets + t];
-      ws.relay_capacity_[t] = std::max(cap, 0.0);
       // A disconnected relay forwards nothing from its drop second on.
-      if (have_faults && second >= ws.relay_down_[t])
-        ws.relay_capacity_[t] = 0.0;
+      ws.relay_capacity_[t] =
+          second < ws.relay_down_[t] ? std::max(cap, 0.0) : 0.0;
     }
 
     // The relay reserves the ratio-r background allowance up front (§4.1:
@@ -426,36 +408,20 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
                          static_cast<std::uint64_t>(seg_end - seg_begin));
   }
 
-  if (have_faults) {
-    // Degraded path: the BWAuth only sees what surviving measurers
-    // reported; estimates, verification and quality all re-derive from
-    // the reduced evidence.
-    aggregate_degraded(targets, ws, outcomes);
-    return outcomes;
-  }
-
-  // Verification + final estimates.
-  for (std::size_t t = 0; t < n_targets; ++t) {
-    auto& out = outcomes[t];
-    if (targets[t].behavior == TargetBehavior::kForgeEchoes) {
-      const double total_bytes = net::bytes_from_bits(
-          std::accumulate(out.x_bits.begin(), out.x_bits.end(), 0.0));
-      out.verification_failed = sample_detection(
-          params_.check_probability, total_bytes, tor::kCellSize, rng_);
-    }
-    if (!out.verification_failed && !out.z_bits.empty())
-      out.estimate_bits = metrics::median(metrics::as_span(out.z_bits));
-    out.usable_seconds = static_cast<int>(out.z_bits.size());
-  }
+  // The BWAuth only sees what surviving measurers reported: estimates,
+  // verification and quality all derive from that evidence. The floor is
+  // capped at the slot length, so a slot that ran whole always qualifies.
+  aggregate(targets, std::min(faults.spec().min_usable_seconds, t_seconds),
+            ws, outcomes);
   return outcomes;
 }
 
-void SlotRunner::aggregate_degraded(std::span<const ConcurrentTarget> targets,
-                                    SlotWorkspace& ws,
-                                    std::vector<SlotOutcome>& outcomes) {
+void SlotRunner::aggregate(std::span<const ConcurrentTarget> targets,
+                           int min_usable_seconds, SlotWorkspace& ws,
+                           std::vector<SlotOutcome>& outcomes) {
   const int t_seconds = params_.slot_seconds;
-  // Cold path (runs once per faulted slot, after the hot loop): a local
-  // scratch vector is fine here.
+  // Cold path (runs once per slot, after the hot loop): a local scratch
+  // vector is fine here.
   std::vector<double> z_hat;
   z_hat.reserve(static_cast<std::size_t>(t_seconds));
 
@@ -463,8 +429,6 @@ void SlotRunner::aggregate_degraded(std::span<const ConcurrentTarget> targets,
     SlotOutcome& out = outcomes[t];
     const ConcurrentTarget& target = targets[t];
     const std::size_t off = ws.team_offset_[t];
-    const std::size_t team_size = target.team.size();
-    const double ratio = params_.ratio;
 
     double total_alloc = 0.0;
     for (const auto& m : target.team) total_alloc += m.allocated_bits;
@@ -481,16 +445,20 @@ void SlotRunner::aggregate_degraded(std::span<const ConcurrentTarget> targets,
     // surviving fraction >= 1/m still offers enough load to saturate the
     // relay; below that bar the second under-measures and is refused
     // rather than scaled.
+    //
+    // At full coverage this is exactly the plain BWAuth rule: x~_j adds
+    // the member series in member order, the order the flows were built
+    // in, and members without a flow add +0.0, so x~_j == x_bits[j] bit
+    // for bit; a_alive, a_cov and total_alloc are the same sum, so the
+    // scale and coverage ratios are exactly 1.0.
     z_hat.clear();
     double reported_bits = 0.0;   // evidence the spot check can cover
     double coverage_sum = 0.0;    // sum of per-second A_cov/A, usable secs
     int usable = 0;
     const int down = ws.relay_down_[t];
-    const int recorded =
-        std::min(t_seconds, static_cast<int>(out.x_bits.size()));
-    for (int j = 0; j < recorded; ++j) {
+    for (int j = 0; j < t_seconds; ++j) {
       double a_alive = 0.0, a_cov = 0.0, x_tilde = 0.0;
-      for (std::size_t i = 0; i < team_size; ++i) {
+      for (std::size_t i = 0; i < target.team.size(); ++i) {
         const std::size_t m = off + i;
         const double a = target.team[i].allocated_bits;
         if (j < ws.member_crash_[m]) a_alive += a;
@@ -505,11 +473,11 @@ void SlotRunner::aggregate_degraded(std::span<const ConcurrentTarget> targets,
         continue;
       const double x_hat = x_tilde * (a_alive / a_cov);
       const double y_hat = clamp_background(
-          out.y_reported_bits[static_cast<std::size_t>(j)], x_hat, ratio);
+          out.y_reported_bits[static_cast<std::size_t>(j)], x_hat,
+          params_.ratio);
       z_hat.push_back(x_hat + y_hat);
-      // The ratio, not the raw allocation: a fully covered second (a_cov
-      // and total_alloc are the same sum, term for term) contributes an
-      // exact 1.0, so an untouched relay's quality is exactly 1.
+      // The ratio, not the raw allocation, so that a fully covered second
+      // adds an exact 1.0 and an untouched relay's quality is exactly 1.
       coverage_sum += a_cov / total_alloc;
       ++usable;
     }
@@ -529,7 +497,7 @@ void SlotRunner::aggregate_degraded(std::span<const ConcurrentTarget> targets,
     out.quality = total_alloc > 0.0 && t_seconds > 0
                       ? coverage_sum / static_cast<double>(t_seconds)
                       : 0.0;
-    if (usable < fault_plan_->spec().min_usable_seconds) {
+    if (usable < min_usable_seconds) {
       out.failed = true;
       out.failure = SlotFailure::kInsufficientEvidence;
     } else if (!out.verification_failed) {

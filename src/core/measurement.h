@@ -10,6 +10,10 @@
 //   y_j = min(y_reported_j, x_j r/(1-r))   (clamped background)
 //   z   = median(x_1+y_1, ..., x_t+y_t)    (capacity estimate)
 //
+// Every slot runs this one aggregation, counting a second only when the
+// reports that arrived cover >= 1/m of the allocation (fault/fault.h); a
+// slot no fault touched has full coverage and reduces exactly to the above.
+//
 // The relay may lie about y (attack.h) and may forward forged echoes; the
 // sampled spot check catches forgeries with probability 1-(1-p)^k.
 #pragma once
@@ -43,7 +47,7 @@ enum class TargetBehavior {
   kForgeEchoes,         // skips decryption / fabricates responses
 };
 
-/// Why a fault-armed slot produced no usable estimate.
+/// Why a slot produced no usable estimate.
 enum class SlotFailure {
   kNone,
   /// Whole-slot timeout (fault::FaultPlan::slot_timeout): nothing ran.
@@ -62,25 +66,33 @@ struct SlotOutcome {
   double estimate_bits = 0;            // median(z), 0 when aborted
   bool verification_failed = false;
 
-  // Fault-aware accounting (arm_faults). On the fault-free path these
-  // keep their defaults: a healthy slot has full quality and every second
-  // usable.
+  // Evidence accounting of the BWAuth aggregation (measurement.cpp). A
+  // slot that no fault touched is its full-coverage case: quality exactly
+  // 1.0, every second usable, failed false.
   /// Evidence quality in [0, 1]: mean reported-allocation coverage of the
   /// slot's usable seconds over the whole slot. 1.0 when nothing failed.
   double quality = 1.0;
-  /// Seconds that met the degraded-estimation bar (see measurement.cpp);
-  /// equals slot_seconds on the fault-free path.
+  /// Seconds that met the aggregation's evidence bar (see measurement.cpp);
+  /// equals slot_seconds when nothing failed.
   int usable_seconds = 0;
   /// True when the slot produced no usable estimate (estimate_bits == 0);
   /// the campaign layer retries / quarantines on this, not on
   /// verification_failed (a security outcome, never retried).
   bool failed = false;
   SlotFailure failure = SlotFailure::kNone;
+
+  friend bool operator==(const SlotOutcome&, const SlotOutcome&) = default;
 };
 
 /// Per-second aggregation used by the BWAuth (exposed for unit tests):
 /// clamps reported background to x*r/(1-r) and sums.
 double clamp_background(double reported_y_bits, double x_bits, double ratio_r);
+
+/// Offered rate min(a_i, sockets_i * per-socket TCP cap) of a measurer with
+/// socket profile `kernel` over the resolved path to its target, before
+/// NIC contention (exposed for the Appendix E.1 socket sweep).
+double offered_rate(const MeasurerSlot& m, const net::KernelProfile& kernel,
+                    const net::PathCharacteristics& path);
 
 /// Reusable scratch for SlotRunner::run_concurrent.
 ///
@@ -127,8 +139,8 @@ class SlotWorkspace {
   std::vector<net::HostId> member_hosts_;
   std::vector<net::PathCharacteristics> path_chars_;
 
-  // Fault-path arenas, filled at slot setup only when the runner has a
-  // fault plan armed (the fault-free path never touches them).
+  // Fault arenas, filled at every slot's setup from the armed plan (an
+  // inert plan leaves every entry at slot_seconds: nothing ever fails).
   /// Per member: first second its traffic is gone (slot_seconds = never).
   std::vector<int> member_crash_;
   /// Per member: seconds of its report the BWAuth receives.
@@ -205,17 +217,12 @@ class SlotRunner {
   std::vector<SlotOutcome> run_concurrent(
       std::span<const ConcurrentTarget> targets, SlotWorkspace& ws);
 
-  /// Offered measurement rate from one measurer toward a target host,
-  /// before NIC contention (exposed for the Appendix E.1 socket sweep).
-  double offered_rate(const MeasurerSlot& m, net::HostId relay_host) const;
-
   /// Arms deterministic fault injection for subsequent run_concurrent
   /// calls: `slot` keys the plan's per-slot fault draws (the campaign
-  /// slot index). The plan is borrowed and must outlive the runner; null
-  /// or a disabled plan leaves the fault-free path untouched — its
-  /// output stays byte-identical to a runner that never armed faults.
+  /// slot index). The plan is borrowed and must outlive the runner. Null
+  /// (the default) or a plan with every rate at zero faults nothing.
   void arm_faults(const fault::FaultPlan* plan, std::uint64_t slot) {
-    fault_plan_ = plan && plan->enabled() ? plan : nullptr;
+    fault_plan_ = plan;
     fault_slot_ = slot;
   }
 
@@ -226,12 +233,12 @@ class SlotRunner {
   void set_probe(telemetry::SlotProbe* probe) { probe_ = probe; }
 
  private:
-  /// Degraded BWAuth aggregation over the recorded per-second series:
-  /// estimates from the surviving (reported, still-alive) allocation
-  /// share, refusing seconds below the §4.2 headroom bar.
-  void aggregate_degraded(std::span<const ConcurrentTarget> targets,
-                          SlotWorkspace& ws,
-                          std::vector<SlotOutcome>& outcomes);
+  /// BWAuth aggregation of every slot: estimates from the surviving
+  /// (reported, still-alive) allocation share, refusing seconds below the
+  /// §4.2 headroom bar and targets with < `min_usable_seconds` left.
+  void aggregate(std::span<const ConcurrentTarget> targets,
+                 int min_usable_seconds, SlotWorkspace& ws,
+                 std::vector<SlotOutcome>& outcomes);
 
   const net::Topology& topo_;
   Params params_;

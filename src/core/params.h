@@ -44,14 +44,16 @@ struct Params {
 
   /// Rejects parameter combinations the protocol math cannot support
   /// (epsilon1 or ratio at/above 1 divide by zero in the excess factor and
-  /// the background clamp; non-positive sockets/slot/multiplier make every
-  /// slot degenerate). Throws std::invalid_argument naming the bad field.
+  /// the background clamp; non-positive sockets/slot make every slot
+  /// degenerate; with m < 1 no second meets the aggregation's a_cov >= A/m
+  /// bar, even at full coverage). Throws std::invalid_argument naming the
+  /// bad field.
   void validate() const {
     const auto reject = [](const std::string& what) {
       throw std::invalid_argument("Params::validate: " + what);
     };
     if (sockets <= 0) reject("sockets must be positive");
-    if (multiplier <= 0.0) reject("multiplier must be positive");
+    if (multiplier < 1.0) reject("multiplier must be >= 1");
     if (slot_seconds <= 0) reject("slot_seconds must be positive");
     if (epsilon1 < 0.0 || epsilon1 >= 1.0) reject("epsilon1 must be in [0, 1)");
     if (epsilon2 < 0.0) reject("epsilon2 must be non-negative");

@@ -25,6 +25,13 @@ void FaultSpec::validate() const {
   if (min_usable_seconds < 1) reject("min_usable_seconds must be >= 1");
 }
 
+void FaultSpec::validate(int slot_seconds) const {
+  validate();
+  if (enabled() && min_usable_seconds > slot_seconds)
+    reject("min_usable_seconds must not exceed params.slot_seconds while "
+           "faults are armed");
+}
+
 FaultPlan::FaultPlan(const FaultSpec& spec, std::uint64_t campaign_seed)
     : spec_(spec), seed_(campaign_seed ^ sim::hash_tag("fault/plan")) {
   spec_.validate();

@@ -14,7 +14,8 @@
 // consequences live where the affected state lives: core::SlotRunner
 // (traffic stops, capacity vanishes, reports go missing) and
 // campaign::CampaignRunner (retry, quarantine). With every rate at zero
-// the plan is inert and the engine's fault paths are never entered.
+// the plan is inert: every query answers "no fault", every slot keeps its
+// full evidence, and nothing is retried.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +53,7 @@ struct FaultSpec {
   int min_usable_seconds = 5;
 
   /// True when any fault can actually occur. Policy knobs alone
-  /// (max_retries, min_usable_seconds) do not enable the fault paths.
+  /// (max_retries, min_usable_seconds) arm nothing.
   bool enabled() const {
     return measurer_crash > 0.0 || relay_disconnect > 0.0 ||
            report_drop > 0.0 || report_truncate > 0.0 || slot_timeout > 0.0;
@@ -60,6 +61,9 @@ struct FaultSpec {
 
   /// Throws std::invalid_argument naming the bad field.
   void validate() const;
+  /// validate(), plus: armed faults may not demand more usable seconds
+  /// than `slot_seconds`, which would fail every slot.
+  void validate(int slot_seconds) const;
 
   friend bool operator==(const FaultSpec&, const FaultSpec&) = default;
 };

@@ -63,19 +63,10 @@ Experiment::Result Experiment::run(campaign::SlotSink* sink,
       team_capacity / spec_.params.excess_factor() * (1.0 - 1e-9);
 
   for (int period = 0; period < spec_.periods; ++period) {
-    campaign::CampaignConfig config;
-    config.params = spec_.params;
-    config.measurer_hosts = materialized_.measurer_hosts;
-    config.measurer_capacity_bits = measurer_caps_;
-    config.schedule = spec_.schedule;
-    config.threads = spec_.threads;
-    config.shard_slots = spec_.shard_slots;
-    config.seed = period_seed(spec_, period);
-    config.record_outcomes = spec_.record_outcomes;
-    config.faults = spec_.faults;
-    config.telemetry = telemetry_;
-    const campaign::CampaignRunner runner(materialized_.topology,
-                                          std::move(config));
+    const campaign::CampaignRunner runner(
+        materialized_.topology,
+        campaign_config(spec_, materialized_, measurer_caps_, period,
+                        telemetry_));
 
     campaign::AggregatingSink aggregate;
     TeeSink tee(aggregate, sink);

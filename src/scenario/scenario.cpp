@@ -150,7 +150,7 @@ void ScenarioSpec::validate() const {
     if (!std::holds_alternative<SyntheticPopulationSpec>(population))
       reject("speedtest window requires a synthetic population");
   }
-  faults.validate();
+  faults.validate(params.slot_seconds);
   if (const auto* t1 = std::get_if<Table1PopulationSpec>(&population)) {
     if (t1->rate_limit_mbit.empty()) reject("table1 population is empty");
     for (const double limit : t1->rate_limit_mbit)
@@ -290,6 +290,23 @@ std::uint64_t period_seed(const ScenarioSpec& spec, int period) {
          sim::hash_tag("scenario/period-" + std::to_string(period));
 }
 
+campaign::CampaignConfig campaign_config(
+    const ScenarioSpec& spec, const MaterializedScenario& mat,
+    std::vector<double> team_caps, int period, telemetry::Recorder* recorder) {
+  campaign::CampaignConfig config;
+  config.params = spec.params;
+  config.measurer_hosts = mat.measurer_hosts;
+  config.measurer_capacity_bits = std::move(team_caps);
+  config.schedule = spec.schedule;
+  config.threads = spec.threads;
+  config.shard_slots = spec.shard_slots;
+  config.seed = period_seed(spec, period);
+  config.record_outcomes = spec.record_outcomes;
+  config.faults = spec.faults;
+  config.telemetry = recorder;
+  return config;
+}
+
 MaterializedScenario materialize(const ScenarioSpec& spec) {
   spec.validate();
   MaterializedScenario mat;
@@ -423,19 +440,10 @@ std::vector<double> resolve_team_capacities(const ScenarioSpec& spec,
 const campaign::CampaignRunner& Scenario::runner() const {
   if (!runner_) {
     const MaterializedScenario& mat = materialized();
-    campaign::CampaignConfig config;
-    config.params = spec_.params;
-    config.measurer_hosts = mat.measurer_hosts;
-    config.measurer_capacity_bits = resolve_team_capacities(spec_, mat);
-    config.schedule = spec_.schedule;
-    config.threads = spec_.threads;
-    config.shard_slots = spec_.shard_slots;
-    config.seed = period_seed(spec_, 0);
-    config.record_outcomes = spec_.record_outcomes;
-    config.faults = spec_.faults;
-    config.telemetry = telemetry_;
-    runner_ = std::make_unique<campaign::CampaignRunner>(mat.topology,
-                                                         std::move(config));
+    runner_ = std::make_unique<campaign::CampaignRunner>(
+        mat.topology,
+        campaign_config(spec_, mat, resolve_team_capacities(spec_, mat), 0,
+                        telemetry_));
   }
   return *runner_;
 }

@@ -172,8 +172,8 @@ struct ScenarioSpec {
   /// Attach per-second core::SlotOutcomes to streamed SlotResults.
   bool record_outcomes = false;
   /// Deterministic fault injection (faults.* in scenario files). The
-  /// default (all rates zero) keeps every fault path unentered and every
-  /// output byte identical to a pre-fault build.
+  /// default (all rates zero) is inert: no slot fails and every output
+  /// byte is identical to a pre-fault build.
   fault::FaultSpec faults;
   /// Engages the §3.4 archive speed-test experiment (run_speed_test);
   /// slot-based Scenario/Experiment runs reject specs carrying it.
@@ -325,6 +325,13 @@ std::vector<double> resolve_team_capacities(const ScenarioSpec& spec,
 /// Deterministic, and distinct across periods so every period draws a
 /// fresh secret schedule (§4.3).
 std::uint64_t period_seed(const ScenarioSpec& spec, int period);
+
+/// The one spec → campaign config mapping Scenario and Experiment share:
+/// the team at `team_caps` (resolve_team_capacities), period_seed(spec,
+/// period), and `recorder` (borrowed; null skips telemetry).
+campaign::CampaignConfig campaign_config(
+    const ScenarioSpec& spec, const MaterializedScenario& mat,
+    std::vector<double> team_caps, int period, telemetry::Recorder* recorder);
 
 /// The §3.4 relay speed-test experiment (Fig 5) over a scenario's
 /// synthetic population: floods every live relay to capacity for the test

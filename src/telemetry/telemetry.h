@@ -85,7 +85,8 @@ struct SlotTrace {
   /// Dispatch shard index the slot's work item belonged to (work index
   /// divided by the shard size).
   int shard = 0;
-  /// Segments the per-second loop ran (1 on the fault-free path).
+  /// Segments the per-second loop ran (1 unless a measurer crashed
+  /// mid-slot).
   int segments = 1;
   SlotTiming timing;
 };

@@ -347,6 +347,20 @@ TEST(CampaignFaults, CancelDuringRetryRoundStopsCleanly) {
   }
 }
 
+// The campaign engine applies the same slot-length rule as scenario
+// validation: armed faults may not demand more usable seconds than a slot
+// has.
+TEST(CampaignFaults, RejectsEvidenceFloorAboveSlotLength) {
+  const auto topo = net::make_table1_hosts();
+  auto config = lab_config(topo);
+  config.params.slot_seconds = 4;
+  EXPECT_NO_THROW(CampaignRunner(topo, config));  // inert: nothing armed
+  config.faults = all_channels(0.05);
+  EXPECT_THROW(CampaignRunner(topo, config), std::invalid_argument);
+  config.faults.min_usable_seconds = 4;
+  EXPECT_NO_THROW(CampaignRunner(topo, config));
+}
+
 // An inert FaultSpec leaves results identical to a config without one —
 // the fault layer is invisible until armed.
 TEST(CampaignFaults, InertSpecChangesNothing) {

@@ -8,6 +8,8 @@
 #include <numeric>
 
 #include "core/verification.h"
+#include "fault/fault.h"
+#include "metrics/stats.h"
 #include "net/units.h"
 #include "tor/cell.h"
 #include "tor/cpu_model.h"
@@ -25,6 +27,47 @@ tor::RelayModel us_sw_relay(double limit_mbit, double background_mbit = 0) {
   r.cpu = tor::CpuModel::us_sw();
   r.background_demand_bits = net::mbit(background_mbit);
   return r;
+}
+
+/// The resolved measurer↔target path, as the slot pipeline reads it.
+net::PathCharacteristics path(const net::Topology& topo, net::HostId from,
+                              net::HostId to) {
+  net::PathCharacteristics pc;
+  topo.fill_paths(to, {&from, 1}, {&pc, 1});
+  return pc;
+}
+
+/// What a slot no fault touched reports: the aggregation's full-coverage
+/// case, with the estimate the plain median of z (0 once the spot check
+/// caught a forger).
+void expect_full_coverage(const SlotOutcome& out, const Params& params) {
+  ASSERT_EQ(out.z_bits.size(), static_cast<std::size_t>(params.slot_seconds));
+  EXPECT_EQ(out.quality, 1.0);
+  EXPECT_EQ(out.usable_seconds, params.slot_seconds);
+  EXPECT_FALSE(out.failed);
+  EXPECT_EQ(out.failure, SlotFailure::kNone);
+  EXPECT_EQ(out.estimate_bits,
+            out.verification_failed
+                ? 0.0
+                : metrics::median(metrics::as_span(out.z_bits)));
+}
+
+/// Appendix F: two 400 Mbit/s relays on US-SW measured by US-E + NL.
+/// ConcurrentTarget borrows the relay model, so the models live in
+/// `models`.
+std::vector<SlotRunner::ConcurrentTarget> concurrent_pair(
+    const net::Topology& topo, std::vector<tor::RelayModel>& models) {
+  models.assign(2, us_sw_relay(400));
+  models[0].name = "r0";
+  models[1].name = "r1";
+  std::vector<SlotRunner::ConcurrentTarget> targets(2);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    targets[i].relay = &models[i];
+    targets[i].host = topo.find("US-SW");
+    targets[i].team = {{topo.find("US-E"), net::mbit(600), 40},
+                       {topo.find("NL"), net::mbit(600), 40}};
+  }
+  return targets;
 }
 
 TEST(ClampBackground, Formula) {
@@ -153,47 +196,120 @@ TEST(SlotRunner, ConcurrentTargetsShareMeasurers) {
   const auto topo = table1();
   Params params;
   SlotRunner runner(topo, params, sim::Rng(8));
-  // Appendix F: two 400 Mbit/s relays on US-SW measured by US-E + NL.
-  // ConcurrentTarget borrows the relay model, so the models live here.
-  std::vector<tor::RelayModel> models(2, us_sw_relay(400));
-  models[0].name = "r0";
-  models[1].name = "r1";
-  std::vector<SlotRunner::ConcurrentTarget> targets(2);
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    targets[i].relay = &models[i];
-    targets[i].host = topo.find("US-SW");
-    targets[i].team = {{topo.find("US-E"), net::mbit(600), 40},
-                       {topo.find("NL"), net::mbit(600), 40}};
-  }
+  std::vector<tor::RelayModel> models;
+  const auto targets = concurrent_pair(topo, models);
   const auto outs = runner.run_concurrent(targets);
   ASSERT_EQ(outs.size(), 2u);
   for (const auto& out : outs) {
     const double gt = models[0].ground_truth(80);
     EXPECT_GT(out.estimate_bits, gt * 0.75);
     EXPECT_LT(out.estimate_bits, gt * 1.06);
+    expect_full_coverage(out, params);
   }
 }
 
-TEST(SlotRunner, OfferedRateBoundedByAllocation) {
+TEST(OfferedRate, BoundedByAllocation) {
   const auto topo = table1();
-  Params params;
-  SlotRunner runner(topo, params, sim::Rng(9));
   MeasurerSlot m{topo.find("NL"), net::mbit(100), 160};
-  EXPECT_LE(runner.offered_rate(m, topo.find("US-SW")),
-            net::mbit(100) + 1.0);
+  const auto& kernel = topo.host(m.host).kernel;
+  const auto pc = path(topo, m.host, topo.find("US-SW"));
+  EXPECT_LE(offered_rate(m, kernel, pc), net::mbit(100) + 1.0);
   m.sockets = 0;
-  EXPECT_DOUBLE_EQ(runner.offered_rate(m, topo.find("US-SW")), 0.0);
+  EXPECT_DOUBLE_EQ(offered_rate(m, kernel, pc), 0.0);
 }
 
-TEST(SlotRunner, SocketCountLimitsOfferedRate) {
+TEST(OfferedRate, SocketCountLimitsOfferedRate) {
   const auto topo = table1();
-  Params params;
-  SlotRunner runner(topo, params, sim::Rng(10));
   // IN's loaded path: few sockets cannot deliver much (Appendix E.1).
   MeasurerSlot few{topo.find("IN"), net::gbit(1), 10};
   MeasurerSlot many{topo.find("IN"), net::gbit(1), 160};
-  EXPECT_LT(runner.offered_rate(few, topo.find("US-SW")),
-            runner.offered_rate(many, topo.find("US-SW")) * 0.2);
+  const auto& kernel = topo.host(few.host).kernel;
+  const auto pc = path(topo, few.host, topo.find("US-SW"));
+  EXPECT_LT(offered_rate(few, kernel, pc),
+            offered_rate(many, kernel, pc) * 0.2);
+}
+
+TEST(SlotRunner, FaultFreeSlotIsFullCoverage) {
+  const auto topo = table1();
+  Params params;
+  const auto relay = us_sw_relay(250, /*background=*/50);
+  const MeasurerSlot m{topo.find("NL"),
+                       params.excess_factor() * net::mbit(250), 160};
+  // 3 s is below the default evidence floor (5 s): the floor is capped at
+  // the slot length, so a whole short slot still counts.
+  for (const int seconds : {30, 3}) {
+    params.slot_seconds = seconds;
+    for (const auto behavior :
+         {TargetBehavior::kHonest, TargetBehavior::kLieAboutBackground,
+          TargetBehavior::kForgeEchoes}) {
+      SlotRunner runner(topo, params, sim::Rng(11));
+      const auto out =
+          runner.run(relay, topo.find("US-SW"), {&m, 1}, behavior);
+      expect_full_coverage(out, params);
+      if (behavior != TargetBehavior::kForgeEchoes) {
+        EXPECT_FALSE(out.verification_failed);
+      }
+    }
+  }
+  // An undetected forger still gets the plain median.
+  params.slot_seconds = 30;
+  params.check_probability = 0.0;
+  SlotRunner runner(topo, params, sim::Rng(11));
+  const auto out = runner.run(relay, topo.find("US-SW"), {&m, 1},
+                              TargetBehavior::kForgeEchoes);
+  EXPECT_FALSE(out.verification_failed);
+  EXPECT_GT(out.estimate_bits, 0.0);
+  expect_full_coverage(out, params);
+}
+
+TEST(SlotRunner, DisabledPlanMatchesNoPlan) {
+  // A plan whose rates are all zero faults nothing, whatever its policy
+  // knobs say: field for field, series included, its outcomes are those
+  // of a runner that never armed one.
+  const auto topo = table1();
+  Params params;
+  fault::FaultSpec spec;
+  spec.max_retries = 0;
+  spec.min_usable_seconds = 29;
+  const fault::FaultPlan plan(spec, 20210613);
+  ASSERT_FALSE(plan.enabled());
+  std::vector<tor::RelayModel> models;
+  auto targets = concurrent_pair(topo, models);
+  targets[0].behavior = TargetBehavior::kForgeEchoes;
+  targets[1].behavior = TargetBehavior::kLieAboutBackground;
+  for (std::uint64_t seed = 13; seed < 16; ++seed) {
+    SlotRunner plain(topo, params, sim::Rng(seed));
+    SlotRunner armed(topo, params, sim::Rng(seed));
+    armed.arm_faults(&plan, seed);
+    SlotRunner disarmed(topo, params, sim::Rng(seed));
+    disarmed.arm_faults(nullptr, seed);
+    const auto expected = plain.run_concurrent(targets);
+    EXPECT_TRUE(armed.run_concurrent(targets) == expected) << seed;
+    EXPECT_TRUE(disarmed.run_concurrent(targets) == expected) << seed;
+  }
+}
+
+TEST(SlotRunner, DroppedReportsLeaveNoEvidence) {
+  // Traffic still flows, but no report reaches the BWAuth: no second is
+  // usable, so the slot fails instead of estimating from nothing.
+  const auto topo = table1();
+  Params params;
+  fault::FaultSpec spec;
+  spec.report_drop = 1.0;
+  const fault::FaultPlan plan(spec, 20210613);
+  std::vector<tor::RelayModel> models;
+  const auto targets = concurrent_pair(topo, models);
+  SlotRunner runner(topo, params, sim::Rng(16));
+  runner.arm_faults(&plan, 0);
+  for (const auto& out : runner.run_concurrent(targets)) {
+    EXPECT_TRUE(out.failed);
+    EXPECT_EQ(out.failure, SlotFailure::kInsufficientEvidence);
+    EXPECT_EQ(out.quality, 0.0);
+    EXPECT_EQ(out.usable_seconds, 0);
+    EXPECT_EQ(out.estimate_bits, 0.0);
+    EXPECT_EQ(out.x_bits.size(), static_cast<std::size_t>(params.slot_seconds));
+    EXPECT_GT(out.x_bits[10], 0.0);
+  }
 }
 
 TEST(ClampBackgroundProperty, NeverExceedsRatioBound) {

@@ -19,12 +19,18 @@ TEST(Params, RejectsNonPositiveSockets) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
-TEST(Params, RejectsNonPositiveMultiplier) {
+TEST(Params, RejectsMultiplierBelowOne) {
   Params p;
   p.multiplier = 0.0;
   EXPECT_THROW(p.validate(), std::invalid_argument);
   p.multiplier = -2.25;
   EXPECT_THROW(p.validate(), std::invalid_argument);
+  // m < 1 allocates less than the prior: no second can meet the
+  // aggregation's a_cov >= A/m bar, so every slot would fail.
+  p.multiplier = 0.9;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p.multiplier = 1.0;
+  EXPECT_NO_THROW(p.validate());
 }
 
 TEST(Params, RejectsNonPositiveSlotSeconds) {

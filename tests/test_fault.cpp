@@ -60,6 +60,21 @@ TEST(FaultSpec, ValidateRejectsOutOfRange) {
   EXPECT_THROW(usable.validate(), std::invalid_argument);
 }
 
+TEST(FaultSpec, ArmedEvidenceFloorMustFitTheSlot) {
+  // Armed faults whose floor exceeds the slot would fail every slot.
+  FaultSpec armed = all_channels(0.05);
+  armed.min_usable_seconds = 5;
+  EXPECT_NO_THROW(armed.validate(5));
+  EXPECT_THROW(armed.validate(4), std::invalid_argument);
+  // Policy knobs alone arm nothing: an inert spec is never rejected.
+  FaultSpec inert;
+  inert.min_usable_seconds = 5;
+  EXPECT_NO_THROW(inert.validate(4));
+  // The slot-length overload keeps every single-field rule.
+  inert.min_usable_seconds = 0;
+  EXPECT_THROW(inert.validate(30), std::invalid_argument);
+}
+
 // Fault occurrence is a pure function of (seed, slot, entity): asking the
 // same question twice — or from a plan built twice — gives the same
 // answer. This is what makes retry scheduling and multi-threaded

@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -362,6 +363,24 @@ TEST(ScenarioSerialize, MalformedFaultValuesNameKeyAndLine) {
       "table1.rate_limits_mbit: [250]\n"
       "faults.report_drop: 1.7\n",
       {"report_drop must be in [0, 1]"});
+}
+
+// Two configs that parsed but could never produce an estimate: every slot
+// failed and every relay was quarantined.
+TEST(ScenarioSerialize, RejectsConfigsNoSlotCanSatisfy) {
+  std::ifstream file(default_scenario_dir() + "/fault_smoke.yaml");
+  std::ostringstream text;
+  text << file.rdbuf();
+  ASSERT_FALSE(text.str().empty());
+  EXPECT_NO_THROW(parse_scenario(text.str(), "fault_smoke.yaml"));
+  expect_parse_error(text.str() + "params.multiplier: 0.9\n",
+                     {"multiplier must be >= 1"});
+  expect_parse_error(text.str() + "params.slot_seconds: 4\n",
+                     {"min_usable_seconds must not exceed params.slot_seconds"});
+  // Without armed faults a 4-second slot is fine.
+  EXPECT_NO_THROW(parse_scenario("population: table1\n"
+                                 "table1.rate_limits_mbit: [250]\n"
+                                 "params.slot_seconds: 4\n"));
 }
 
 TEST(ScenarioSerialize, LineWithoutColonRejected) {
