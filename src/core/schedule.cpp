@@ -17,28 +17,50 @@ PackingResult greedy_pack(std::span<const double> capacity_estimates,
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return capacity_estimates[a] > capacity_estimates[b];
   });
+  // need[p] is the requirement at sorted position p: non-increasing in p,
+  // so the positions that fit a given room form a suffix.
+  std::vector<double> need(n);
+  for (std::size_t p = 0; p < n; ++p)
+    need[p] = f * capacity_estimates[order[p]];
+  if (n > 0 && need[0] > team_capacity_bits + 1e-6)
+    throw std::runtime_error("greedy_pack: relay exceeds team capacity");
 
   PackingResult result;
   result.relay_slot.assign(n, -1);
-  std::vector<bool> placed(n, false);
+  // Largest-fit: each slot scans the sorted order once, taking every
+  // unplaced relay that still fits. The next relay it takes is the first
+  // unplaced position at or after both the last one taken and the first
+  // position that fits the room left, found by binary search plus a
+  // next-unplaced forest (path halving; position n is the end).
+  std::vector<std::size_t> next(n + 1);
+  std::iota(next.begin(), next.end(), 0);
+  const auto first_unplaced = [&next](std::size_t p) {
+    while (next[p] != p) {
+      next[p] = next[next[p]];
+      p = next[p];
+    }
+    return p;
+  };
   std::size_t remaining = n;
   int slot = 0;
   while (remaining > 0) {
     double room = team_capacity_bits;
-    // Largest-fit: scan in descending order for relays that still fit.
-    for (const std::size_t r : order) {
-      if (placed[r]) continue;
-      const double need = f * capacity_estimates[r];
-      if (need > team_capacity_bits + 1e-6)
-        throw std::runtime_error(
-            "greedy_pack: relay exceeds team capacity");
-      if (need <= room + 1e-6) {
-        result.relay_slot[r] = slot;
-        result.total_requirement_bits += need;
-        room -= need;
-        placed[r] = true;
-        --remaining;
-      }
+    for (std::size_t from = 0;;) {
+      const double limit = room + 1e-6;
+      const auto fits =
+          std::partition_point(need.begin() + static_cast<std::ptrdiff_t>(from),
+                               need.end(), [limit](double x) {
+                                 return !(x <= limit);
+                               });
+      const std::size_t p =
+          first_unplaced(static_cast<std::size_t>(fits - need.begin()));
+      if (p == n) break;
+      result.relay_slot[order[p]] = slot;
+      result.total_requirement_bits += need[p];
+      room -= need[p];
+      next[p] = p + 1;
+      --remaining;
+      from = p + 1;
     }
     ++slot;
   }

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
-
+#include <cstring>
+#include <numeric>
 #include <set>
+#include <stdexcept>
 
 #include "net/units.h"
 
@@ -187,6 +189,125 @@ TEST(GreedyPackProperty, ThrowsWheneverAnyRelayExceedsTeam) {
     rng.shuffle(caps);
     EXPECT_THROW(greedy_pack(caps, team, p), std::runtime_error);
   }
+}
+
+/// The O(n * slots) greedy_pack loop the binary-search layout replaced,
+/// kept verbatim as the reference it must match byte for byte.
+PackingResult reference_greedy_pack(std::span<const double> capacity_estimates,
+                                    double team_capacity_bits,
+                                    const Params& params) {
+  const double f = params.excess_factor();
+  const std::size_t n = capacity_estimates.size();
+
+  // Relays sorted by requirement, largest first.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return capacity_estimates[a] > capacity_estimates[b];
+  });
+
+  PackingResult result;
+  result.relay_slot.assign(n, -1);
+  std::vector<bool> placed(n, false);
+  std::size_t remaining = n;
+  int slot = 0;
+  while (remaining > 0) {
+    double room = team_capacity_bits;
+    // Largest-fit: scan in descending order for relays that still fit.
+    for (const std::size_t r : order) {
+      if (placed[r]) continue;
+      const double need = f * capacity_estimates[r];
+      if (need > team_capacity_bits + 1e-6)
+        throw std::runtime_error(
+            "greedy_pack: relay exceeds team capacity");
+      if (need <= room + 1e-6) {
+        result.relay_slot[r] = slot;
+        result.total_requirement_bits += need;
+        room -= need;
+        placed[r] = true;
+        --remaining;
+      }
+    }
+    ++slot;
+  }
+  result.slots_used = slot;
+  return result;
+}
+
+TEST(GreedyPackProperty, MatchesTheScanningReference) {
+  // Random populations, half of them drawn from a handful of capacities so
+  // that ties (and equal requirements at a slot's edge) are common; some
+  // relays at zero, teams from barely-fits to roomy. Slots, placements and
+  // the requirement sum (same accumulation order) must match exactly, and
+  // an oversized relay must throw on both sides.
+  Params p;
+  sim::Rng rng(0x9ac4);
+  const std::vector<double> tied = {net::mbit(0.5), net::mbit(2),
+                                    net::mbit(17), net::mbit(100),
+                                    net::mbit(333)};
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 600));
+    const bool ties = rng.chance(0.5);
+    std::vector<double> caps(n);
+    for (double& c : caps) {
+      if (rng.chance(0.03)) {
+        c = 0.0;
+      } else if (ties) {
+        c = tied[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(tied.size()) - 1))];
+      } else {
+        c = rng.log_normal(16.5, 1.5);
+      }
+    }
+    const double biggest =
+        n > 0 ? *std::max_element(caps.begin(), caps.end()) : 0.0;
+    const double team = rng.chance(0.05)
+                            ? biggest * p.excess_factor() * 0.9
+                            : std::max(net::gbit(0.3),
+                                       biggest * p.excess_factor() *
+                                           rng.uniform(1.0, 4.0));
+    PackingResult want;
+    bool want_throw = false;
+    try {
+      want = reference_greedy_pack(caps, team, p);
+    } catch (const std::runtime_error&) {
+      want_throw = true;
+    }
+    if (want_throw) {
+      EXPECT_THROW(greedy_pack(caps, team, p), std::runtime_error)
+          << "trial " << trial;
+      continue;
+    }
+    const PackingResult got = greedy_pack(caps, team, p);
+    EXPECT_EQ(got.slots_used, want.slots_used) << "trial " << trial;
+    EXPECT_EQ(got.relay_slot, want.relay_slot) << "trial " << trial;
+    EXPECT_EQ(std::memcmp(&got.total_requirement_bits,
+                          &want.total_requirement_bits, sizeof(double)),
+              0)
+        << "trial " << trial;
+  }
+}
+
+TEST(GreedyPackProperty, RequirementEqualToTheRoomLeftFits) {
+  // A relay fits when its requirement is <= room + 1e-6, equality
+  // included. Build a second relay whose requirement equals that bound
+  // exactly after the first relay is placed.
+  Params p;
+  const double f = p.excess_factor();
+  const double team = net::gbit(3);
+  const double first = net::mbit(700);
+  const double limit = (team - f * first) + 1e-6;
+  double second = limit / f;
+  for (int k = 0; k < 64 && f * second != limit; ++k)
+    second = std::nextafter(second, f * second < limit ? 1e18 : 0.0);
+  ASSERT_EQ(f * second, limit);
+  ASSERT_LT(second, first);
+  const std::vector<double> caps = {second, first};
+  const PackingResult want = reference_greedy_pack(caps, team, p);
+  ASSERT_EQ(want.slots_used, 1);
+  const PackingResult got = greedy_pack(caps, team, p);
+  EXPECT_EQ(got.slots_used, 1);
+  EXPECT_EQ(got.relay_slot, want.relay_slot);
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 // config, seed) regardless of thread count — and the hot-path code
 // (core::SlotRunner, net::FairShareSolver, the campaign worker loop) is
 // explicitly required to preserve results when it is restructured for
-// speed. These tests pin the full streamed CsvSink byte stream of two fixed
-// scenarios to FNV-1a hashes recorded from the pre-workspace-refactor
-// implementation, so any future hot-path change that silently shifts
-// results (an extra RNG draw, a reordered flow, a float reassociation)
-// fails loudly here rather than drifting the paper reproductions.
+// speed. These tests pin the full streamed CsvSink byte stream of three fixed
+// scenarios to FNV-1a hashes: two recorded from the pre-workspace-refactor
+// implementation, and a crowded-slot scenario whose slots solve fair-share
+// instances of 96 to 392 flows, so any future hot-path change that
+// silently shifts results (an extra RNG draw, a reordered flow, a float
+// reassociation) fails loudly here rather than drifting the paper
+// reproductions.
 //
 // If a change *intends* to alter results, re-record the constants from a
 // trusted build (the failure message prints the new hash) and justify the
@@ -41,6 +43,9 @@ namespace {
 // Recorded from the pre-refactor hot path (PR 3 state) with seed 20210613.
 constexpr std::uint64_t kCampaignCsvHash = 0xfa6d28d9b29064c3ULL;
 constexpr std::uint64_t kScenarioCsvHash = 0x841c72e6038a41a5ULL;
+// Recorded from the progressive-filling loop that rescanned every finite
+// resource and active flow per iteration, seed 20210613.
+constexpr std::uint64_t kCrowdedCsvHash = 0x906a92b207fb2523ULL;
 
 int env_int(const char* name) {
   const char* value = std::getenv(name);
@@ -125,6 +130,33 @@ std::string scenario_csv(int threads) {
   return spec_csv(golden_builder_spec(threads));
 }
 
+/// Crowded slots: 800 small relays greedy-packed onto three 1 Gbit/s
+/// measurers fill 3 slots, so every per-second solve is a large fair-share
+/// instance (96 to 392 flows, ~268 on average, ~266 filling iterations).
+/// The other two workloads never solve more than a handful of flows at
+/// once.
+std::string crowded_csv(int threads) {
+  analysis::PopulationParams pop;
+  pop.lognormal_mu = 14.5;
+  pop.lognormal_sigma = 1.0;
+  pop.max_capacity_bits = 998e6;
+  scenario::TopologySpec topo;
+  topo.path_model = scenario::TopologySpec::PathModelKind::kTiered;
+  topo.tiers = 3;
+  topo.tier_rtt_s = {0.02, 0.08, 0.15, 0.03, 0.11, 0.04};
+  topo.rtt_jitter = 0.1;
+  return spec_csv(scenario::ScenarioBuilder("golden_crowded")
+                      .synthetic(pop, 800)
+                      .topology(topo)
+                      .measurer_capacities({net::gbit(1), net::gbit(1),
+                                            net::gbit(1)})
+                      .schedule(campaign::ScheduleMode::kGreedyPack)
+                      .threads(threads)
+                      .shard_slots(forced_shard())
+                      .seed(20210613)
+                      .build());
+}
+
 TEST(GoldenDeterminism, CampaignCsvBytesMatchRecordedBaseline) {
   const int forced = forced_threads();
   const std::string csv = campaign_csv(forced > 0 ? forced : 1);
@@ -173,6 +205,20 @@ TEST(GoldenDeterminism, ScenarioCsvBytesMatchRecordedBaseline) {
       << " bytes. Hot-path changes must be bit-identical.";
   if (forced <= 0) {
     EXPECT_EQ(csv, scenario_csv(/*threads=*/8));
+  }
+}
+
+TEST(GoldenDeterminism, CrowdedSlotCsvBytesMatchRecordedBaseline) {
+  const int forced = forced_threads();
+  const std::string csv = crowded_csv(forced > 0 ? forced : 1);
+  EXPECT_EQ(sim::hash_tag(csv), kCrowdedCsvHash)
+      << "crowded-slot CSV bytes shifted (threads="
+      << (forced > 0 ? forced : 1) << ", shard=" << forced_shard()
+      << "); new hash 0x" << std::hex << sim::hash_tag(csv) << " over "
+      << std::dec << csv.size()
+      << " bytes. Hot-path changes must be bit-identical.";
+  if (forced <= 0) {
+    EXPECT_EQ(csv, crowded_csv(/*threads=*/8));
   }
 }
 
