@@ -5,22 +5,117 @@
 #include <cmath>
 #include <ostream>
 #include <string>
+#include <type_traits>
 
 #include "metrics/stats.h"
+#include "util/strict_parse.h"
 
 namespace flashflow::campaign {
+
+struct Row {
+  int period;
+  int slot;  // SlotResult::slot
+  std::size_t relay;
+  const RelayEstimate& est;
+  const telemetry::SlotTrace& trace;
+};
+
+struct CellWriter {
+  std::string& out;
+  const bool json;
+
+  template <typename T>
+  void put(T value) {
+    if constexpr (std::is_same_v<T, bool>) {
+      out += json ? (value ? "true" : "false") : (value ? "1" : "0");
+    } else if constexpr (std::is_floating_point_v<T>) {
+      util::format_double(out, value);
+    } else {
+      char buf[24];
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+    }
+  }
+};
+
 namespace {
 
-// Round-trip double formatting (std::to_chars shortest form): parses back
-// exactly, so streamed files are stable and diffable, and allocation-free
-// on the per-estimate hot path.
-std::string fmt(double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
+// One table per file. Each cell writer is a generic lambda: the compiler
+// instantiates it for (CellWriter&, const Row&) and CellWriter::put picks
+// the spelling from the field's type.
+const Column kResultColumns[] = {
+    {"period", [](auto& out, auto& row) { out.put(row.period); }},
+    {"relay", [](auto& out, auto& row) { out.put(row.relay); }},
+    {"slot", [](auto& out, auto& row) { out.put(row.est.slot); }},
+    {"estimate_bits",
+     [](auto& out, auto& row) { out.put(row.est.estimate_bits); }},
+    {"ground_truth_bits",
+     [](auto& out, auto& row) { out.put(row.est.ground_truth_bits); }},
+    {"relative_error",
+     [](auto& out, auto& row) { out.put(row.est.relative_error); }},
+    {"verification_failed",
+     [](auto& out, auto& row) { out.put(row.est.verification_failed); }},
+    // The fault columns: results_schema().fault_columns_begin.
+    {"quality", [](auto& out, auto& row) { out.put(row.est.quality); }},
+    {"attempt", [](auto& out, auto& row) { out.put(row.est.attempt); }},
+    {"slot_failed", [](auto& out, auto& row) { out.put(row.est.slot_failed); }},
+    {"quarantined", [](auto& out, auto& row) { out.put(row.est.quarantined); }},
+};
+
+const Column kFaultLedgerColumns[] = {
+    {"period", [](auto& out, auto& row) { out.put(row.period); }},
+    {"relay", [](auto& out, auto& row) { out.put(row.relay); }},
+    {"slot", [](auto& out, auto& row) { out.put(row.est.slot); }},
+    {"attempt", [](auto& out, auto& row) { out.put(row.est.attempt); }},
+    {"failed", [](auto& out, auto& row) { out.put(row.est.slot_failed); }},
+    {"quarantined", [](auto& out, auto& row) { out.put(row.est.quarantined); }},
+    {"quality", [](auto& out, auto& row) { out.put(row.est.quality); }},
+};
+
+const Column kTraceColumns[] = {
+    {"period", [](auto& out, auto& row) { out.put(row.period); }},
+    {"slot", [](auto& out, auto& row) { out.put(row.slot); }},
+    {"relay", [](auto& out, auto& row) { out.put(row.relay); }},
+    {"segments", [](auto& out, auto& row) { out.put(row.trace.segments); }},
+    {"attempt", [](auto& out, auto& row) { out.put(row.est.attempt); }},
+    {"failed", [](auto& out, auto& row) { out.put(row.est.slot_failed); }},
+    {"quarantined", [](auto& out, auto& row) { out.put(row.est.quarantined); }},
+    {"quality", [](auto& out, auto& row) { out.put(row.est.quality); }},
+    // Execution-dependent from here on.
+    {"lane", [](auto& out, auto& row) { out.put(row.trace.lane); }},
+    {"shard", [](auto& out, auto& row) { out.put(row.trace.shard); }},
+    {"dispatch_us",
+     [](auto& out, auto& row) { out.put(row.trace.timing.dispatch_micros); }},
+    {"fill_paths_us",
+     [](auto& out, auto& row) { out.put(row.trace.timing.fill_paths_micros); }},
+    {"prepare_us",
+     [](auto& out, auto& row) { out.put(row.trace.timing.prepare_micros); }},
+    {"solve_us",
+     [](auto& out, auto& row) { out.put(row.trace.timing.solve_micros); }},
+};
+
+/// The fault ledger skips healthy estimates: first attempt, full evidence.
+bool fault_touched(const RelayEstimate& est) {
+  return !(est.attempt == 0 && !est.slot_failed && !est.quarantined &&
+           est.quality >= 1.0);
 }
 
 }  // namespace
+
+const RowSchema& results_schema() {
+  static const RowSchema schema{kResultColumns, /*fault_columns_begin=*/7};
+  return schema;
+}
+
+const RowSchema& fault_ledger_schema() {
+  static const RowSchema schema{.columns = kFaultLedgerColumns,
+                                .keep = fault_touched};
+  return schema;
+}
+
+const RowSchema& trace_schema() {
+  static const RowSchema schema{kTraceColumns};
+  return schema;
+}
 
 SlotReorderBuffer::SlotReorderBuffer(std::size_t count, std::size_t window,
                                      Deliver deliver)
@@ -133,74 +228,46 @@ CampaignResult AggregatingSink::result(const RunStats& stats) && {
   return std::move(result_);
 }
 
-void CsvSink::begin(const RunPlan& plan) {
+RowSink::RowSink(std::ostream& out, const RowSchema& schema,
+                 RowFormat format)
+    : out_(out), schema_(schema), format_(format) {
+  const bool json = format_ == RowFormat::kJsonl;
+  for (const Column& column : schema_.columns) {
+    std::string& prefix = cell_prefix_.emplace_back(
+        cell_prefix_.empty() ? (json ? "{" : "") : ",");
+    if (json) prefix.append("\"").append(column.name).append("\":");
+  }
+}
+
+void RowSink::begin(const RunPlan& plan) {
   ++period_;
-  faults_ = plan.faults_enabled;
-  if (!header_written_) {
-    out_ << "period,relay,slot,estimate_bits,ground_truth_bits,"
-            "relative_error,verification_failed";
-    if (faults_) out_ << ",quality,attempt,slot_failed,quarantined";
+  columns_ = plan.faults_enabled
+                 ? schema_.columns.size()
+                 : std::min(schema_.fault_columns_begin,
+                            schema_.columns.size());
+  if (format_ == RowFormat::kCsv && !header_written_) {
+    for (std::size_t c = 0; c < columns_; ++c)
+      out_ << cell_prefix_[c] << schema_.columns[c].name;
     out_ << '\n';
     header_written_ = true;
   }
 }
 
-void CsvSink::slot_done(const SlotResult& slot) {
-  for (std::size_t i = 0; i < slot.relay_indices.size(); ++i) {
-    const RelayEstimate& est = slot.estimates[i];
-    out_ << period_ << ',' << slot.relay_indices[i] << ',' << est.slot << ','
-         << fmt(est.estimate_bits) << ',' << fmt(est.ground_truth_bits) << ','
-         << fmt(est.relative_error) << ','
-         << (est.verification_failed ? 1 : 0);
-    if (faults_)
-      out_ << ',' << fmt(est.quality) << ',' << est.attempt << ','
-           << (est.slot_failed ? 1 : 0) << ',' << (est.quarantined ? 1 : 0);
-    out_ << '\n';
+void RowSink::slot_done(const SlotResult& slot) {
+  const auto trace = slot.trace.value_or(telemetry::SlotTrace{});
+  CellWriter cells{rows_, format_ == RowFormat::kJsonl};
+  rows_.clear();
+  for (std::size_t i = 0; i < slot.estimates.size(); ++i) {
+    const Row row{period_, slot.slot, slot.relay_indices[i],
+                  slot.estimates[i], trace};
+    if (schema_.keep && !schema_.keep(row.est)) continue;
+    for (std::size_t c = 0; c < columns_; ++c) {
+      rows_ += cell_prefix_[c];
+      schema_.columns[c].write(cells, row);
+    }
+    rows_ += format_ == RowFormat::kJsonl ? "}\n" : "\n";
   }
-}
-
-void JsonlSink::begin(const RunPlan& plan) {
-  ++period_;
-  faults_ = plan.faults_enabled;
-}
-
-void JsonlSink::slot_done(const SlotResult& slot) {
-  for (std::size_t i = 0; i < slot.relay_indices.size(); ++i) {
-    const RelayEstimate& est = slot.estimates[i];
-    out_ << "{\"period\":" << period_
-         << ",\"relay\":" << slot.relay_indices[i] << ",\"slot\":" << est.slot
-         << ",\"estimate_bits\":" << fmt(est.estimate_bits)
-         << ",\"ground_truth_bits\":" << fmt(est.ground_truth_bits)
-         << ",\"relative_error\":" << fmt(est.relative_error)
-         << ",\"verification_failed\":"
-         << (est.verification_failed ? "true" : "false");
-    if (faults_)
-      out_ << ",\"quality\":" << fmt(est.quality)
-           << ",\"attempt\":" << est.attempt << ",\"slot_failed\":"
-           << (est.slot_failed ? "true" : "false") << ",\"quarantined\":"
-           << (est.quarantined ? "true" : "false");
-    out_ << "}\n";
-  }
-}
-
-void FaultLedgerSink::begin(const RunPlan&) {
-  ++period_;
-  if (!header_written_) {
-    out_ << "period,relay,slot,attempt,failed,quarantined,quality\n";
-    header_written_ = true;
-  }
-}
-
-void FaultLedgerSink::slot_done(const SlotResult& slot) {
-  for (std::size_t i = 0; i < slot.relay_indices.size(); ++i) {
-    const RelayEstimate& est = slot.estimates[i];
-    if (est.attempt == 0 && !est.slot_failed && !est.quarantined &&
-        est.quality >= 1.0)
-      continue;
-    out_ << period_ << ',' << slot.relay_indices[i] << ',' << est.slot << ','
-         << est.attempt << ',' << (est.slot_failed ? 1 : 0) << ','
-         << (est.quarantined ? 1 : 0) << ',' << fmt(est.quality) << '\n';
-  }
+  out_.write(rows_.data(), static_cast<std::streamsize>(rows_.size()));
 }
 
 }  // namespace flashflow::campaign

@@ -6,8 +6,13 @@
 //
 //   - AggregatingSink rebuilds the batch CampaignResult in memory (the
 //     batch run() overload is implemented on top of it),
-//   - CsvSink / JsonlSink stream one row/object per relay estimate to an
-//     ostream as the slots finish,
+//   - RowSink streams one CSV or JSONL row per relay estimate as the slots
+//     finish, from a RowSchema: one column table per file (results, fault
+//     ledger, trace) that both formats read, so each field of each file
+//     is declared once. CsvSink, JsonlSink, FaultLedgerSink and
+//     TraceJsonlSink name the four files `flashflow run` writes;
+//     tests/test_docs.cpp walks the schemas against docs/result-files.md,
+//   - FanoutSink forwards one stream to several sinks,
 //   - ProgressSink adapts a callback into the progress/cancellation hook
 //     and forwards everything else to an optional inner sink.
 //
@@ -20,9 +25,13 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <initializer_list>
 #include <iosfwd>
+#include <limits>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -105,59 +114,108 @@ class AggregatingSink : public SlotSink {
   CampaignResult result_;
 };
 
-/// One CSV row per relay estimate:
-///   period,relay,slot,estimate_bits,ground_truth_bits,relative_error,
-///   verification_failed[,quality,attempt,slot_failed,quarantined]
-/// The bracketed fault columns appear only when the run has fault
-/// injection armed (RunPlan::faults_enabled): fault-free byte streams are
-/// identical to pre-fault builds, which the golden hashes pin.
-/// Doubles are printed round-trip (max_digits10) so files diff cleanly
-/// across runs. The header is written once even if the sink is reused
-/// across periods (scenario::Experiment streams every period into one
-/// sink; `period` counts begin() calls).
-class CsvSink : public SlotSink {
- public:
-  explicit CsvSink(std::ostream& out) : out_(out) {}
-  void begin(const RunPlan& plan) override;
-  void slot_done(const SlotResult& slot) override;
+struct Row;         // one relay estimate as a row sees it (sink.cpp)
+struct CellWriter;  // appends one cell in the row's format (sink.cpp)
 
- private:
-  std::ostream& out_;
-  bool header_written_ = false;
-  bool faults_ = false;
-  int period_ = -1;
+/// One column: its name (CSV header cell, JSONL key) and its cell.
+struct Column {
+  const char* name;
+  void (*write)(CellWriter& out, const Row& row);
 };
 
-/// One JSON object per relay estimate, one per line (JSONL), same fields
-/// as CsvSink plus the period index when reused across periods. As with
-/// CsvSink, the fault fields appear only when the run has faults armed.
-class JsonlSink : public SlotSink {
- public:
-  explicit JsonlSink(std::ostream& out) : out_(out) {}
-  void begin(const RunPlan& plan) override;
-  void slot_done(const SlotResult& slot) override;
-
- private:
-  std::ostream& out_;
-  bool faults_ = false;
-  int period_ = -1;
+/// The columns of one result file, in file order.
+struct RowSchema {
+  std::span<const Column> columns;
+  /// Columns from here on are written only when the run has fault
+  /// injection armed (RunPlan::faults_enabled), so fault-free byte streams
+  /// stay identical to pre-fault builds. The default gates none.
+  std::size_t fault_columns_begin = std::numeric_limits<std::size_t>::max();
+  /// Rows kept; null keeps every estimate.
+  bool (*keep)(const RelayEstimate& estimate) = nullptr;
 };
 
-/// The fault ledger: one CSV row per relay estimate that a fault actually
-/// touched — retried, failed, quarantined, or measured from degraded
-/// evidence (quality < 1). Healthy estimates write nothing, so the file
-/// stays small and scannable:
-///   period,relay,slot,attempt,failed,quarantined,quality
-class FaultLedgerSink : public SlotSink {
+/// The files `flashflow run` writes (columns: docs/result-files.md).
+/// results.csv and results.jsonl, the fault columns gated.
+const RowSchema& results_schema();
+/// faults.csv: only the estimates a fault touched (retried, failed,
+/// quarantined, or quality < 1).
+const RowSchema& fault_ledger_schema();
+/// trace.jsonl. Its field order is a format contract: everything before
+/// "lane" is byte-identical for every thread count and shard size, and
+/// comparisons cut each line at `,"lane":`. An untraced slot (no Recorder
+/// with tracing enabled) prints the default SlotTrace{}.
+const RowSchema& trace_schema();
+
+enum class RowFormat {
+  kCsv,    // a header line, then comma-separated cells; flags are 1/0
+  kJsonl,  // one JSON object per line keyed by column; flags true/false
+};
+
+/// Streams one row per relay estimate the schema keeps. `period` counts
+/// begin() calls (scenario::Experiment streams every period into one
+/// sink) and the CSV header is written once. Doubles print in shortest
+/// round-trip form (util::format_double), so files diff cleanly. A slot's
+/// rows are built in a reused buffer and handed to the stream in one write.
+class RowSink : public SlotSink {
  public:
-  explicit FaultLedgerSink(std::ostream& out) : out_(out) {}
+  RowSink(std::ostream& out, const RowSchema& schema, RowFormat format);
   void begin(const RunPlan& plan) override;
   void slot_done(const SlotResult& slot) override;
 
  private:
   std::ostream& out_;
+  const RowSchema schema_;
+  const RowFormat format_;
+  /// Text before each column's cell: the separator, and in JSONL the key.
+  std::vector<std::string> cell_prefix_;
+  std::size_t columns_ = 0;  // written this period
   bool header_written_ = false;
   int period_ = -1;
+  std::string rows_;
+};
+
+struct CsvSink : RowSink {
+  explicit CsvSink(std::ostream& out)
+      : RowSink(out, results_schema(), RowFormat::kCsv) {}
+};
+struct JsonlSink : RowSink {
+  explicit JsonlSink(std::ostream& out)
+      : RowSink(out, results_schema(), RowFormat::kJsonl) {}
+};
+struct FaultLedgerSink : RowSink {
+  explicit FaultLedgerSink(std::ostream& out)
+      : RowSink(out, fault_ledger_schema(), RowFormat::kCsv) {}
+};
+struct TraceJsonlSink : RowSink {
+  explicit TraceJsonlSink(std::ostream& out)
+      : RowSink(out, trace_schema(), RowFormat::kJsonl) {}
+};
+
+/// Forwards one stream to each sink, in the order given; null sinks are
+/// skipped, so optional ones can be listed unconditionally. on_progress
+/// asks every sink, and any one of them cancels the run.
+class FanoutSink : public SlotSink {
+ public:
+  FanoutSink(std::initializer_list<SlotSink*> sinks) {
+    for (SlotSink* sink : sinks)
+      if (sink) sinks_.push_back(sink);
+  }
+
+  void begin(const RunPlan& plan) override {
+    for (SlotSink* sink : sinks_) sink->begin(plan);
+  }
+  void slot_done(const SlotResult& slot) override {
+    for (SlotSink* sink : sinks_) sink->slot_done(slot);
+  }
+  bool on_progress(int slots_done, int slots_total) override {
+    bool keep = true;
+    for (SlotSink* sink : sinks_)
+      keep = sink->on_progress(slots_done, slots_total) && keep;
+    return keep;
+  }
+
+ private:
+  std::vector<SlotSink*> sinks_;
 };
 
 /// Wraps a progress/cancellation callback, optionally forwarding results

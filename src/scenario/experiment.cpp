@@ -8,36 +8,6 @@
 
 namespace flashflow::scenario {
 
-namespace {
-
-/// Forwards one period's stream to both the aggregating sink and an
-/// optional user sink. Cancellation from either side stops the run.
-class TeeSink : public campaign::SlotSink {
- public:
-  TeeSink(campaign::SlotSink& first, campaign::SlotSink* second)
-      : first_(first), second_(second) {}
-
-  void begin(const campaign::RunPlan& plan) override {
-    first_.begin(plan);
-    if (second_) second_->begin(plan);
-  }
-  void slot_done(const campaign::SlotResult& slot) override {
-    first_.slot_done(slot);
-    if (second_) second_->slot_done(slot);
-  }
-  bool on_progress(int slots_done, int slots_total) override {
-    bool keep = first_.on_progress(slots_done, slots_total);
-    if (second_) keep = second_->on_progress(slots_done, slots_total) && keep;
-    return keep;
-  }
-
- private:
-  campaign::SlotSink& first_;
-  campaign::SlotSink* second_;
-};
-
-}  // namespace
-
 Experiment::Experiment(ScenarioSpec spec)
     : spec_(std::move(spec)),
       materialized_(materialize(spec_)),
@@ -69,7 +39,7 @@ Experiment::Result Experiment::run(campaign::SlotSink* sink,
                         telemetry_));
 
     campaign::AggregatingSink aggregate;
-    TeeSink tee(aggregate, sink);
+    campaign::FanoutSink tee{&aggregate, sink};
     const campaign::RunStats stats = runner.run(relays, tee);
     campaign::CampaignResult period_result =
         std::move(aggregate).result(stats);

@@ -1,11 +1,14 @@
 #include "scenario/serialize.h"
 
 #include <algorithm>
-#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "sim/time.h"
@@ -15,42 +18,181 @@ namespace flashflow::scenario {
 
 namespace {
 
+// ------------------------------------------------------------- key tables ---
+
+/// A scenario key and the spec field it holds. Every key a table lists is
+/// written by serialize_scenario() and read by parse_scenario() in table
+/// order; parse order decides which of two bad keys gets reported.
+template <typename S>
+struct Key {
+  const char* name;
+  std::variant<std::string S::*, std::uint64_t S::*, int S::*, bool S::*,
+               double S::*, std::vector<double> S::*,
+               std::vector<std::string> S::*>
+      member;
+};
+
+using analysis::PopulationParams;
+using shadowsim::ShadowNetParams;
+
+// `schedule` sits between these two tables in a file, and parse checks
+// its word after reading both.
+const Key<ScenarioSpec> kRunKeys[] = {
+    {"name", &ScenarioSpec::name},
+    {"seed", &ScenarioSpec::seed},
+    {"periods", &ScenarioSpec::periods},
+    {"threads", &ScenarioSpec::threads},
+    {"shard_slots", &ScenarioSpec::shard_slots},
+};
+const Key<ScenarioSpec> kRecordKeys[] = {
+    {"record_outcomes", &ScenarioSpec::record_outcomes},
+};
+
+const Key<Table1PopulationSpec> kTable1Keys[] = {
+    {"table1.rate_limits_mbit", &Table1PopulationSpec::rate_limit_mbit},
+    {"table1.relay_host", &Table1PopulationSpec::relay_host},
+    {"table1.background_mbit", &Table1PopulationSpec::background_mbit},
+    {"table1.prior_mbit", &Table1PopulationSpec::prior_mbit},
+};
+
+const Key<ShadowPopulationSpec> kShadowKeys[] = {
+    {"shadow.seed", &ShadowPopulationSpec::seed},
+};
+const Key<ShadowNetParams> kShadowNetKeys[] = {
+    {"shadow.relays", &ShadowNetParams::relays},
+    {"shadow.capacity_mu", &ShadowNetParams::capacity_mu},
+    {"shadow.capacity_sigma", &ShadowNetParams::capacity_sigma},
+    {"shadow.max_capacity_bits", &ShadowNetParams::max_capacity_bits},
+    {"shadow.min_capacity_bits", &ShadowNetParams::min_capacity_bits},
+    {"shadow.advertised_mean", &ShadowNetParams::advertised_mean},
+    {"shadow.advertised_sd", &ShadowNetParams::advertised_sd},
+    {"shadow.contention_mean", &ShadowNetParams::contention_mean},
+    {"shadow.contention_sd", &ShadowNetParams::contention_sd},
+};
+
+const Key<SyntheticPopulationSpec> kSyntheticKeys[] = {
+    {"synthetic.relays", &SyntheticPopulationSpec::relays},
+    {"synthetic.prior_fraction", &SyntheticPopulationSpec::prior_fraction},
+};
+const Key<PopulationParams> kSyntheticPopulationKeys[] = {
+    {"synthetic.initial_relays", &PopulationParams::initial_relays},
+    {"synthetic.growth_per_year", &PopulationParams::growth_per_year},
+    {"synthetic.churn_per_day", &PopulationParams::churn_per_day},
+    {"synthetic.lognormal_mu", &PopulationParams::lognormal_mu},
+    {"synthetic.lognormal_sigma", &PopulationParams::lognormal_sigma},
+    {"synthetic.max_capacity_bits", &PopulationParams::max_capacity_bits},
+    {"synthetic.min_capacity_bits", &PopulationParams::min_capacity_bits},
+    {"synthetic.rate_limited_fraction",
+     &PopulationParams::rate_limited_fraction},
+};
+
+// `topology.path_model` (dense | tiered) comes first, by hand.
+const Key<TopologySpec> kTopologyKeys[] = {
+    {"topology.tiers", &TopologySpec::tiers},
+    {"topology.tier_rtt_s", &TopologySpec::tier_rtt_s},
+    {"topology.loss", &TopologySpec::loss},
+    {"topology.loaded_loss", &TopologySpec::loaded_loss},
+    {"topology.rtt_jitter", &TopologySpec::rtt_jitter},
+};
+
+// Any of these keys turns the optional speedtest window on.
+const Key<SpeedTestWindow> kSpeedTestKeys[] = {
+    {"speedtest.warmup_days", &SpeedTestWindow::warmup_days},
+    {"speedtest.test_duration_hours", &SpeedTestWindow::test_duration_hours},
+    {"speedtest.cooldown_days", &SpeedTestWindow::cooldown_days},
+};
+
+const Key<fault::FaultSpec> kFaultKeys[] = {
+    {"faults.measurer_crash", &fault::FaultSpec::measurer_crash},
+    {"faults.relay_disconnect", &fault::FaultSpec::relay_disconnect},
+    {"faults.report_drop", &fault::FaultSpec::report_drop},
+    {"faults.report_truncate", &fault::FaultSpec::report_truncate},
+    {"faults.slot_timeout", &fault::FaultSpec::slot_timeout},
+    {"faults.max_retries", &fault::FaultSpec::max_retries},
+    {"faults.min_usable_seconds", &fault::FaultSpec::min_usable_seconds},
+};
+
+const Key<TeamSpec> kTeamKeys[] = {
+    {"team.measurers", &TeamSpec::measurer_names},
+    {"team.capacity_bits", &TeamSpec::capacity_bits},
+};
+
+const Key<AdversaryMix> kAdversaryKeys[] = {
+    {"adversaries.liar_fraction", &AdversaryMix::liar_fraction},
+    {"adversaries.forger_fraction", &AdversaryMix::forger_fraction},
+};
+
+const Key<BackgroundModel> kBackgroundKeys[] = {
+    {"background.enabled", &BackgroundModel::enabled},
+    {"background.utilization_mean", &BackgroundModel::utilization_mean},
+    {"background.utilization_sd", &BackgroundModel::utilization_sd},
+};
+
+// `params.period_seconds` (a sim::SimDuration in seconds) comes last, by
+// hand.
+const Key<core::Params> kParamsKeys[] = {
+    {"params.sockets", &core::Params::sockets},
+    {"params.multiplier", &core::Params::multiplier},
+    {"params.slot_seconds", &core::Params::slot_seconds},
+    {"params.epsilon1", &core::Params::epsilon1},
+    {"params.epsilon2", &core::Params::epsilon2},
+    {"params.ratio", &core::Params::ratio},
+    {"params.check_probability", &core::Params::check_probability},
+};
+
 // ------------------------------------------------------------- formatting ---
 
-/// Shortest text that parses back to exactly the same double
-/// (std::to_chars round-trip guarantee) — the serializer half of the
-/// format's round-trip fidelity promise.
-std::string fmt(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, ptr);
-}
-
-bool plain_string(const std::string& s) {
+bool plain_string(std::string_view s) {
   if (s.empty()) return false;
   return std::all_of(s.begin(), s.end(), [](unsigned char c) {
     return std::isalnum(c) || c == '_' || c == '-' || c == '.' || c == '/';
   });
 }
 
-/// Bare when possible, double-quoted when the text would not survive the
-/// line format (spaces, '#', ',', ...).
-std::string fmt(const std::string& s) {
-  return plain_string(s) ? s : "\"" + s + "\"";
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename T>
+struct IsVector<std::vector<T>> : std::true_type {};
+
+/// Appends one value in file form: doubles in shortest round-trip form
+/// (the serializer half of the round-trip promise), strings bare when
+/// possible and double-quoted when the text would not survive the line
+/// format (spaces, '#', ',', ...), lists inline as [a, b].
+template <typename T>
+void write_value(std::string& out, const T& value) {
+  if constexpr (IsVector<T>::value) {
+    out += '[';
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      if (i) out += ", ";
+      write_value(out, value[i]);
+    }
+    out += ']';
+  } else if constexpr (std::is_convertible_v<T, std::string_view>) {
+    const bool quote = !plain_string(value);
+    if (quote) out += '"';
+    out += value;
+    if (quote) out += '"';
+  } else if constexpr (std::is_same_v<T, double>) {
+    util::format_double(out, value);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out += value ? "true" : "false";
+  } else {
+    out += std::to_string(value);
+  }
 }
 
-std::string fmt_list(const std::vector<double>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i)
-    out += (i ? ", " : "") + fmt(values[i]);
-  return out + "]";
+void write_line(std::string& out, const char* key, const auto& value) {
+  out += key;
+  out += ": ";
+  write_value(out, value);
+  out += '\n';
 }
 
-std::string fmt_list(const std::vector<std::string>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i)
-    out += (i ? ", " : "") + fmt(values[i]);
-  return out + "]";
+template <typename S, std::size_t N>
+void write_keys(std::string& out, const S& section, const Key<S> (&keys)[N]) {
+  for (const Key<S>& key : keys)
+    std::visit([&](auto member) { write_line(out, key.name, section.*member); },
+               key.member);
 }
 
 // ---------------------------------------------------------------- parsing ---
@@ -104,56 +246,31 @@ class ScenarioText {
                                 message);
   }
 
-  bool has(const std::string& key) const { return entries_.count(key) != 0; }
-
-  std::string get_string(const std::string& key, std::string fallback) {
+  /// Parses `key` into `value` if the file sets it; an absent key leaves
+  /// `value` as it was. Returns whether the key was present.
+  template <typename T>
+  bool read(const std::string& key, T& value) {
     const Entry* e = find(key);
-    return e ? unquote(e->value) : std::move(fallback);
+    if (!e) return false;
+    if constexpr (IsVector<T>::value) {
+      value.clear();
+      for (const std::string& item : split_list(key, e))
+        value.push_back(scalar<typename T::value_type>(item, key, e));
+    } else {
+      value = scalar<T>(e->value, key, e);
+    }
+    return true;
   }
 
-  std::string require_string(const std::string& key) {
-    const Entry* e = find(key);
-    if (!e)
-      throw std::invalid_argument(source_ + ": missing required key '" +
-                                  key + "'");
-    return unquote(e->value);
-  }
-
-  double get_double(const std::string& key, double fallback) {
-    const Entry* e = find(key);
-    return e ? util::parse_double(e->value, label(key, e)) : fallback;
-  }
-
-  int get_int(const std::string& key, int fallback) {
-    const Entry* e = find(key);
-    return e ? util::parse_int(e->value, label(key, e)) : fallback;
-  }
-
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) {
-    const Entry* e = find(key);
-    return e ? util::parse_u64(e->value, label(key, e)) : fallback;
-  }
-
-  bool get_bool(const std::string& key, bool fallback) {
-    const Entry* e = find(key);
-    return e ? util::parse_bool(e->value, label(key, e)) : fallback;
-  }
-
-  std::vector<double> get_double_list(const std::string& key) {
-    std::vector<double> out;
-    const Entry* e = find(key);
-    if (!e) return out;
-    for (const auto& item : split_list(key, e))
-      out.push_back(util::parse_double(item, label(key, e)));
-    return out;
-  }
-
-  std::vector<std::string> get_string_list(const std::string& key) {
-    std::vector<std::string> out;
-    const Entry* e = find(key);
-    if (!e) return out;
-    for (const auto& item : split_list(key, e)) out.push_back(unquote(item));
-    return out;
+  /// Reads every key of a table into `section`; returns whether any was
+  /// present.
+  template <typename S, std::size_t N>
+  bool read_keys(S& section, const Key<S> (&keys)[N]) {
+    bool any = false;
+    for (const Key<S>& key : keys)
+      std::visit([&](auto member) { any |= read(key.name, section.*member); },
+                 key.member);
+    return any;
   }
 
   /// The line an already-consumed key was set on (diagnostics).
@@ -161,7 +278,7 @@ class ScenarioText {
     return entries_.at(key).line;
   }
 
-  /// Fails on the first (lowest-line) key no getter consumed. `population`
+  /// Fails on the first (lowest-line) key no read() consumed. `population`
   /// names the active population source so a valid-but-inapplicable
   /// section gets a better message than "unknown key".
   void reject_unused(const std::string& population) const {
@@ -192,10 +309,26 @@ class ScenarioText {
     mutable bool used = false;
   };
 
-  /// "<source>:<line>: key '<key>'" — the `what` handed to the strict
-  /// numeric parsers, so their messages come out fully located.
-  std::string label(const std::string& key, const Entry* e) const {
-    return source_ + ":" + std::to_string(e->line) + ": key '" + key + "'";
+  /// One scalar (or list element) of type T. The strict numeric parsers
+  /// get "<source>:<line>: key '<key>'" as their `what`, so their messages
+  /// come out fully located.
+  template <typename T>
+  T scalar(std::string_view text, const std::string& key,
+           const Entry* e) const {
+    if constexpr (std::is_same_v<T, std::string>) {
+      return unquote(text);
+    } else {
+      const std::string what =
+          source_ + ":" + std::to_string(e->line) + ": key '" + key + "'";
+      if constexpr (std::is_same_v<T, double>)
+        return util::parse_double(text, what);
+      else if constexpr (std::is_same_v<T, int>)
+        return util::parse_int(text, what);
+      else if constexpr (std::is_same_v<T, std::uint64_t>)
+        return util::parse_u64(text, what);
+      else
+        return util::parse_bool(text, what);
+    }
   }
 
   const Entry* find(const std::string& key) {
@@ -250,124 +383,62 @@ class ScenarioText {
 
 std::string serialize_scenario(const ScenarioSpec& spec) {
   spec.validate();
-  std::ostringstream out;
-  out << "# FlashFlow scenario (format version 1). One 'key: value' per\n"
-         "# line, dotted keys for nesting, inline [a, b] lists; absent\n"
-         "# keys keep their defaults. See README \"Scenario files\".\n"
-      << "flashflow_scenario: 1\n"
-      << "name: " << fmt(spec.name) << "\n"
-      << "seed: " << spec.seed << "\n"
-      << "periods: " << spec.periods << "\n"
-      << "threads: " << spec.threads << "\n"
-      << "shard_slots: " << spec.shard_slots << "\n"
-      << "schedule: "
-      << (spec.schedule == campaign::ScheduleMode::kGreedyPack
-              ? "greedy_pack"
-              : "randomized")
-      << "\n"
-      << "record_outcomes: "
-      << (spec.record_outcomes ? "true" : "false") << "\n\n";
+  std::string out =
+      "# FlashFlow scenario (format version 1). One 'key: value' per\n"
+      "# line, dotted keys for nesting, inline [a, b] lists; absent\n"
+      "# keys keep their defaults. See README \"Scenario files\".\n"
+      "flashflow_scenario: 1\n";
+  write_keys(out, spec, kRunKeys);
+  write_line(out, "schedule",
+             spec.schedule == campaign::ScheduleMode::kGreedyPack
+                 ? "greedy_pack"
+                 : "randomized");
+  write_keys(out, spec, kRecordKeys);
 
   if (const auto* t1 = std::get_if<Table1PopulationSpec>(&spec.population)) {
-    out << "population: table1\n"
-        << "table1.rate_limits_mbit: " << fmt_list(t1->rate_limit_mbit)
-        << "\n"
-        << "table1.relay_host: " << fmt(t1->relay_host) << "\n"
-        << "table1.background_mbit: " << fmt(t1->background_mbit) << "\n"
-        << "table1.prior_mbit: " << fmt(t1->prior_mbit) << "\n";
+    out += "\npopulation: table1\n";
+    write_keys(out, *t1, kTable1Keys);
   } else if (const auto* shadow =
                  std::get_if<ShadowPopulationSpec>(&spec.population)) {
-    const shadowsim::ShadowNetParams& p = shadow->params;
-    out << "population: shadow\n"
-        << "shadow.seed: " << shadow->seed << "\n"
-        << "shadow.relays: " << p.relays << "\n"
-        << "shadow.capacity_mu: " << fmt(p.capacity_mu) << "\n"
-        << "shadow.capacity_sigma: " << fmt(p.capacity_sigma) << "\n"
-        << "shadow.max_capacity_bits: " << fmt(p.max_capacity_bits) << "\n"
-        << "shadow.min_capacity_bits: " << fmt(p.min_capacity_bits) << "\n"
-        << "shadow.advertised_mean: " << fmt(p.advertised_mean) << "\n"
-        << "shadow.advertised_sd: " << fmt(p.advertised_sd) << "\n"
-        << "shadow.contention_mean: " << fmt(p.contention_mean) << "\n"
-        << "shadow.contention_sd: " << fmt(p.contention_sd) << "\n";
+    out += "\npopulation: shadow\n";
+    write_keys(out, *shadow, kShadowKeys);
+    write_keys(out, shadow->params, kShadowNetKeys);
   } else {
     const auto& syn = std::get<SyntheticPopulationSpec>(spec.population);
-    const analysis::PopulationParams& p = syn.params;
-    out << "population: synthetic\n"
-        << "synthetic.relays: " << syn.relays << "\n"
-        << "synthetic.prior_fraction: " << fmt(syn.prior_fraction) << "\n"
-        << "synthetic.initial_relays: " << p.initial_relays << "\n"
-        << "synthetic.growth_per_year: " << fmt(p.growth_per_year) << "\n"
-        << "synthetic.churn_per_day: " << fmt(p.churn_per_day) << "\n"
-        << "synthetic.lognormal_mu: " << fmt(p.lognormal_mu) << "\n"
-        << "synthetic.lognormal_sigma: " << fmt(p.lognormal_sigma) << "\n"
-        << "synthetic.max_capacity_bits: " << fmt(p.max_capacity_bits)
-        << "\n"
-        << "synthetic.min_capacity_bits: " << fmt(p.min_capacity_bits)
-        << "\n"
-        << "synthetic.rate_limited_fraction: "
-        << fmt(p.rate_limited_fraction) << "\n";
+    out += "\npopulation: synthetic\n";
+    write_keys(out, syn, kSyntheticKeys);
+    write_keys(out, syn.params, kSyntheticPopulationKeys);
   }
 
   // Optional sections: emitted only when engaged, so files written by
   // older builds and specs with all-default values stay byte-stable.
   if (spec.topology != TopologySpec{}) {
-    out << "\ntopology.path_model: "
-        << (spec.topology.path_model == TopologySpec::PathModelKind::kTiered
-                ? "tiered"
-                : "dense")
-        << "\n"
-        << "topology.tiers: " << spec.topology.tiers << "\n"
-        << "topology.tier_rtt_s: " << fmt_list(spec.topology.tier_rtt_s)
-        << "\n"
-        << "topology.loss: " << fmt(spec.topology.loss) << "\n"
-        << "topology.loaded_loss: " << fmt(spec.topology.loaded_loss) << "\n"
-        << "topology.rtt_jitter: " << fmt(spec.topology.rtt_jitter) << "\n";
+    out += '\n';
+    write_line(out, "topology.path_model",
+               spec.topology.path_model == TopologySpec::PathModelKind::kTiered
+                   ? "tiered"
+                   : "dense");
+    write_keys(out, spec.topology, kTopologyKeys);
   }
   if (spec.speedtest) {
-    out << "\nspeedtest.warmup_days: " << spec.speedtest->warmup_days << "\n"
-        << "speedtest.test_duration_hours: "
-        << spec.speedtest->test_duration_hours << "\n"
-        << "speedtest.cooldown_days: " << spec.speedtest->cooldown_days
-        << "\n";
+    out += '\n';
+    write_keys(out, *spec.speedtest, kSpeedTestKeys);
   }
   if (spec.faults != fault::FaultSpec{}) {
-    out << "\nfaults.measurer_crash: " << fmt(spec.faults.measurer_crash)
-        << "\n"
-        << "faults.relay_disconnect: " << fmt(spec.faults.relay_disconnect)
-        << "\n"
-        << "faults.report_drop: " << fmt(spec.faults.report_drop) << "\n"
-        << "faults.report_truncate: " << fmt(spec.faults.report_truncate)
-        << "\n"
-        << "faults.slot_timeout: " << fmt(spec.faults.slot_timeout) << "\n"
-        << "faults.max_retries: " << spec.faults.max_retries << "\n"
-        << "faults.min_usable_seconds: " << spec.faults.min_usable_seconds
-        << "\n";
+    out += '\n';
+    write_keys(out, spec.faults, kFaultKeys);
   }
 
-  out << "\nteam.measurers: " << fmt_list(spec.team.measurer_names) << "\n"
-      << "team.capacity_bits: " << fmt_list(spec.team.capacity_bits)
-      << "\n\n"
-      << "adversaries.liar_fraction: "
-      << fmt(spec.adversaries.liar_fraction) << "\n"
-      << "adversaries.forger_fraction: "
-      << fmt(spec.adversaries.forger_fraction) << "\n\n"
-      << "background.enabled: "
-      << (spec.background.enabled ? "true" : "false") << "\n"
-      << "background.utilization_mean: "
-      << fmt(spec.background.utilization_mean) << "\n"
-      << "background.utilization_sd: "
-      << fmt(spec.background.utilization_sd) << "\n\n"
-      << "params.sockets: " << spec.params.sockets << "\n"
-      << "params.multiplier: " << fmt(spec.params.multiplier) << "\n"
-      << "params.slot_seconds: " << spec.params.slot_seconds << "\n"
-      << "params.epsilon1: " << fmt(spec.params.epsilon1) << "\n"
-      << "params.epsilon2: " << fmt(spec.params.epsilon2) << "\n"
-      << "params.ratio: " << fmt(spec.params.ratio) << "\n"
-      << "params.check_probability: " << fmt(spec.params.check_probability)
-      << "\n"
-      << "params.period_seconds: "
-      << fmt(sim::to_seconds(spec.params.period)) << "\n";
-  return out.str();
+  out += '\n';
+  write_keys(out, spec.team, kTeamKeys);
+  out += '\n';
+  write_keys(out, spec.adversaries, kAdversaryKeys);
+  out += '\n';
+  write_keys(out, spec.background, kBackgroundKeys);
+  out += '\n';
+  write_keys(out, spec.params, kParamsKeys);
+  write_line(out, "params.period_seconds", sim::to_seconds(spec.params.period));
+  return out;
 }
 
 // ------------------------------------------------------------------ parse ---
@@ -377,23 +448,17 @@ ScenarioSpec parse_scenario(const std::string& text,
   ScenarioText in(text, source);
   ScenarioSpec spec;
 
-  if (in.has("flashflow_scenario")) {
-    const int version = in.get_int("flashflow_scenario", 1);
-    if (version != 1)
-      in.fail(in.line_of("flashflow_scenario"),
-              "unsupported scenario-format version " +
-                  std::to_string(version) + " (this build reads version 1)");
-  }
+  int version = 1;
+  if (in.read("flashflow_scenario", version) && version != 1)
+    in.fail(in.line_of("flashflow_scenario"),
+            "unsupported scenario-format version " + std::to_string(version) +
+                " (this build reads version 1)");
 
-  spec.name = in.get_string("name", spec.name);
-  spec.seed = in.get_u64("seed", spec.seed);
-  spec.periods = in.get_int("periods", spec.periods);
-  spec.threads = in.get_int("threads", spec.threads);
-  spec.shard_slots = in.get_int("shard_slots", spec.shard_slots);
-  spec.record_outcomes =
-      in.get_bool("record_outcomes", spec.record_outcomes);
+  in.read_keys(spec, kRunKeys);
+  in.read_keys(spec, kRecordKeys);
 
-  const std::string schedule = in.get_string("schedule", "greedy_pack");
+  std::string schedule = "greedy_pack";
+  in.read("schedule", schedule);
   if (schedule == "greedy_pack") {
     spec.schedule = campaign::ScheduleMode::kGreedyPack;
   } else if (schedule == "randomized") {
@@ -404,142 +469,56 @@ ScenarioSpec parse_scenario(const std::string& text,
                 schedule + "'");
   }
 
-  const std::string population = in.require_string("population");
+  std::string population;
+  if (!in.read("population", population))
+    throw std::invalid_argument(source +
+                                ": missing required key 'population'");
   if (population == "table1") {
-    Table1PopulationSpec t1;
-    t1.rate_limit_mbit = in.get_double_list("table1.rate_limits_mbit");
-    t1.relay_host = in.get_string("table1.relay_host", t1.relay_host);
-    t1.background_mbit =
-        in.get_double("table1.background_mbit", t1.background_mbit);
-    t1.prior_mbit = in.get_double("table1.prior_mbit", t1.prior_mbit);
-    spec.population = std::move(t1);
+    in.read_keys(spec.population.emplace<Table1PopulationSpec>(),
+                 kTable1Keys);
   } else if (population == "shadow") {
-    ShadowPopulationSpec shadow;
-    shadowsim::ShadowNetParams& p = shadow.params;
-    shadow.seed = in.get_u64("shadow.seed", shadow.seed);
-    p.relays = in.get_int("shadow.relays", p.relays);
-    p.capacity_mu = in.get_double("shadow.capacity_mu", p.capacity_mu);
-    p.capacity_sigma =
-        in.get_double("shadow.capacity_sigma", p.capacity_sigma);
-    p.max_capacity_bits =
-        in.get_double("shadow.max_capacity_bits", p.max_capacity_bits);
-    p.min_capacity_bits =
-        in.get_double("shadow.min_capacity_bits", p.min_capacity_bits);
-    p.advertised_mean =
-        in.get_double("shadow.advertised_mean", p.advertised_mean);
-    p.advertised_sd = in.get_double("shadow.advertised_sd", p.advertised_sd);
-    p.contention_mean =
-        in.get_double("shadow.contention_mean", p.contention_mean);
-    p.contention_sd = in.get_double("shadow.contention_sd", p.contention_sd);
-    spec.population = shadow;
+    auto& shadow = spec.population.emplace<ShadowPopulationSpec>();
+    in.read_keys(shadow, kShadowKeys);
+    in.read_keys(shadow.params, kShadowNetKeys);
   } else if (population == "synthetic") {
-    SyntheticPopulationSpec syn;
-    analysis::PopulationParams& p = syn.params;
-    syn.relays = in.get_int("synthetic.relays", syn.relays);
-    syn.prior_fraction =
-        in.get_double("synthetic.prior_fraction", syn.prior_fraction);
-    p.initial_relays = in.get_int("synthetic.initial_relays",
-                                  p.initial_relays);
-    p.growth_per_year =
-        in.get_double("synthetic.growth_per_year", p.growth_per_year);
-    p.churn_per_day =
-        in.get_double("synthetic.churn_per_day", p.churn_per_day);
-    p.lognormal_mu = in.get_double("synthetic.lognormal_mu", p.lognormal_mu);
-    p.lognormal_sigma =
-        in.get_double("synthetic.lognormal_sigma", p.lognormal_sigma);
-    p.max_capacity_bits =
-        in.get_double("synthetic.max_capacity_bits", p.max_capacity_bits);
-    p.min_capacity_bits =
-        in.get_double("synthetic.min_capacity_bits", p.min_capacity_bits);
-    p.rate_limited_fraction = in.get_double(
-        "synthetic.rate_limited_fraction", p.rate_limited_fraction);
-    spec.population = syn;
+    auto& syn = spec.population.emplace<SyntheticPopulationSpec>();
+    in.read_keys(syn, kSyntheticKeys);
+    in.read_keys(syn.params, kSyntheticPopulationKeys);
   } else {
     in.fail(in.line_of("population"),
             "key 'population': expected table1, shadow or synthetic, "
             "got '" + population + "'");
   }
 
-  if (in.has("topology.path_model")) {
-    const std::string kind = in.get_string("topology.path_model", "dense");
-    if (kind == "dense") {
+  std::string path_model;
+  if (in.read("topology.path_model", path_model)) {
+    if (path_model == "dense") {
       spec.topology.path_model = TopologySpec::PathModelKind::kDense;
-    } else if (kind == "tiered") {
+    } else if (path_model == "tiered") {
       spec.topology.path_model = TopologySpec::PathModelKind::kTiered;
     } else {
       in.fail(in.line_of("topology.path_model"),
               "key 'topology.path_model': expected dense or tiered, got '" +
-                  kind + "'");
+                  path_model + "'");
     }
   }
   // Tier parameters are read unconditionally so a file carrying them
   // without 'topology.path_model: tiered' fails spec validation instead
   // of being silently dropped.
-  spec.topology.tiers = in.get_int("topology.tiers", spec.topology.tiers);
-  spec.topology.tier_rtt_s = in.get_double_list("topology.tier_rtt_s");
-  spec.topology.loss = in.get_double("topology.loss", spec.topology.loss);
-  spec.topology.loaded_loss =
-      in.get_double("topology.loaded_loss", spec.topology.loaded_loss);
-  spec.topology.rtt_jitter =
-      in.get_double("topology.rtt_jitter", spec.topology.rtt_jitter);
+  in.read_keys(spec.topology, kTopologyKeys);
 
-  if (in.has("speedtest.warmup_days") ||
-      in.has("speedtest.test_duration_hours") ||
-      in.has("speedtest.cooldown_days")) {
-    SpeedTestWindow window;
-    window.warmup_days =
-        in.get_int("speedtest.warmup_days", window.warmup_days);
-    window.test_duration_hours = in.get_int("speedtest.test_duration_hours",
-                                            window.test_duration_hours);
-    window.cooldown_days =
-        in.get_int("speedtest.cooldown_days", window.cooldown_days);
+  SpeedTestWindow window;
+  if (in.read_keys(window, kSpeedTestKeys))
     spec.speedtest = window;
-  }
 
-  spec.faults.measurer_crash =
-      in.get_double("faults.measurer_crash", spec.faults.measurer_crash);
-  spec.faults.relay_disconnect =
-      in.get_double("faults.relay_disconnect", spec.faults.relay_disconnect);
-  spec.faults.report_drop =
-      in.get_double("faults.report_drop", spec.faults.report_drop);
-  spec.faults.report_truncate =
-      in.get_double("faults.report_truncate", spec.faults.report_truncate);
-  spec.faults.slot_timeout =
-      in.get_double("faults.slot_timeout", spec.faults.slot_timeout);
-  spec.faults.max_retries =
-      in.get_int("faults.max_retries", spec.faults.max_retries);
-  spec.faults.min_usable_seconds =
-      in.get_int("faults.min_usable_seconds", spec.faults.min_usable_seconds);
-
-  spec.team.measurer_names = in.get_string_list("team.measurers");
-  spec.team.capacity_bits = in.get_double_list("team.capacity_bits");
-
-  spec.adversaries.liar_fraction =
-      in.get_double("adversaries.liar_fraction", 0.0);
-  spec.adversaries.forger_fraction =
-      in.get_double("adversaries.forger_fraction", 0.0);
-
-  spec.background.enabled = in.get_bool("background.enabled", false);
-  spec.background.utilization_mean =
-      in.get_double("background.utilization_mean", 0.0);
-  spec.background.utilization_sd =
-      in.get_double("background.utilization_sd", 0.0);
-
-  spec.params.sockets = in.get_int("params.sockets", spec.params.sockets);
-  spec.params.multiplier =
-      in.get_double("params.multiplier", spec.params.multiplier);
-  spec.params.slot_seconds =
-      in.get_int("params.slot_seconds", spec.params.slot_seconds);
-  spec.params.epsilon1 =
-      in.get_double("params.epsilon1", spec.params.epsilon1);
-  spec.params.epsilon2 =
-      in.get_double("params.epsilon2", spec.params.epsilon2);
-  spec.params.ratio = in.get_double("params.ratio", spec.params.ratio);
-  spec.params.check_probability = in.get_double(
-      "params.check_probability", spec.params.check_probability);
-  if (in.has("params.period_seconds"))
-    spec.params.period = sim::from_seconds(
-        in.get_double("params.period_seconds", 0.0));
+  in.read_keys(spec.faults, kFaultKeys);
+  in.read_keys(spec.team, kTeamKeys);
+  in.read_keys(spec.adversaries, kAdversaryKeys);
+  in.read_keys(spec.background, kBackgroundKeys);
+  in.read_keys(spec.params, kParamsKeys);
+  double period_seconds = 0.0;
+  if (in.read("params.period_seconds", period_seconds))
+    spec.params.period = sim::from_seconds(period_seconds);
 
   in.reject_unused(population);
   spec.validate();

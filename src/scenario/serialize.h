@@ -25,9 +25,14 @@
 //
 // Round-trip fidelity: parse(serialize(spec)) == spec for every valid
 // spec. serialize() emits every field explicitly (doubles in shortest
-// round-trip form), so the emitted file doubles as a normalized archival
-// record of an experiment; parsing accepts any subset of keys, with
-// absent keys keeping their ScenarioSpec defaults.
+// round-trip form, util::format_double), so the emitted file doubles as a
+// normalized archival record of an experiment; parsing accepts any subset
+// of keys, with absent keys keeping their ScenarioSpec defaults.
+//
+// Each key is named once, in one {name, member pointer} table per spec
+// section (serialize.cpp) that drives both directions in file order. The
+// keys that take a fixed set of words or a unit conversion are written
+// out by hand.
 #pragma once
 
 #include <string>

@@ -1,6 +1,6 @@
 // Deterministic engine telemetry: named counters/gauges/histograms with
 // per-lane shards, stage timers behind a Clock seam, and per-slot trace
-// data (telemetry/trace.h serializes it).
+// data (campaign::TraceJsonlSink in campaign/sink.h serializes it).
 //
 // Design constraints, in force everywhere this header is used:
 //

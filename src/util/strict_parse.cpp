@@ -96,4 +96,16 @@ bool parse_bool(std::string_view text, const std::string& what) {
   fail_format(what, "'true' or 'false'", text);
 }
 
+void format_double(std::string& out, double v) {
+  // The longest shortest form, "-2.2250738585072014e-308", is 24 chars.
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+std::string format_double(double v) {
+  std::string out;
+  format_double(out, v);
+  return out;
+}
+
 }  // namespace flashflow::util

@@ -1,4 +1,5 @@
-// Strict whole-token numeric parsing.
+// Strict whole-token numeric parsing, and the one number formatter whose
+// output it reads back exactly.
 //
 // The std::stoll/std::stod/atoi family silently accepts trailing garbage
 // ("12junk" parses as 12) and surfaces overflow as a generic exception
@@ -39,5 +40,11 @@ int parse_int(std::string_view text, const std::string& what);
 
 /// Exactly "true" or "false".
 bool parse_bool(std::string_view text, const std::string& what);
+
+/// Appends the shortest text that parse_double reads back as exactly `v`
+/// (std::to_chars' round-trip form: 0.05 -> "0.05", 2.5e8 -> "2.5e+08"),
+/// the way every file this project writes spells its doubles.
+void format_double(std::string& out, double v);
+std::string format_double(double v);
 
 }  // namespace flashflow::util

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -219,6 +220,54 @@ TEST(Campaign, ProgressHookCancelsRemainingSlots) {
   EXPECT_LT(delivered, static_cast<int>(relays.size()));
   EXPECT_EQ(partial.summary.relays_measured, delivered);
   EXPECT_GT(partial.summary.mean_abs_relative_error, 0.0);
+}
+
+TEST(Campaign, FanoutSinkForwardsToEverySinkAndAnyOneCancels) {
+  const auto topo = net::make_table1_hosts();
+  const auto relays = small_population(topo);
+  auto config = lab_config(topo);
+  config.threads = 2;
+
+  // Two CsvSinks behind one fan-out write the bytes a lone sink does.
+  std::ostringstream first_out, second_out, alone_out;
+  CsvSink first_csv(first_out), second_csv(second_out), alone(alone_out);
+  FanoutSink both{&first_csv, &second_csv};
+  CampaignRunner(topo, config).run(relays, both);
+  CampaignRunner(topo, config).run(relays, alone);
+  EXPECT_FALSE(first_out.str().empty());
+  EXPECT_EQ(first_out.str(), second_out.str());
+  EXPECT_EQ(first_out.str(), alone_out.str());
+
+  // Calls arrive in the order the sinks were given; either sink can
+  // cancel, and both are asked on every on_progress call even after one
+  // has said stop.
+  struct CountingSink : SlotSink {
+    CountingSink(char name, bool cancel, std::string& log)
+        : name(name), cancel(cancel), log(log) {}
+    char name;
+    bool cancel;
+    std::string& log;
+    int progress_calls = 0;
+    void begin(const RunPlan&) override { log += name; }
+    void slot_done(const SlotResult&) override { log += name; }
+    bool on_progress(int, int) override {
+      ++progress_calls;
+      return !cancel;
+    }
+  };
+  for (const bool first_cancels : {true, false}) {
+    SCOPED_TRACE(first_cancels ? "first cancels" : "second cancels");
+    std::string log;
+    CountingSink first('a', first_cancels, log);
+    CountingSink second('b', !first_cancels, log);
+    FanoutSink fanout{&first, nullptr, &second};  // null is skipped
+    const RunStats stats = CampaignRunner(topo, config).run(relays, fanout);
+    EXPECT_TRUE(stats.cancelled);
+    EXPECT_EQ(stats.slots_executed, 1);
+    EXPECT_EQ(log, "abab");  // begin, then the one delivered slot
+    EXPECT_EQ(first.progress_calls, 1);
+    EXPECT_EQ(second.progress_calls, 1);
+  }
 }
 
 TEST(Campaign, RecordOutcomesAttachesPerSecondSeries) {

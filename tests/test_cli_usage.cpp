@@ -13,19 +13,23 @@
 //     unknown flag dies with "unknown argument" instead — and every
 //     switch must be consumed without an "unknown argument" complaint.
 //
-// Spawns the real binary (FLASHFLOW_CLI_BIN from CMake) via popen; no
-// test touches the filesystem, so every invocation fails fast before
-// any scenario is loaded or directory created.
+// Spawns the real binary (FLASHFLOW_CLI_BIN from CMake) via popen. The
+// usage probes touch no file, so every invocation fails fast before any
+// scenario is loaded or directory created. The CliOutputs tests run real
+// scenarios into a scratch directory under the system temp dir and check
+// that a result file which cannot be written in full fails the run.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 namespace {
 
@@ -187,6 +191,83 @@ TEST(CliUsage, EveryTableSwitchIsConsumed) {
     EXPECT_NE(result.exit_code, 0);
     EXPECT_EQ(result.output.find("unknown argument"), std::string::npos)
         << "a documented switch was not consumed: " << result.output;
+  }
+}
+
+namespace fs = std::filesystem;
+
+/// A fresh directory under the system temp dir, removed afterwards.
+class ScratchDir {
+ public:
+  ScratchDir()
+      : path_(fs::temp_directory_path() /
+              ("flashflow_cli_test_" + std::to_string(::getpid()))) {
+    fs::remove_all(path_);
+    fs::create_directories(path_);
+  }
+  ~ScratchDir() { fs::remove_all(path_); }
+  const fs::path& path() const { return path_; }
+
+ private:
+  fs::path path_;
+};
+
+/// `path` single-quoted for the shell run_cli() hands its command to.
+std::string quoted(const fs::path& path) {
+  std::string out = "'";
+  out += path.string();
+  out += '\'';
+  return out;
+}
+
+std::string scenario_file(const char* name) {
+  return quoted(fs::path(FLASHFLOW_REPO_DIR) / "scenarios" / name);
+}
+
+TEST(CliOutputs, RunFailsWhenBandwidthFileCannotBeCreated) {
+  // A directory squatting on bandwidth.txt: every other file writes fine,
+  // so only a checked open catches it.
+  const ScratchDir scratch;
+  const fs::path out = scratch.path() / "out";
+  fs::create_directories(out / "bandwidth.txt");
+  const RunResult result =
+      run_cli("run " + scenario_file("quickstart.yaml") + " --out " +
+              quoted(out) + " --force --quiet");
+  EXPECT_NE(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("cannot write " +
+                               (out / "bandwidth.txt").string()),
+            std::string::npos)
+      << result.output;
+}
+
+TEST(CliOutputs, RunFailsWhenAnyOutputWriteFails) {
+  // /dev/full accepts the open and fails every write with ENOSPC: each
+  // output file in turn points there, and the run must fail naming it
+  // rather than report success over a short file.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full here";
+  const ScratchDir scratch;
+  const fs::path out = scratch.path() / "out";
+  const fs::path trace = scratch.path() / "trace";
+  const fs::path metrics = scratch.path() / "metrics.json";
+  const std::vector<fs::path> outputs = {
+      out / "scenario.yaml", out / "results.csv",   out / "results.jsonl",
+      out / "faults.csv",    out / "bandwidth.txt", trace / "trace.jsonl",
+      metrics};
+  for (const fs::path& target : outputs) {
+    SCOPED_TRACE(target.string());
+    fs::remove_all(out);
+    fs::remove_all(trace);
+    fs::remove(metrics);
+    fs::create_directories(target.parent_path());
+    fs::create_symlink("/dev/full", target);
+    const RunResult result =
+        run_cli("run " + scenario_file("fault_smoke.yaml") + " --out " +
+                quoted(out) + " --trace " + quoted(trace) + " --metrics " +
+                quoted(metrics) + " --force --quiet");
+    EXPECT_NE(result.exit_code, 0) << result.output;
+    EXPECT_NE(result.output.find("cannot write " + target.string()),
+              std::string::npos)
+        << result.output;
   }
 }
 

@@ -5,20 +5,27 @@
 // serializes fully-populated specs for all three population variants
 // (plus every optional section) and fails if any emitted key is missing
 // from the page — so adding a key without documenting it breaks the
-// build, not a user. A second test keeps the relative links inside
-// docs/ and README.md pointing at files that exist.
+// build, not a user. docs/result-files.md gets the same treatment from
+// the result sinks' column tables. Further tests keep the relative links
+// inside docs/ and README.md pointing at files that exist, and hold
+// src/ to docs/ARCHITECTURE.md's rule that dependencies point downward.
 //
 // FLASHFLOW_REPO_DIR is injected by CMake so the suite finds the
 // checked-in markdown from any build directory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "campaign/sink.h"
 #include "scenario/scenario.h"
 #include "scenario/serialize.h"
 
@@ -124,6 +131,115 @@ TEST(DocsStaleness, ScenarioReferenceDocumentsEverySerializedKey) {
   // All three populations plus the optional sections: a meaningful sweep,
   // not an accidentally-empty loop.
   EXPECT_GE(checked, 50);
+}
+
+TEST(DocsStaleness, ResultReferenceDocumentsEveryColumn) {
+  // Each result file's section of the page carries one table row per
+  // column of its schema, and the rows of the fault-gated columns (and
+  // only those) say when they are written.
+  const std::string doc = read_file(repo_dir() / "docs" / "result-files.md");
+  ASSERT_FALSE(doc.empty());
+  struct ResultFile {
+    const char* name;
+    const campaign::RowSchema& schema;
+  };
+  const ResultFile files[] = {
+      {"results.csv", campaign::results_schema()},
+      {"faults.csv", campaign::fault_ledger_schema()},
+      {"trace.jsonl", campaign::trace_schema()},
+  };
+  int checked = 0;
+  for (const ResultFile& file : files) {
+    const std::size_t start = doc.find("\n## `" + std::string(file.name));
+    ASSERT_NE(start, std::string::npos)
+        << "docs/result-files.md has no section for " << file.name;
+    const std::string section =
+        doc.substr(start, doc.find("\n## ", start + 1) - start);
+    for (std::size_t c = 0; c < file.schema.columns.size(); ++c) {
+      const std::string name = file.schema.columns[c].name;
+      const std::size_t row = section.find("\n| `" + name + "` |");
+      EXPECT_NE(row, std::string::npos)
+          << file.name << " column '" << name
+          << "' is written by src/campaign/sink.cpp but not documented in "
+             "docs/result-files.md";
+      if (row == std::string::npos) continue;
+      const std::string line =
+          section.substr(row + 1, section.find('\n', row + 1) - row - 1);
+      EXPECT_EQ(line.find("faults armed") != std::string::npos,
+                c >= file.schema.fault_columns_begin)
+          << "docs/result-files.md misstates when " << file.name
+          << " column '" << name << "' is written: " << line;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 30);
+}
+
+TEST(DocsStaleness, ModuleIncludeGraphIsAcyclic) {
+  // docs/ARCHITECTURE.md: "Dependencies point downward only." Module A
+  // depends on module B when a file in src/A/ includes "B/...".
+  const fs::path src = repo_dir() / "src";
+  std::set<std::string> modules;
+  for (const fs::directory_entry& entry : fs::directory_iterator(src))
+    if (entry.is_directory())
+      modules.insert(entry.path().filename().string());
+  ASSERT_GE(modules.size(), 10u);
+
+  // module -> dependency -> the first file seen making the edge.
+  std::map<std::string, std::map<std::string, std::string>> deps;
+  int edges = 0;
+  for (const std::string& module : modules) {
+    for (const fs::directory_entry& entry :
+         fs::recursive_directory_iterator(src / module)) {
+      if (!entry.is_regular_file()) continue;
+      std::istringstream lines(read_file(entry.path()));
+      for (std::string line; std::getline(lines, line);) {
+        const std::string prefix = "#include \"";
+        if (line.rfind(prefix, 0) != 0) continue;
+        const std::size_t slash = line.find('/', prefix.size());
+        if (slash == std::string::npos) continue;
+        const std::string dep =
+            line.substr(prefix.size(), slash - prefix.size());
+        if (dep == module || !modules.count(dep)) continue;
+        edges += deps[module]
+                     .emplace(dep, module + "/" +
+                                       entry.path().filename().string())
+                     .second;
+      }
+    }
+  }
+  EXPECT_GE(edges, 20) << "include scan found almost no module edges";
+
+  // Depth-first search: an edge back into the current path closes a cycle.
+  std::map<std::string, int> state;  // 0 unvisited, 1 on path, 2 done
+  std::vector<std::string> path;
+  std::vector<std::string> cycles;
+  const std::function<void(const std::string&)> visit =
+      [&](const std::string& module) {
+        state[module] = 1;
+        path.push_back(module);
+        for (const auto& [dep, file] : deps[module]) {
+          if (state[dep] == 1) {
+            std::string cycle;
+            for (auto it = std::find(path.begin(), path.end(), dep);
+                 it != path.end(); ++it) {
+              const std::string& next =
+                  it + 1 == path.end() ? dep : *(it + 1);
+              if (!cycle.empty()) cycle += ", ";
+              cycle += *it + " -> " + next + " (" + deps[*it][next] + ")";
+            }
+            cycles.push_back(cycle);
+          } else if (state[dep] == 0) {
+            visit(dep);
+          }
+        }
+        path.pop_back();
+        state[module] = 2;
+      };
+  for (const std::string& module : modules)
+    if (state[module] == 0) visit(module);
+  for (const std::string& cycle : cycles)
+    ADD_FAILURE() << "src/ module include cycle: " << cycle;
 }
 
 TEST(DocsStaleness, RelativeLinksInDocsResolve) {

@@ -1,4 +1,5 @@
-// Golden-hash regression tests for the measurement hot path.
+// Golden-hash regression tests for the measurement hot path and the
+// files it writes.
 //
 // The campaign engine promises bit-identical output for a fixed (population,
 // config, seed) regardless of thread count — and the hot-path code
@@ -11,6 +12,12 @@
 // silently shifts results (an extra RNG draw, a reordered flow, a float
 // reassociation) fails loudly here rather than drifting the paper
 // reproductions.
+//
+// The file formats are pinned the same way: the golden scenario's JSONL
+// stream; every stream scenarios/fault_smoke.yaml writes (results with the
+// fault columns, the fault ledger, and the deterministic prefix of each
+// trace line); and the serialized text of every checked-in scenario file
+// plus a tiered-topology spec.
 //
 // If a change *intends* to alter results, re-record the constants from a
 // trusted build (the failure message prints the new hash) and justify the
@@ -26,7 +33,10 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "campaign/campaign.h"
@@ -35,6 +45,7 @@
 #include "scenario/scenario.h"
 #include "scenario/serialize.h"
 #include "sim/random.h"
+#include "telemetry/telemetry.h"
 #include "tor/cpu_model.h"
 
 namespace flashflow {
@@ -46,6 +57,30 @@ constexpr std::uint64_t kScenarioCsvHash = 0x841c72e6038a41a5ULL;
 // Recorded from the progressive-filling loop that rescanned every finite
 // resource and active flow per iteration, seed 20210613.
 constexpr std::uint64_t kCrowdedCsvHash = 0x906a92b207fb2523ULL;
+// Recorded from the hand-written sinks and scenario serializer, before
+// each file format became one field table, seed 20210613.
+constexpr std::uint64_t kScenarioJsonlHash = 0x2ea0753307a44aaaULL;
+constexpr std::uint64_t kFaultCsvHash = 0xa92922d64b61f922ULL;
+constexpr std::uint64_t kFaultJsonlHash = 0xc6866fb3712a197dULL;
+constexpr std::uint64_t kFaultLedgerHash = 0x73685fa6d357fc6fULL;
+/// Over each trace line cut at `,"lane":` (the execution-dependent rest).
+constexpr std::uint64_t kFaultTraceHash = 0x713b77c54c5ce90eULL;
+constexpr std::uint64_t kTieredScenarioTextHash = 0x5684f062628351b5ULL;
+
+/// serialize_scenario() of each checked-in scenarios/*.yaml file.
+struct ScenarioTextHash {
+  const char* file;
+  std::uint64_t hash;
+};
+constexpr ScenarioTextHash kScenarioTextHashes[] = {
+    {"fault_smoke.yaml", 0x2fe303152328a8a1ULL},
+    {"fig05.yaml", 0x51c8977dee6298d1ULL},
+    {"fig07.yaml", 0x96f88cdc1272722dULL},
+    {"golden_smoke.yaml", 0x8e181bbc9020464bULL},
+    {"measure_network.yaml", 0xf149ae5bccdaa5eeULL},
+    {"quickstart.yaml", 0xd4278a3dd699c727ULL},
+    {"sec7.yaml", 0xdfcadc59c6f72b31ULL},
+};
 
 int env_int(const char* name) {
   const char* value = std::getenv(name);
@@ -118,12 +153,26 @@ scenario::ScenarioSpec scenario_file_spec(int threads) {
   return spec;
 }
 
-std::string spec_csv(const scenario::ScenarioSpec& spec) {
+/// Checks `bytes` against a recorded hash; a mismatch prints the new one.
+void expect_hash(const std::string& bytes, std::uint64_t expected,
+                 const std::string& what) {
+  EXPECT_EQ(sim::hash_tag(bytes), expected)
+      << what << " bytes shifted; new hash 0x" << std::hex
+      << sim::hash_tag(bytes) << " over " << std::dec << bytes.size()
+      << " bytes.";
+}
+
+template <typename Sink>
+std::string spec_stream(const scenario::ScenarioSpec& spec) {
   const scenario::Scenario scenario(spec);
   std::ostringstream out;
-  campaign::CsvSink sink(out);
+  Sink sink(out);
   scenario.run(sink);
   return out.str();
+}
+
+std::string spec_csv(const scenario::ScenarioSpec& spec) {
+  return spec_stream<campaign::CsvSink>(spec);
 }
 
 std::string scenario_csv(int threads) {
@@ -135,7 +184,7 @@ std::string scenario_csv(int threads) {
 /// instance (96 to 392 flows, ~268 on average, ~266 filling iterations).
 /// The other two workloads never solve more than a handful of flows at
 /// once.
-std::string crowded_csv(int threads) {
+scenario::ScenarioSpec crowded_spec(int threads) {
   analysis::PopulationParams pop;
   pop.lognormal_mu = 14.5;
   pop.lognormal_sigma = 1.0;
@@ -145,16 +194,68 @@ std::string crowded_csv(int threads) {
   topo.tiers = 3;
   topo.tier_rtt_s = {0.02, 0.08, 0.15, 0.03, 0.11, 0.04};
   topo.rtt_jitter = 0.1;
-  return spec_csv(scenario::ScenarioBuilder("golden_crowded")
-                      .synthetic(pop, 800)
-                      .topology(topo)
-                      .measurer_capacities({net::gbit(1), net::gbit(1),
-                                            net::gbit(1)})
-                      .schedule(campaign::ScheduleMode::kGreedyPack)
-                      .threads(threads)
-                      .shard_slots(forced_shard())
-                      .seed(20210613)
-                      .build());
+  return scenario::ScenarioBuilder("golden_crowded")
+      .synthetic(pop, 800)
+      .topology(topo)
+      .measurer_capacities({net::gbit(1), net::gbit(1), net::gbit(1)})
+      .schedule(campaign::ScheduleMode::kGreedyPack)
+      .threads(threads)
+      .shard_slots(forced_shard())
+      .seed(20210613)
+      .build();
+}
+
+std::string crowded_csv(int threads) {
+  return spec_csv(crowded_spec(threads));
+}
+
+/// Every stream `flashflow run scenarios/fault_smoke.yaml --trace DIR`
+/// writes, from one traced run. `trace` keeps each line's deterministic
+/// prefix only: lane, shard and stage timings describe the execution.
+struct FaultSmokeStreams {
+  std::string csv;
+  std::string jsonl;
+  std::string ledger;
+  std::string trace;
+};
+
+FaultSmokeStreams fault_smoke_streams(int threads) {
+  scenario::ScenarioSpec spec = scenario::load_scenario_file(
+      scenario::default_scenario_dir() + "/fault_smoke.yaml");
+  spec.threads = threads;
+  spec.shard_slots = forced_shard();
+  telemetry::Recorder recorder;
+  recorder.enable_trace();
+  scenario::Scenario scenario(spec);
+  scenario.set_telemetry(&recorder);
+
+  std::ostringstream csv_out, jsonl_out, ledger_out, trace_out;
+  campaign::CsvSink csv(csv_out);
+  campaign::JsonlSink jsonl(jsonl_out);
+  campaign::FaultLedgerSink ledger(ledger_out);
+  campaign::TraceJsonlSink trace(trace_out);
+  campaign::FanoutSink fanout{&csv, &jsonl, &ledger, &trace};
+  scenario.run(fanout);
+
+  FaultSmokeStreams streams{csv_out.str(), jsonl_out.str(), ledger_out.str(),
+                            ""};
+  std::istringstream lines(trace_out.str());
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t cut = line.find(",\"lane\":");
+    EXPECT_NE(cut, std::string::npos) << "trace line lost its lane: " << line;
+    streams.trace += line.substr(0, cut);
+    streams.trace += '\n';
+  }
+  return streams;
+}
+
+/// Lines of `text` that contain `needle`.
+int count_lines_with(const std::string& text, const std::string& needle) {
+  std::istringstream lines(text);
+  int count = 0;
+  for (std::string line; std::getline(lines, line);)
+    count += line.find(needle) != std::string::npos;
+  return count;
 }
 
 TEST(GoldenDeterminism, CampaignCsvBytesMatchRecordedBaseline) {
@@ -220,6 +321,72 @@ TEST(GoldenDeterminism, CrowdedSlotCsvBytesMatchRecordedBaseline) {
   if (forced <= 0) {
     EXPECT_EQ(csv, crowded_csv(/*threads=*/8));
   }
+}
+
+TEST(GoldenDeterminism, ScenarioJsonlBytesMatchRecordedBaseline) {
+  const int forced = forced_threads();
+  SCOPED_TRACE("threads=" + std::to_string(forced > 0 ? forced : 1) +
+               " shard=" + std::to_string(forced_shard()));
+  const std::string jsonl = spec_stream<campaign::JsonlSink>(
+      golden_builder_spec(forced > 0 ? forced : 1));
+  expect_hash(jsonl, kScenarioJsonlHash, "scenario JSONL");
+  if (forced <= 0) {
+    EXPECT_EQ(jsonl,
+              spec_stream<campaign::JsonlSink>(golden_builder_spec(8)));
+  }
+}
+
+TEST(GoldenDeterminism, FaultSmokeStreamsMatchRecordedBaseline) {
+  const int forced = forced_threads();
+  SCOPED_TRACE("threads=" + std::to_string(forced > 0 ? forced : 1) +
+               " shard=" + std::to_string(forced_shard()));
+  const FaultSmokeStreams streams =
+      fault_smoke_streams(forced > 0 ? forced : 1);
+
+  // The fixture reaches every fault path the formats spell out: 9 ledger
+  // rows (after the header), 3 retried estimates, and 2 estimates from
+  // slots that a mid-slot measurer crash split into two segments.
+  EXPECT_EQ(count_lines_with(streams.ledger, ","), 1 + 9);
+  EXPECT_EQ(count_lines_with(streams.jsonl, "{") -
+                count_lines_with(streams.jsonl, "\"attempt\":0,"),
+            3);
+  EXPECT_EQ(count_lines_with(streams.trace, "\"segments\":2,"), 2);
+
+  expect_hash(streams.csv, kFaultCsvHash, "fault_smoke CSV");
+  expect_hash(streams.jsonl, kFaultJsonlHash, "fault_smoke JSONL");
+  expect_hash(streams.ledger, kFaultLedgerHash, "fault_smoke ledger");
+  expect_hash(streams.trace, kFaultTraceHash, "fault_smoke trace prefix");
+  if (forced <= 0) {
+    const FaultSmokeStreams eight = fault_smoke_streams(8);
+    EXPECT_EQ(streams.csv, eight.csv);
+    EXPECT_EQ(streams.jsonl, eight.jsonl);
+    EXPECT_EQ(streams.ledger, eight.ledger);
+    EXPECT_EQ(streams.trace, eight.trace);
+  }
+}
+
+TEST(GoldenDeterminism, SerializedScenarioTextMatchesRecordedBaseline) {
+  const std::string dir = scenario::default_scenario_dir();
+  std::set<std::string> recorded;
+  for (const ScenarioTextHash& entry : kScenarioTextHashes) {
+    recorded.insert(entry.file);
+    expect_hash(scenario::serialize_scenario(
+                    scenario::load_scenario_file(dir + "/" + entry.file)),
+                entry.hash, std::string("serialized ") + entry.file);
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".yaml") {
+      EXPECT_TRUE(recorded.count(entry.path().filename().string()))
+          << entry.path() << " has no recorded serialize_scenario hash";
+    }
+  }
+
+  // No checked-in file sets topology.*: pin that section with the crowded
+  // workload's tiered spec, at the default shard size.
+  scenario::ScenarioSpec tiered = crowded_spec(/*threads=*/1);
+  tiered.shard_slots = 0;
+  expect_hash(scenario::serialize_scenario(tiered), kTieredScenarioTextHash,
+              "serialized tiered spec");
 }
 
 }  // namespace

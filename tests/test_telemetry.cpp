@@ -22,7 +22,6 @@
 #include "sim/random.h"
 #include "telemetry/perf_counters.h"
 #include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
 #include "tor/cpu_model.h"
 
 namespace flashflow {
@@ -83,14 +82,14 @@ std::string run_trace(int threads, int shard) {
   config.telemetry = &recorder;
 
   std::ostringstream out;
-  telemetry::TraceJsonlSink sink(out);
+  campaign::TraceJsonlSink sink(out);
   campaign::CampaignRunner(topo, config).run(golden_relays(topo), sink);
   return out.str();
 }
 
 /// The deterministic prefix of one trace line: everything before the
 /// execution-dependent lane/shard/timing fields (the format contract in
-/// telemetry/trace.h pins the field order).
+/// campaign/sink.h, trace_schema(), pins the field order).
 std::string deterministic_prefix(const std::string& line) {
   const std::size_t cut = line.find(",\"lane\":");
   EXPECT_NE(cut, std::string::npos) << "trace line lost its lane field: "

@@ -85,6 +85,21 @@ TEST(StrictParse, DoubleRejectsGarbageAndNonFinite) {
                            {"out of range", "1e999"});
 }
 
+TEST(StrictParse, FormatDoubleRoundTripsThroughParseDouble) {
+  EXPECT_EQ(format_double(0.05), "0.05");
+  EXPECT_EQ(format_double(2.5e8), "2.5e+08");
+  EXPECT_EQ(format_double(-0.5), "-0.5");
+  std::string appended = "x=";
+  format_double(appended, 1e-5);
+  EXPECT_EQ(appended, "x=1e-05");
+  // Shortest text, exact value: the last bit survives the trip.
+  for (const double v : {0.1 + 0.2, 1.0 / 3.0, 123456789.123456789, 5e-324,
+                         1.7976931348623157e308, -2.2250738585072014e-308}) {
+    const std::string text = format_double(v);
+    EXPECT_EQ(parse_double(text, "t"), v) << text;
+  }
+}
+
 TEST(StrictParse, IntEnforcesIntRange) {
   EXPECT_EQ(parse_int("-2147483648", "t"),
             std::numeric_limits<int>::min());

@@ -27,7 +27,6 @@
 // all randomness inside a cell derives from the cell spec's seed through
 // the scenario/period_seed domain-separation scheme.
 #include <algorithm>
-#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -36,6 +35,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/sink.h"
@@ -45,7 +45,6 @@
 #include "scenario/scenario.h"
 #include "scenario/serialize.h"
 #include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
 #include "util/out_dir.h"
 #include "util/result_diff.h"
 #include "util/strict_parse.h"
@@ -94,14 +93,6 @@ int usage(std::ostream& out, int exit_code) {
 [[noreturn]] void die(const std::string& message) {
   std::cerr << "flashflow: " << message << "\n";
   std::exit(2);
-}
-
-/// Shortest round-trip double formatting (matches the serializer), used
-/// for sweep cell directory names: 0.05 -> "0.05", never "0.050000".
-std::string fmt(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, ptr);
 }
 
 /// argv flag scanner: --flag VALUE or --flag=VALUE; strict about values.
@@ -197,30 +188,29 @@ std::vector<std::uint64_t> parse_u64_list(const std::string& text,
   return out;
 }
 
-/// Streams one slot delivery to every attached sink (CSV + JSONL files).
-class FanoutSink : public campaign::SlotSink {
+/// An output file that fails loudly: dies naming the file when it cannot
+/// be created, or when close() finds that a write to it failed (a full
+/// disk, /dev/full), so a run never reports success over a short file.
+class OutputFile {
  public:
-  void attach(campaign::SlotSink* sink) { sinks_.push_back(sink); }
-
-  void begin(const campaign::RunPlan& plan) override {
-    for (auto* sink : sinks_) sink->begin(plan);
+  explicit OutputFile(fs::path path) : path_(std::move(path)), out_(path_) {
+    if (!out_) die("cannot write " + path_.string());
   }
-  void slot_done(const campaign::SlotResult& slot) override {
-    for (auto* sink : sinks_) sink->slot_done(slot);
-  }
-  bool on_progress(int done, int total) override {
-    bool keep = true;
-    for (auto* sink : sinks_) keep = sink->on_progress(done, total) && keep;
-    return keep;
+  std::ostream& stream() { return out_; }
+  void close() {
+    out_.close();
+    if (!out_) die("cannot write " + path_.string());
   }
 
  private:
-  std::vector<campaign::SlotSink*> sinks_;
+  fs::path path_;
+  std::ofstream out_;
 };
 
 /// Runs one scenario into `dir` (created if needed): normalized
 /// scenario.yaml, streamed results.csv/results.jsonl, final-period
-/// bandwidth.txt. Returns the experiment result for reporting.
+/// bandwidth.txt. Returns the experiment result for reporting once every
+/// file is written in full.
 scenario::Experiment::Result run_into_dir(
     const scenario::ScenarioSpec& spec, const fs::path& dir, bool quiet,
     telemetry::Recorder* recorder = nullptr,
@@ -229,46 +219,35 @@ scenario::Experiment::Result run_into_dir(
 
   // The normalized spec first: the directory documents what produced it
   // even if the run is interrupted.
-  {
-    std::ofstream spec_out(dir / "scenario.yaml");
-    if (!spec_out) die("cannot write " + (dir / "scenario.yaml").string());
-    spec_out << scenario::serialize_scenario(spec);
-  }
+  OutputFile spec_out(dir / "scenario.yaml");
+  spec_out.stream() << scenario::serialize_scenario(spec);
+  spec_out.close();
 
-  std::ofstream csv_out(dir / "results.csv");
-  std::ofstream jsonl_out(dir / "results.jsonl");
-  if (!csv_out || !jsonl_out)
-    die("cannot write results under " + dir.string());
-  campaign::CsvSink csv(csv_out);
-  campaign::JsonlSink jsonl(jsonl_out);
-  FanoutSink fanout;
-  fanout.attach(&csv);
-  fanout.attach(&jsonl);
+  OutputFile csv_out(dir / "results.csv");
+  OutputFile jsonl_out(dir / "results.jsonl");
+  campaign::CsvSink csv(csv_out.stream());
+  campaign::JsonlSink jsonl(jsonl_out.stream());
 
   // The fault ledger exists only for fault-armed scenarios, so fault-free
   // result directories keep their exact pre-fault file set.
-  std::ofstream faults_out;
+  std::optional<OutputFile> faults_out;
   std::optional<campaign::FaultLedgerSink> faults;
-  if (spec.faults.enabled()) {
-    faults_out.open(dir / "faults.csv");
-    if (!faults_out) die("cannot write " + (dir / "faults.csv").string());
-    faults.emplace(faults_out);
-    fanout.attach(&*faults);
-  }
+  if (spec.faults.enabled())
+    faults.emplace(faults_out.emplace(dir / "faults.csv").stream());
 
   // The slot trace lives in its own directory so result directories stay
   // byte-comparable with `flashflow diff` (trace rows carry wall-clock
   // and lane fields that legitimately differ between runs).
-  std::ofstream trace_out;
-  std::optional<telemetry::TraceJsonlSink> trace;
+  std::optional<OutputFile> trace_out;
+  std::optional<campaign::TraceJsonlSink> trace;
   if (recorder && recorder->trace_enabled() && trace_dir) {
     fs::create_directories(*trace_dir);
-    trace_out.open(fs::path(*trace_dir) / "trace.jsonl");
-    if (!trace_out)
-      die("cannot write " + (fs::path(*trace_dir) / "trace.jsonl").string());
-    trace.emplace(trace_out);
-    fanout.attach(&*trace);
+    trace.emplace(
+        trace_out.emplace(fs::path(*trace_dir) / "trace.jsonl").stream());
   }
+
+  campaign::FanoutSink fanout{&csv, &jsonl, faults ? &*faults : nullptr,
+                              trace ? &*trace : nullptr};
 
   scenario::Experiment experiment(spec);
   if (recorder) experiment.set_telemetry(recorder);
@@ -287,10 +266,15 @@ scenario::Experiment::Result run_into_dir(
                   << "%\n";
       });
 
+  csv_out.close();
+  jsonl_out.close();
+  if (faults_out) faults_out->close();
+  if (trace_out) trace_out->close();
   if (!result.cancelled && !result.periods.empty()) {
-    std::ofstream bw_out(dir / "bandwidth.txt");
-    bw_out << experiment.bandwidth_file_text(
+    OutputFile bw_out(dir / "bandwidth.txt");
+    bw_out.stream() << experiment.bandwidth_file_text(
         static_cast<int>(result.periods.size()) - 1, result.final_period);
+    bw_out.close();
   }
   return result;
 }
@@ -332,9 +316,9 @@ int cmd_run(Flags& flags) {
       run_into_dir(spec, *out, quiet, recorder ? &*recorder : nullptr,
                    trace_dir ? &*trace_dir : nullptr);
   if (metrics_path) {
-    std::ofstream metrics_out(*metrics_path);
-    if (!metrics_out) die("cannot write " + *metrics_path);
-    recorder->write_metrics(metrics_out);
+    OutputFile metrics_out(*metrics_path);
+    recorder->write_metrics(metrics_out.stream());
+    metrics_out.close();
   }
   if (result.cancelled) {
     std::cerr << "flashflow: run cancelled mid-experiment\n";
@@ -456,10 +440,10 @@ int cmd_sweep(Flags& flags) {
           if (seeds_arg) cell.label += "seed" + std::to_string(seed);
           if (liars_arg)
             cell.label += (cell.label.empty() ? "" : "_") + std::string(
-                              "liars") + fmt(liar);
+                              "liars") + util::format_double(liar);
           if (forgers_arg)
             cell.label += (cell.label.empty() ? "" : "_") + std::string(
-                              "forgers") + fmt(forger);
+                              "forgers") + util::format_double(forger);
           if (!team_sizes.empty())
             cell.label += (cell.label.empty() ? "" : "_") + std::string(
                               "team") + std::to_string(team_sizes[t]);
