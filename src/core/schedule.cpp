@@ -1,8 +1,11 @@
 #include "core/schedule.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace flashflow::core {
 
@@ -68,6 +71,19 @@ PackingResult greedy_pack(std::span<const double> capacity_estimates,
   return result;
 }
 
+namespace {
+
+/// Throws std::invalid_argument naming `what` and its non-finite `value`.
+[[noreturn]] void reject_non_finite(const std::string& what, double value) {
+  std::string message = "PeriodSchedule: ";
+  message += what;
+  message += " is not finite: ";
+  message += std::to_string(value);
+  throw std::invalid_argument(message);
+}
+
+}  // namespace
+
 PeriodSchedule::PeriodSchedule(const Params& params,
                                double team_capacity_bits, std::uint64_t seed)
     : params_(params),
@@ -75,7 +91,11 @@ PeriodSchedule::PeriodSchedule(const Params& params,
       rng_(seed),
       load_bits_(static_cast<std::size_t>(
                      params.period / (params.slot_seconds * sim::kSecond)),
-                 0.0) {
+                 0.0),
+      sorted_load_bits_(load_bits_) {
+  // NaN fails every comparison, so test for finiteness before the sign.
+  if (!std::isfinite(team_capacity_bits_))
+    reject_non_finite("team capacity", team_capacity_bits_);
   if (team_capacity_bits_ <= 0.0)
     throw std::invalid_argument("PeriodSchedule: no team capacity");
 }
@@ -88,35 +108,90 @@ double PeriodSchedule::requirement(double capacity_estimate_bits) const {
   return params_.excess_factor() * capacity_estimate_bits;
 }
 
+bool PeriodSchedule::fits(double load, double need) const {
+  return load + need <= team_capacity_bits_ + 1e-6;
+}
+
+std::size_t PeriodSchedule::block_fit_count(std::size_t begin,
+                                            double need) const {
+  // fits() is monotone in the load (IEEE addition rounds monotonically),
+  // so the slots that fit are a prefix of the block's sorted loads.
+  const double* first = sorted_load_bits_.data() + begin;
+  const double* last =
+      first + std::min(kBlockSlots, sorted_load_bits_.size() - begin);
+  if (!fits(first[0], need)) return 0;
+  if (fits(last[-1], need)) return static_cast<std::size_t>(last - first);
+  const double* end = std::partition_point(
+      first + 1, last - 1, [&](double load) { return fits(load, need); });
+  return static_cast<std::size_t>(end - first);
+}
+
+void PeriodSchedule::place(std::size_t slot, double need) {
+  const double old_load = load_bits_[slot];
+  const double new_load = old_load + need;
+  load_bits_[slot] = new_load;
+  const std::size_t begin = slot - slot % kBlockSlots;
+  double* first = sorted_load_bits_.data() + begin;
+  double* last =
+      first + std::min(kBlockSlots, sorted_load_bits_.size() - begin);
+  // Overwrite the last entry holding the old load, then move it to its
+  // sorted place.
+  double* at = std::upper_bound(first, last, old_load) - 1;
+  *at = new_load;
+  for (; at + 1 != last && at[1] < at[0]; ++at) std::swap(at[0], at[1]);
+  for (; at != first && at[0] < at[-1]; --at) std::swap(at[-1], at[0]);
+}
+
 std::vector<int> PeriodSchedule::schedule_old_relays(
     std::span<const double> capacity_estimates) {
+  for (std::size_t i = 0; i < capacity_estimates.size(); ++i) {
+    if (std::isfinite(capacity_estimates[i])) continue;
+    std::string what = "capacity estimate of relay ";
+    what += std::to_string(i);
+    reject_non_finite(what, capacity_estimates[i]);
+  }
   std::vector<int> slots;
   slots.reserve(capacity_estimates.size());
-  std::vector<int> feasible;
+  std::vector<std::size_t> block_fits(
+      (load_bits_.size() + kBlockSlots - 1) / kBlockSlots);
   for (const double estimate : capacity_estimates) {
     const double need = requirement(estimate);
-    feasible.clear();
-    for (std::size_t s = 0; s < load_bits_.size(); ++s)
-      if (load_bits_[s] + need <= team_capacity_bits_ + 1e-6)
-        feasible.push_back(static_cast<int>(s));
-    if (feasible.empty())
+    std::size_t feasible = 0;
+    for (std::size_t b = 0; b < block_fits.size(); ++b) {
+      block_fits[b] = block_fit_count(b * kBlockSlots, need);
+      feasible += block_fits[b];
+    }
+    if (feasible == 0)
       throw std::runtime_error(
           "PeriodSchedule: no slot can fit relay; period too short");
-    const int pick = feasible[static_cast<std::size_t>(rng_.uniform_int(
-        0, static_cast<std::int64_t>(feasible.size()) - 1))];
-    load_bits_[static_cast<std::size_t>(pick)] += need;
-    slots.push_back(pick);
+    // The pick-th fitting slot in index order, numbered as a scan of
+    // every slot would number them.
+    auto pick = static_cast<std::size_t>(rng_.uniform_int(
+        0, static_cast<std::int64_t>(feasible) - 1));
+    std::size_t b = 0;
+    while (pick >= block_fits[b]) pick -= block_fits[b++];
+    std::size_t slot = b * kBlockSlots;
+    for (;; ++slot)
+      if (fits(load_bits_[slot], need) && pick-- == 0) break;
+    place(slot, need);
+    slots.push_back(static_cast<int>(slot));
   }
   return slots;
 }
 
 int PeriodSchedule::schedule_new_relay(double capacity_estimate_bits) {
+  if (!std::isfinite(capacity_estimate_bits))
+    reject_non_finite("capacity estimate", capacity_estimate_bits);
   const double need = requirement(capacity_estimate_bits);
-  for (std::size_t s = 0; s < load_bits_.size(); ++s) {
-    if (load_bits_[s] + need <= team_capacity_bits_ + 1e-6) {
-      load_bits_[s] += need;
-      return static_cast<int>(s);
-    }
+  // The earliest fitting slot lies in the first block whose smallest load
+  // fits.
+  for (std::size_t begin = 0; begin < load_bits_.size();
+       begin += kBlockSlots) {
+    if (!fits(sorted_load_bits_[begin], need)) continue;
+    std::size_t slot = begin;
+    while (!fits(load_bits_[slot], need)) ++slot;
+    place(slot, need);
+    return static_cast<int>(slot);
   }
   throw std::runtime_error("PeriodSchedule: period full");
 }

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "net/units.h"
 
@@ -139,6 +141,55 @@ TEST(PeriodSchedule, NewRelaysFcfsEarliestFit) {
 TEST(PeriodSchedule, RejectsZeroCapacityTeam) {
   Params p;
   EXPECT_THROW(PeriodSchedule(p, 0.0, 1), std::invalid_argument);
+}
+
+/// The std::invalid_argument message `fn` throws, or "" if it throws none.
+template <typename Fn>
+std::string invalid_argument_message(Fn fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(PeriodSchedule, RejectsNonFiniteInputs) {
+  Params p;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // NaN passes a `<= 0` check, and an infinite team has room for anything.
+  for (const double team : {nan, inf, -inf}) {
+    const std::string message = invalid_argument_message(
+        [&] { PeriodSchedule(p, team, 1); });
+    EXPECT_NE(message.find("team capacity is not finite: " +
+                           std::to_string(team)),
+              std::string::npos)
+        << message;
+  }
+
+  // A non-finite estimate is a bad input, not a full period: it throws
+  // std::invalid_argument naming the value and places nothing.
+  PeriodSchedule sched(p, net::gbit(3), 2);
+  const int first = sched.schedule_new_relay(net::mbit(100));
+  for (const double estimate : {nan, inf, -inf}) {
+    const std::vector<double> caps = {net::mbit(10), estimate};
+    std::string message = invalid_argument_message(
+        [&] { sched.schedule_old_relays(caps); });
+    EXPECT_NE(message.find("capacity estimate of relay 1 is not finite: " +
+                           std::to_string(estimate)),
+              std::string::npos)
+        << message;
+    message = invalid_argument_message(
+        [&] { sched.schedule_new_relay(estimate); });
+    EXPECT_NE(message.find("capacity estimate is not finite: " +
+                           std::to_string(estimate)),
+              std::string::npos)
+        << message;
+  }
+  for (int s = 0; s < sched.slots_in_period(); ++s)
+    EXPECT_EQ(sched.slot_load_bits(s),
+              s == first ? p.excess_factor() * net::mbit(100) : 0.0);
 }
 
 TEST(GreedyPackProperty, RandomPopulationsPlaceEveryRelayWithinCapacity) {
@@ -308,6 +359,264 @@ TEST(GreedyPackProperty, RequirementEqualToTheRoomLeftFits) {
   const PackingResult got = greedy_pack(caps, team, p);
   EXPECT_EQ(got.slots_used, 1);
   EXPECT_EQ(got.relay_slot, want.relay_slot);
+}
+
+
+/// The PeriodSchedule that scanned every slot for each relay, before the
+/// slot-load index replaced the scan. schedule_old_relays and
+/// schedule_new_relay are kept verbatim as the reference the index must
+/// match bit for bit.
+class ReferencePeriodSchedule {
+ public:
+  ReferencePeriodSchedule(const Params& params, double team_capacity_bits,
+                          std::uint64_t seed)
+      : params_(params),
+        team_capacity_bits_(team_capacity_bits),
+        rng_(seed),
+        load_bits_(static_cast<std::size_t>(
+                       params.period / (params.slot_seconds * sim::kSecond)),
+                   0.0) {}
+
+  std::vector<int> schedule_old_relays(
+      std::span<const double> capacity_estimates) {
+    std::vector<int> slots;
+    slots.reserve(capacity_estimates.size());
+    std::vector<int> feasible;
+    for (const double estimate : capacity_estimates) {
+      const double need = requirement(estimate);
+      feasible.clear();
+      for (std::size_t s = 0; s < load_bits_.size(); ++s)
+        if (load_bits_[s] + need <= team_capacity_bits_ + 1e-6)
+          feasible.push_back(static_cast<int>(s));
+      if (feasible.empty())
+        throw std::runtime_error(
+            "PeriodSchedule: no slot can fit relay; period too short");
+      const int pick = feasible[static_cast<std::size_t>(rng_.uniform_int(
+          0, static_cast<std::int64_t>(feasible.size()) - 1))];
+      load_bits_[static_cast<std::size_t>(pick)] += need;
+      slots.push_back(pick);
+    }
+    return slots;
+  }
+
+  int schedule_new_relay(double capacity_estimate_bits) {
+    const double need = requirement(capacity_estimate_bits);
+    for (std::size_t s = 0; s < load_bits_.size(); ++s) {
+      if (load_bits_[s] + need <= team_capacity_bits_ + 1e-6) {
+        load_bits_[s] += need;
+        return static_cast<int>(s);
+      }
+    }
+    throw std::runtime_error("PeriodSchedule: period full");
+  }
+
+  const std::vector<double>& loads() const { return load_bits_; }
+
+ private:
+  double requirement(double capacity_estimate_bits) const {
+    return params_.excess_factor() * capacity_estimate_bits;
+  }
+
+  Params params_;
+  double team_capacity_bits_;
+  sim::Rng rng_;
+  std::vector<double> load_bits_;
+};
+
+/// A schedule under test and its reference, driven in lockstep.
+struct LockstepSchedules {
+  PeriodSchedule got;
+  ReferencePeriodSchedule want;
+
+  LockstepSchedules(const Params& params, double team, std::uint64_t seed)
+      : got(params, team, seed), want(params, team, seed) {}
+
+  /// Every slot's load must match bit for bit.
+  void expect_same_loads() const {
+    ASSERT_EQ(static_cast<std::size_t>(got.slots_in_period()),
+              want.loads().size());
+    std::vector<double> loads(want.loads().size());
+    for (std::size_t s = 0; s < loads.size(); ++s)
+      loads[s] = got.slot_load_bits(static_cast<int>(s));
+    EXPECT_EQ(std::memcmp(loads.data(), want.loads().data(),
+                          loads.size() * sizeof(double)),
+              0);
+  }
+
+  /// Runs schedule_old_relays on both; the slots (or the throw) and then
+  /// the loads must agree. Returns whether they threw.
+  bool old_relays(std::span<const double> estimates) {
+    std::vector<int> want_slots, got_slots;
+    bool want_threw = false, got_threw = false;
+    try {
+      want_slots = want.schedule_old_relays(estimates);
+    } catch (const std::runtime_error&) {
+      want_threw = true;
+    }
+    try {
+      got_slots = got.schedule_old_relays(estimates);
+    } catch (const std::runtime_error&) {
+      got_threw = true;
+    }
+    EXPECT_EQ(got_threw, want_threw);
+    EXPECT_EQ(got_slots, want_slots);
+    expect_same_loads();
+    return want_threw;
+  }
+
+  /// The same for schedule_new_relay.
+  bool new_relay(double estimate) {
+    int want_slot = -1, got_slot = -1;
+    bool want_threw = false, got_threw = false;
+    try {
+      want_slot = want.schedule_new_relay(estimate);
+    } catch (const std::runtime_error&) {
+      want_threw = true;
+    }
+    try {
+      got_slot = got.schedule_new_relay(estimate);
+    } catch (const std::runtime_error&) {
+      got_threw = true;
+    }
+    EXPECT_EQ(got_threw, want_threw);
+    EXPECT_EQ(got_slot, want_slot);
+    expect_same_loads();
+    return want_threw;
+  }
+
+  /// A zero estimate fits every slot, so both draw over the whole period:
+  /// the same slot shows the RNGs are in the same position.
+  void expect_same_next_placement() {
+    const double zero = 0.0;
+    old_relays(std::span<const double>(&zero, 1));
+  }
+};
+
+/// An estimate x with f * x landing exactly on the fit bound of a slot
+/// holding `load`: load + f * x == team + 1e-6. Returns 0 if no double
+/// lands there.
+double estimate_on_the_bound(double load, double team, double f) {
+  const double bound = team + 1e-6;
+  double x = (bound - load) / f;
+  for (int k = 0; k < 64 && load + f * x != bound; ++k)
+    x = std::nextafter(x, load + f * x < bound ? 1e18 : 0.0);
+  return load + f * x == bound ? x : 0.0;
+}
+
+TEST(PeriodScheduleProperty, MatchesTheScanningReference) {
+  // Seeded cases against the scanning reference: §7 lognormal mixtures,
+  // a handful of tied capacities, zero estimates, and priors clamped at
+  // the team maximum as the period feedback clamps them. Slot counts
+  // below the block size, not a multiple of it, and a multiple of it:
+  // one day of 2,880 slots per family, then 60 shorter periods. Each
+  // case interleaves schedule_old_relays batches with single
+  // schedule_new_relay calls, some requirements land exactly on the fit
+  // bound, and most cases fill the period until it throws.
+  const std::vector<int> short_periods = {1, 20, 64, 65, 240};
+  sim::Rng rng(0x5c4ed);
+  int bound_hits = 0;
+  int throws = 0;
+  {
+    // Hand-built: after one relay fills part of slot 0, a second whose
+    // requirement lands exactly on the bound joins it.
+    const Params p;
+    const double team = net::gbit(3);
+    LockstepSchedules both(p, team, 9);
+    both.new_relay(net::mbit(700));
+    const double x =
+        estimate_on_the_bound(both.want.loads()[0], team, p.excess_factor());
+    ASSERT_GT(x, 0.0);
+    both.new_relay(x);
+    EXPECT_EQ(both.got.slot_load_bits(0), team + 1e-6);
+    both.expect_same_next_placement();
+  }
+  for (int trial = 0; trial < 64; ++trial) {
+    const int family = trial % 4;
+    const int slots =
+        trial < 4 ? 2880
+                  : short_periods[static_cast<std::size_t>(trial / 4) %
+                                  short_periods.size()];
+    Params p;
+    p.period = sim::from_seconds(30.0 * slots);
+    const double f = p.excess_factor();
+    const double team = rng.chance(0.5) ? net::gbit(3)
+                                        : rng.uniform(net::gbit(0.5),
+                                                      net::gbit(5));
+    const double max_prior = team / f * (1.0 - 1e-9);
+    LockstepSchedules both(p, team, rng());
+    ASSERT_EQ(both.got.slots_in_period(), slots);
+
+    const std::vector<double> tied = {0.0, net::mbit(2), net::mbit(17),
+                                      net::mbit(100), max_prior / 3,
+                                      max_prior};
+    auto estimate = [&]() -> double {
+      switch (family) {
+        case 0:  // the §7 mixture
+          return std::min({rng.log_normal(17.42, 1.45), 998e6, max_prior});
+        case 1:  // tied capacities
+          return tied[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(tied.size()) - 1))];
+        case 2:  // zero estimates among a mixture
+          return rng.chance(0.3)
+                     ? 0.0
+                     : std::min(rng.log_normal(17.0, 1.5), max_prior);
+        default:  // period feedback: half clamped at the maximum
+          return rng.chance(0.5)
+                     ? max_prior
+                     : std::min(rng.log_normal(19.0, 1.5), max_prior);
+      }
+    };
+
+    // Place requirements summing to 0.5x to 2x a short period's capacity,
+    // so most cases end in a throw. A day takes 2,000 relays, except that
+    // the clamped family runs until it throws (after about 3,500).
+    const double budget =
+        (slots == 2880 ? 2.0 : rng.uniform(0.5, 2.0)) * team * slots;
+    const int max_relays =
+        slots < 2880 ? 1 << 30 : (family == 3 ? 6419 : 2000);
+    double requirement = 0.0;
+    int relays = 0;
+    while (requirement < budget && relays < max_relays && !HasFailure()) {
+      bool threw = false;
+      if (rng.chance(0.3)) {
+        const double x = estimate();
+        requirement += f * x;
+        ++relays;
+        threw = both.new_relay(x);
+      } else if (rng.chance(0.1)) {
+        // A requirement exactly on the fit bound of a random slot.
+        const double x = estimate_on_the_bound(
+            both.want.loads()[static_cast<std::size_t>(
+                rng.uniform_int(0, slots - 1))],
+            team, f);
+        if (x > 0.0) {
+          ++bound_hits;
+          requirement += f * x;
+          ++relays;
+          threw = rng.chance(0.5)
+                      ? both.new_relay(x)
+                      : both.old_relays(std::span<const double>(&x, 1));
+        }
+      } else {
+        std::vector<double> batch(
+            static_cast<std::size_t>(rng.uniform_int(1, 40)));
+        for (double& x : batch) {
+          x = estimate();
+          requirement += f * x;
+        }
+        relays += static_cast<int>(batch.size());
+        threw = both.old_relays(batch);
+      }
+      both.expect_same_next_placement();
+      if (threw) {
+        ++throws;
+        break;
+      }
+    }
+  }
+  // The families reach both the exact bound and a full period.
+  EXPECT_GT(bound_hits, 20);
+  EXPECT_GT(throws, 10);
 }
 
 }  // namespace

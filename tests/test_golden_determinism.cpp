@@ -5,10 +5,11 @@
 // config, seed) regardless of thread count — and the hot-path code
 // (core::SlotRunner, net::FairShareSolver, the campaign worker loop) is
 // explicitly required to preserve results when it is restructured for
-// speed. These tests pin the full streamed CsvSink byte stream of three fixed
+// speed. These tests pin the full streamed CsvSink byte stream of four fixed
 // scenarios to FNV-1a hashes: two recorded from the pre-workspace-refactor
-// implementation, and a crowded-slot scenario whose slots solve fair-share
-// instances of 96 to 392 flows, so any future hot-path change that
+// implementation, a crowded-slot scenario whose slots solve fair-share
+// instances of 96 to 392 flows, and two periods of a densely filled
+// randomized schedule, so any future hot-path or layout change that
 // silently shifts results (an extra RNG draw, a reordered flow, a float
 // reassociation) fails loudly here rather than drifting the paper
 // reproductions.
@@ -37,11 +38,13 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.h"
 #include "campaign/sink.h"
 #include "net/units.h"
+#include "scenario/experiment.h"
 #include "scenario/scenario.h"
 #include "scenario/serialize.h"
 #include "sim/random.h"
@@ -57,6 +60,9 @@ constexpr std::uint64_t kScenarioCsvHash = 0x841c72e6038a41a5ULL;
 // Recorded from the progressive-filling loop that rescanned every finite
 // resource and active flow per iteration, seed 20210613.
 constexpr std::uint64_t kCrowdedCsvHash = 0x906a92b207fb2523ULL;
+// Recorded from the randomized schedule that scanned every slot for each
+// relay, seed 20210613.
+constexpr std::uint64_t kDenseRandomizedCsvHash = 0x65ad49797bd3025fULL;
 // Recorded from the hand-written sinks and scenario serializer, before
 // each file format became one field table, seed 20210613.
 constexpr std::uint64_t kScenarioJsonlHash = 0x2ea0753307a44aaaULL;
@@ -179,6 +185,16 @@ std::string scenario_csv(int threads) {
   return spec_csv(golden_builder_spec(threads));
 }
 
+/// A 3-tier path model with jittered RTTs.
+scenario::TopologySpec tiered_topology() {
+  scenario::TopologySpec topo;
+  topo.path_model = scenario::TopologySpec::PathModelKind::kTiered;
+  topo.tiers = 3;
+  topo.tier_rtt_s = {0.02, 0.08, 0.15, 0.03, 0.11, 0.04};
+  topo.rtt_jitter = 0.1;
+  return topo;
+}
+
 /// Crowded slots: 800 small relays greedy-packed onto three 1 Gbit/s
 /// measurers fill 3 slots, so every per-second solve is a large fair-share
 /// instance (96 to 392 flows, ~268 on average, ~266 filling iterations).
@@ -189,14 +205,9 @@ scenario::ScenarioSpec crowded_spec(int threads) {
   pop.lognormal_mu = 14.5;
   pop.lognormal_sigma = 1.0;
   pop.max_capacity_bits = 998e6;
-  scenario::TopologySpec topo;
-  topo.path_model = scenario::TopologySpec::PathModelKind::kTiered;
-  topo.tiers = 3;
-  topo.tier_rtt_s = {0.02, 0.08, 0.15, 0.03, 0.11, 0.04};
-  topo.rtt_jitter = 0.1;
   return scenario::ScenarioBuilder("golden_crowded")
       .synthetic(pop, 800)
-      .topology(topo)
+      .topology(tiered_topology())
       .measurer_capacities({net::gbit(1), net::gbit(1), net::gbit(1)})
       .schedule(campaign::ScheduleMode::kGreedyPack)
       .threads(threads)
@@ -207,6 +218,50 @@ scenario::ScenarioSpec crowded_spec(int threads) {
 
 std::string crowded_csv(int threads) {
   return spec_csv(crowded_spec(threads));
+}
+
+/// A densely filled randomized schedule: 500 relays of the §7 mixture in
+/// a 2-hour period, i.e. 240 slots, so most slots hold some load and the
+/// largest relays fit in only a few. Two periods run, and period 1's
+/// priors are period 0's estimates clamped at the team's maximum.
+scenario::ScenarioSpec dense_randomized_spec(int threads) {
+  analysis::PopulationParams pop;
+  pop.lognormal_mu = 17.42;
+  pop.lognormal_sigma = 1.45;
+  pop.max_capacity_bits = 998e6;
+  core::Params params;
+  params.period = sim::from_seconds(7200);
+  return scenario::ScenarioBuilder("golden_dense")
+      .synthetic(pop, 500, /*prior_fraction=*/0.8)
+      .topology(tiered_topology())
+      .measurer_capacities({net::gbit(1), net::gbit(1), net::gbit(1)})
+      .params(params)
+      .schedule(campaign::ScheduleMode::kRandomized)
+      .periods(2)
+      .threads(threads)
+      .shard_slots(forced_shard())
+      .seed(20210613)
+      .build();
+}
+
+/// Both periods' CsvSink rows, plus each period's (slots in period, slots
+/// executed).
+struct DenseRun {
+  std::string csv;
+  std::vector<std::pair<int, int>> slots;
+};
+
+DenseRun dense_randomized_run(int threads) {
+  scenario::Experiment experiment(dense_randomized_spec(threads));
+  std::ostringstream out;
+  campaign::CsvSink sink(out);
+  DenseRun run;
+  experiment.run(&sink, [&run](const scenario::Experiment::PeriodRecord& r,
+                               const campaign::CampaignResult&) {
+    run.slots.emplace_back(r.stats.slots_in_period, r.stats.slots_executed);
+  });
+  run.csv = out.str();
+  return run;
 }
 
 /// Every stream `flashflow run scenarios/fault_smoke.yaml --trace DIR`
@@ -320,6 +375,21 @@ TEST(GoldenDeterminism, CrowdedSlotCsvBytesMatchRecordedBaseline) {
       << " bytes. Hot-path changes must be bit-identical.";
   if (forced <= 0) {
     EXPECT_EQ(csv, crowded_csv(/*threads=*/8));
+  }
+}
+
+TEST(GoldenDeterminism, DenseRandomizedScheduleCsvBytesMatchRecordedBaseline) {
+  const int forced = forced_threads();
+  SCOPED_TRACE("threads=" + std::to_string(forced > 0 ? forced : 1) +
+               " shard=" + std::to_string(forced_shard()));
+  const DenseRun run = dense_randomized_run(forced > 0 ? forced : 1);
+  // Most of the 240 slots (not a multiple of the schedule's block size)
+  // hold some load in both periods.
+  const std::vector<std::pair<int, int>> slots = {{240, 215}, {240, 206}};
+  EXPECT_EQ(run.slots, slots);
+  expect_hash(run.csv, kDenseRandomizedCsvHash, "dense randomized CSV");
+  if (forced <= 0) {
+    EXPECT_EQ(run.csv, dense_randomized_run(/*threads=*/8).csv);
   }
 }
 

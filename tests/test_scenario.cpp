@@ -11,6 +11,7 @@
 #include "campaign/sink.h"
 #include "net/units.h"
 #include "scenario/experiment.h"
+#include "scenario/serialize.h"
 #include "tor/bandwidth_file.h"
 
 namespace flashflow::scenario {
@@ -167,6 +168,36 @@ TEST(Scenario, ShadowPlanAgreesWithRun) {
   EXPECT_EQ(plan.slots_in_period, result.summary.slots_in_period);
   EXPECT_EQ(plan.slots_used, result.summary.slots_executed);
   EXPECT_EQ(plan.relays, result.summary.relays_measured);
+}
+
+TEST(Scenario, RandomizedPlanAgreesWithRun) {
+  // plan() and CampaignRunner derive the §4.3 randomized schedule's seed
+  // separately; both must lay out the same schedule. Covers the golden
+  // scenario, the Shadow network, and the 6,419-relay e2e workload with
+  // its faults cleared (a retry round would execute extra slots).
+  struct Case {
+    std::string file;
+    int slots_used;
+  };
+  const std::string repo = FLASHFLOW_REPO_DIR;
+  const std::vector<Case> cases = {
+      {repo + "/scenarios/golden_smoke.yaml", 40},
+      {repo + "/scenarios/measure_network.yaml", 313},
+      {repo + "/bench/e2e/workloads/faults_3p.yaml", 2553},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.file);
+    ScenarioSpec spec = load_scenario_file(c.file);
+    ASSERT_EQ(spec.schedule, campaign::ScheduleMode::kRandomized);
+    spec.faults = {};
+    const Scenario scenario(std::move(spec));
+    const auto plan = scenario.plan();
+    const auto result = scenario.run();
+    EXPECT_EQ(plan.slots_in_period, 2880);
+    EXPECT_EQ(plan.slots_in_period, result.summary.slots_in_period);
+    EXPECT_EQ(plan.slots_used, result.summary.slots_executed);
+    EXPECT_EQ(plan.slots_used, c.slots_used);
+  }
 }
 
 TEST(ScenarioBuilder, RejectsNegativeTable1Fields) {
