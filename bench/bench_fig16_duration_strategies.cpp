@@ -7,6 +7,7 @@
 
 #include "bench_util.h"
 #include "core/measurement.h"
+#include "core/strategies.h"
 #include "metrics/cdf.h"
 #include "net/units.h"
 #include "tor/cpu_model.h"
@@ -40,13 +41,9 @@ int main() {
       const core::MeasurerSlot m{topo.find("NL"),
                                  params.excess_factor() * gt, 160};
       const auto out = runner.run(relay, topo.find("US-SW"), {&m, 1});
-      for (std::size_t s = 0; s < strategy_seconds.size(); ++s) {
-        const std::vector<double> prefix(
-            out.z_bits.begin(),
-            out.z_bits.begin() + strategy_seconds[s]);
+      for (std::size_t s = 0; s < strategy_seconds.size(); ++s)
         fracs[s].push_back(
-            metrics::median(metrics::as_span(prefix)) / gt);
-      }
+            core::median_strategy(out.z_bits, strategy_seconds[s]) / gt);
     }
   }
 

@@ -1,6 +1,5 @@
 #include "core/strategies.h"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "metrics/stats.h"
@@ -14,39 +13,6 @@ double median_strategy(std::span<const double> per_second_bits,
     throw std::invalid_argument("median_strategy: bad duration");
   return metrics::median(
       per_second_bits.subspan(0, static_cast<std::size_t>(seconds)));
-}
-
-double lead_time_strategy(std::span<const double> per_second_bits,
-                          int lead_seconds, int duration_seconds) {
-  if (lead_seconds < 0 || duration_seconds <= lead_seconds ||
-      static_cast<std::size_t>(duration_seconds) > per_second_bits.size())
-    throw std::invalid_argument("lead_time_strategy: bad window");
-  return metrics::median(per_second_bits.subspan(
-      static_cast<std::size_t>(lead_seconds),
-      static_cast<std::size_t>(duration_seconds - lead_seconds)));
-}
-
-DynamicResult dynamic_strategy(std::span<const double> per_second_bits,
-                               int window_seconds, double tolerance) {
-  if (window_seconds < 1 || tolerance <= 0.0)
-    throw std::invalid_argument("dynamic_strategy: bad parameters");
-  DynamicResult result;
-  double previous_median = -1.0;
-  const auto window = static_cast<std::size_t>(window_seconds);
-  for (std::size_t start = 0; start + window <= per_second_bits.size();
-       start += window) {
-    const double med =
-        metrics::median(per_second_bits.subspan(start, window));
-    result.estimate_bits = med;
-    result.seconds_used = static_cast<int>(start + window);
-    if (previous_median > 0.0 &&
-        std::abs(med - previous_median) <= tolerance * previous_median) {
-      result.converged = true;
-      return result;
-    }
-    previous_median = med;
-  }
-  return result;
 }
 
 }  // namespace flashflow::core

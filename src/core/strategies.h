@@ -1,13 +1,7 @@
-// Measurement-duration strategies (Appendix E.3/E.4).
+// Measurement-duration strategy (Appendix E.3).
 //
-// The deployed strategy takes the median of 30 per-second samples. The
-// paper also evaluated and rejected two alternatives:
-//   - median with an ignored lead time (skip the first i seconds to dodge
-//     TCP slow start — unnecessary, since many parallel sockets saturate
-//     immediately, so it just behaves like a shorter simple median);
-//   - dynamic duration (stop once the windowed median stabilizes — usually
-//     worse than the fixed-length median).
-// All three are implemented here so the E.3/E.4 comparison is runnable.
+// The deployed strategy takes the median of the first 30 per-second
+// samples; Fig 16 compares it against medians over 10, 20 and 60 seconds.
 #pragma once
 
 #include <span>
@@ -17,23 +11,5 @@ namespace flashflow::core {
 /// Simple strategy: median of the first `seconds` samples. Requires
 /// 1 <= seconds <= samples.size().
 double median_strategy(std::span<const double> per_second_bits, int seconds);
-
-/// Median with ignored lead time: median of samples [lead, duration).
-/// Requires 0 <= lead < duration <= samples.size().
-double lead_time_strategy(std::span<const double> per_second_bits,
-                          int lead_seconds, int duration_seconds);
-
-/// Dynamic duration: samples are viewed in consecutive windows of
-/// `window_seconds`; once the median of the newest window changes by less
-/// than `tolerance` (relative) from the previous window's, the measurement
-/// stops and that window's median is the result. Falls back to the last
-/// window if it never stabilizes.
-struct DynamicResult {
-  double estimate_bits = 0;
-  int seconds_used = 0;
-  bool converged = false;
-};
-DynamicResult dynamic_strategy(std::span<const double> per_second_bits,
-                               int window_seconds, double tolerance);
 
 }  // namespace flashflow::core

@@ -38,12 +38,4 @@ double tcp_socket_throughput(const KernelProfile& kernel, double rtt_s,
   return std::min({window_cap, mathis_cap, unconstrained_cap});
 }
 
-double tcp_aggregate_cap(const KernelProfile& kernel, double rtt_s,
-                         double loss_rate, int sockets,
-                         const TcpModelParams& params) {
-  if (sockets <= 0) return 0.0;
-  return static_cast<double>(sockets) *
-         tcp_socket_throughput(kernel, rtt_s, loss_rate, params);
-}
-
 }  // namespace flashflow::net

@@ -46,11 +46,4 @@ double tcp_socket_throughput(const KernelProfile& kernel, double rtt_s,
                              double loss_rate,
                              const TcpModelParams& params = {});
 
-/// Aggregate cap of n parallel sockets (bits/s): parallel sockets multiply
-/// the per-socket limit; contention for shared links is handled separately
-/// by the max-min fair allocator.
-double tcp_aggregate_cap(const KernelProfile& kernel, double rtt_s,
-                         double loss_rate, int sockets,
-                         const TcpModelParams& params = {});
-
 }  // namespace flashflow::net

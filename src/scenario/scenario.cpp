@@ -87,6 +87,17 @@ void assign_background(const ScenarioSpec& spec,
   }
 }
 
+/// A population's capacity clamp: std::clamp(v, lo, hi) is undefined when
+/// hi < lo, and a maximum <= 0 leaves every relay without capacity.
+/// `section` is the scenario-file prefix ("synthetic" or "shadow").
+void check_capacity_clamp(const std::string& section, double min_bits,
+                          double max_bits) {
+  if (!(max_bits > 0.0)) reject(section + ".max_capacity_bits must be > 0");
+  if (!(min_bits <= max_bits))
+    reject(section + ".min_capacity_bits must be <= " + section +
+           ".max_capacity_bits");
+}
+
 }  // namespace
 
 void ScenarioSpec::validate() const {
@@ -164,6 +175,12 @@ void ScenarioSpec::validate() const {
     if (!team.measurer_names.empty())
       reject("synthetic populations create their own measurer hosts from "
              "the capacity overrides; named measurers do not apply");
+    check_capacity_clamp("synthetic", syn->params.min_capacity_bits,
+                         syn->params.max_capacity_bits);
+  } else if (const auto* shadow =
+                 std::get_if<ShadowPopulationSpec>(&population)) {
+    check_capacity_clamp("shadow", shadow->params.min_capacity_bits,
+                         shadow->params.max_capacity_bits);
   }
 }
 

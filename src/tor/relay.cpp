@@ -60,32 +60,4 @@ double RelayModel::ground_truth(int sockets) const {
   return cap;
 }
 
-RelaySecond split_measurement_second(const RelayModel& relay,
-                                     double capacity_bits,
-                                     double offered_measurement_bits) {
-  RelaySecond out;
-  const double r = relay.ratio_r;
-  // The relay forwards as much normal traffic as possible subject to
-  // y <= r * (x + y), i.e. y <= x * r / (1 - r), while measurement traffic
-  // takes the rest of the capacity.
-  //
-  // Solve for the split given total capacity C and offered demands.
-  const double demand_y = relay.background_demand_bits;
-  // First give measurement traffic its share assuming max background.
-  // x + y <= C; y <= min(demand_y, x*r/(1-r)); x <= offered.
-  // Greedy: try x = min(offered, C); then y fills the ratio allowance.
-  double x = std::min(offered_measurement_bits, capacity_bits);
-  double y = std::min(demand_y, x * r / (1.0 - r));
-  if (x + y > capacity_bits) {
-    // Capacity binds: background yields first (the relay prioritizes
-    // achieving the measurement while keeping y within the ratio).
-    y = std::max(0.0, capacity_bits - x);
-    y = std::min(y, x * r / (1.0 - r));
-    x = std::min(x, capacity_bits - y);
-  }
-  out.measurement_bits = std::max(0.0, x);
-  out.background_bits = std::max(0.0, y);
-  return out;
-}
-
 }  // namespace flashflow::tor

@@ -12,7 +12,8 @@
 //
 // During a FlashFlow measurement the relay enforces the ratio r between
 // normal (background) traffic and total traffic (§4.1): it forwards as much
-// background as possible subject to y <= r * (x + y).
+// background as possible subject to y <= r * (x + y). The slot runner
+// applies that split each simulated second (core/measurement.cpp).
 #pragma once
 
 #include <limits>
@@ -88,19 +89,5 @@ struct RelayModel {
   /// (§E.2 measured 9.58/239/494/741 against limits of 10/250/500/750).
   double ground_truth(int sockets) const;
 };
-
-/// One second of relay forwarding during a measurement slot.
-struct RelaySecond {
-  double measurement_bits = 0;  // x_j: measurement traffic forwarded
-  double background_bits = 0;   // y_j: normal traffic forwarded
-};
-
-/// Splits the relay's noisy per-second capacity between measurement traffic
-/// and background traffic under the ratio-r rule. `offered_measurement_bits`
-/// is what the team can deliver this second; `capacity_bits` the relay's
-/// total forwarding capacity this second (already noise-scaled).
-RelaySecond split_measurement_second(const RelayModel& relay,
-                                     double capacity_bits,
-                                     double offered_measurement_bits);
 
 }  // namespace flashflow::tor

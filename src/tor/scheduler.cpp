@@ -1,6 +1,5 @@
 #include "tor/scheduler.h"
 
-#include <limits>
 #include <stdexcept>
 
 namespace flashflow::tor {
@@ -9,10 +8,6 @@ double SchedulerModel::normal_aggregate_cap(int sockets) const {
   if (sockets < 0)
     throw std::invalid_argument("SchedulerModel: negative sockets");
   return kist_per_socket_cap_bits * sockets;
-}
-
-double SchedulerModel::measurement_aggregate_cap() const {
-  return std::numeric_limits<double>::infinity();
 }
 
 }  // namespace flashflow::tor

@@ -17,10 +17,6 @@ struct SchedulerModel {
 
   /// Aggregate cap of the normal scheduler over n busy sockets (bits/s).
   double normal_aggregate_cap(int sockets) const;
-
-  /// The measurement scheduler imposes no per-socket cap; its throughput is
-  /// limited only by CPU/NIC/path. Kept as a function for symmetry.
-  double measurement_aggregate_cap() const;
 };
 
 }  // namespace flashflow::tor

@@ -1,22 +1,13 @@
-// Tests for the extension modules: measurement strategies (App E.3/E.4),
-// dynamic weights (§9), family/Sybil handling (§5), and multi-BWAuth
-// deployment (§4.3).
+// Tests for the Appendix E.3 measurement-duration strategy.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
+#include <stdexcept>
+#include <vector>
 
-#include "core/deployment.h"
-#include "core/dynamic_weights.h"
-#include "core/family.h"
 #include "core/strategies.h"
-#include "net/units.h"
-#include "tor/cpu_model.h"
 
 namespace flashflow::core {
 namespace {
-
-// ------------------------------------------------------------- strategies
 
 TEST(Strategies, MedianOfPrefix) {
   const std::vector<double> samples = {1, 2, 3, 4, 100, 100};
@@ -24,217 +15,6 @@ TEST(Strategies, MedianOfPrefix) {
   EXPECT_DOUBLE_EQ(median_strategy(samples, 6), 3.5);
   EXPECT_THROW(median_strategy(samples, 0), std::invalid_argument);
   EXPECT_THROW(median_strategy(samples, 7), std::invalid_argument);
-}
-
-TEST(Strategies, LeadTimeSkipsSlowStart) {
-  // A slow first two seconds then steady 10s.
-  const std::vector<double> samples = {1, 2, 10, 10, 10, 10};
-  EXPECT_DOUBLE_EQ(lead_time_strategy(samples, 2, 6), 10.0);
-  // Appendix E.4: equivalent to a shorter simple median of the tail.
-  EXPECT_DOUBLE_EQ(lead_time_strategy(samples, 0, 6),
-                   median_strategy(samples, 6));
-  EXPECT_THROW(lead_time_strategy(samples, 3, 3), std::invalid_argument);
-}
-
-TEST(Strategies, DynamicStopsOnStableWindows) {
-  // Windows of 5: medians 10, 10 -> converges after 10 seconds.
-  std::vector<double> samples(20, 10.0);
-  const auto r = dynamic_strategy(samples, 5, 0.05);
-  EXPECT_TRUE(r.converged);
-  EXPECT_EQ(r.seconds_used, 10);
-  EXPECT_DOUBLE_EQ(r.estimate_bits, 10.0);
-}
-
-TEST(Strategies, DynamicRunsOutWithoutConvergence) {
-  // Monotone growth never stabilizes within tolerance.
-  std::vector<double> samples;
-  for (int i = 0; i < 20; ++i) samples.push_back(std::pow(2.0, i));
-  const auto r = dynamic_strategy(samples, 5, 0.01);
-  EXPECT_FALSE(r.converged);
-  EXPECT_EQ(r.seconds_used, 20);
-  EXPECT_THROW(dynamic_strategy(samples, 0, 0.1), std::invalid_argument);
-}
-
-// --------------------------------------------------------- dynamic weights
-
-tor::BandwidthFile ff_file() {
-  return {{"a", net::mbit(100), net::mbit(100)},
-          {"b", net::mbit(200), net::mbit(200)},
-          {"c", net::mbit(50), net::mbit(50)}};
-}
-
-TEST(DynamicWeights, UtilizationReducesWeight) {
-  const std::vector<DynamicSignal> signals = {{"a", 0.5}};
-  const auto adjusted = apply_dynamic_adjustments(ff_file(), signals);
-  // w = cap * (1 - 0.8*0.5) = 0.6 * cap
-  EXPECT_NEAR(adjusted[0].weight, net::mbit(60), 1.0);
-  EXPECT_DOUBLE_EQ(adjusted[1].weight, net::mbit(200));  // no signal
-  EXPECT_TRUE(adjustment_is_sound(ff_file(), adjusted));
-}
-
-TEST(DynamicWeights, FloorPreventsStarvation) {
-  const std::vector<DynamicSignal> signals = {{"a", 1.0}};
-  const auto adjusted = apply_dynamic_adjustments(ff_file(), signals);
-  EXPECT_NEAR(adjusted[0].weight, net::mbit(20), 1.0);  // 0.2 floor
-}
-
-TEST(DynamicWeights, LyingCannotInflate) {
-  // §9's security property: reported utilization outside [0,1] (or any
-  // value at all) can only reduce the weight below the secure ceiling.
-  for (const double lie : {-5.0, 0.0, 0.3, 2.0, 1e9}) {
-    const std::vector<DynamicSignal> signals = {{"b", lie}};
-    const auto adjusted = apply_dynamic_adjustments(ff_file(), signals);
-    EXPECT_LE(adjusted[1].weight, net::mbit(200) + 1e-9);
-    EXPECT_TRUE(adjustment_is_sound(ff_file(), adjusted));
-  }
-}
-
-TEST(DynamicWeights, CapacitiesUntouched) {
-  const std::vector<DynamicSignal> signals = {{"a", 0.9}, {"c", 0.2}};
-  const auto adjusted = apply_dynamic_adjustments(ff_file(), signals);
-  for (std::size_t i = 0; i < adjusted.size(); ++i)
-    EXPECT_DOUBLE_EQ(adjusted[i].capacity_bits, ff_file()[i].capacity_bits);
-}
-
-TEST(DynamicWeights, RejectsBadParams) {
-  DynamicWeightParams bad;
-  bad.beta = 1.5;
-  EXPECT_THROW(apply_dynamic_adjustments(ff_file(), {}, bad),
-               std::invalid_argument);
-}
-
-// ------------------------------------------------------------------ family
-
-tor::RelayModel family_relay(const std::string& name, double machine_mbit) {
-  tor::RelayModel relay;
-  relay.name = name;
-  // The relay's own software could forward the whole machine capacity.
-  relay.nic_up_bits = relay.nic_down_bits = net::mbit(machine_mbit);
-  relay.cpu.base_bits =
-      net::mbit(machine_mbit) * (1.0 + relay.cpu.per_socket_overhead * 80);
-  return relay;
-}
-
-// ConcurrentTarget borrows its RelayModel: `relay` must outlive the target.
-SlotRunner::ConcurrentTarget family_member(const net::Topology& topo,
-                                           const tor::RelayModel& relay) {
-  SlotRunner::ConcurrentTarget t;
-  t.relay = &relay;
-  t.host = topo.find("US-SW");  // same machine: shared host NIC
-  t.team = {{topo.find("US-E"), net::mbit(700), 40},
-            {topo.find("NL"), net::mbit(700), 40}};
-  return t;
-}
-
-TEST(Family, CoLocatedSybilsDetected) {
-  const auto topo = net::make_table1_hosts();
-  Params params;
-  // Two Sybils on one 954 Mbit/s machine; measured separately, each had
-  // demonstrated (nearly) the full machine: individual estimates ~850.
-  const tor::RelayModel sybil_a = family_relay("sybil-a", 950);
-  const tor::RelayModel sybil_b = family_relay("sybil-b", 950);
-  std::vector<SlotRunner::ConcurrentTarget> members = {
-      family_member(topo, sybil_a), family_member(topo, sybil_b)};
-  const std::vector<double> individual = {net::mbit(850), net::mbit(850)};
-  const auto result =
-      measure_family(topo, params, members, individual, {}, 5);
-  // Simultaneously they share the host NIC: the combined estimate is the
-  // machine capacity, far below 1700.
-  EXPECT_TRUE(result.co_located);
-  EXPECT_LT(result.combined_bits, net::mbit(1100));
-  EXPECT_NEAR(result.per_member_capacity_bits, result.combined_bits / 2,
-              1.0);
-}
-
-TEST(Family, IndependentRelaysNotFlagged) {
-  const auto topo = net::make_table1_hosts();
-  Params params;
-  // Two genuinely separate machines (different hosts).
-  const tor::RelayModel relay_a = family_relay("relay-a", 400);
-  const tor::RelayModel relay_b = family_relay("relay-b", 400);
-  std::vector<SlotRunner::ConcurrentTarget> members = {
-      family_member(topo, relay_a), family_member(topo, relay_b)};
-  members[1].host = topo.find("US-NW");  // different machine
-  const std::vector<double> individual = {net::mbit(380), net::mbit(380)};
-  const auto result =
-      measure_family(topo, params, members, individual, {}, 6);
-  EXPECT_FALSE(result.co_located);
-  EXPECT_DOUBLE_EQ(result.per_member_capacity_bits, 0.0);
-}
-
-TEST(Family, RejectsBadInputs) {
-  const auto topo = net::make_table1_hosts();
-  Params params;
-  const std::vector<double> one = {1.0};
-  EXPECT_THROW(measure_family(topo, params, {}, one, {}, 1),
-               std::invalid_argument);
-}
-
-// -------------------------------------------------------------- deployment
-
-TEST(Deployment, MedianAggregationAcrossBWAuths) {
-  const auto topo = net::make_table1_hosts();
-  Params params;
-  std::vector<net::HostId> team_hosts = {topo.find("US-E"),
-                                         topo.find("NL")};
-  std::vector<RelayTarget> targets;
-  for (const double cap : {60.0, 150.0}) {
-    RelayTarget t;
-    t.model.name = "relay-" + std::to_string(static_cast<int>(cap));
-    t.model.nic_up_bits = t.model.nic_down_bits = net::mbit(954);
-    t.model.rate_limit_bits = net::mbit(cap);
-    t.model.cpu = tor::CpuModel::us_sw();
-    t.host = topo.find("US-SW");
-    t.previous_estimate_bits = net::mbit(cap);
-    targets.push_back(std::move(t));
-  }
-
-  const auto result = run_deployment(topo, params, team_hosts, targets,
-                                     /*n_bwauths=*/3, /*seed=*/0xFEED);
-  ASSERT_EQ(result.per_bwauth_files.size(), 3u);
-  ASSERT_EQ(result.consensus.entries.size(), 2u);
-  ASSERT_EQ(result.median_capacities_bits.size(), 2u);
-  // Median capacities approximate the (shaved) ground truths.
-  EXPECT_NEAR(net::to_mbit(result.median_capacities_bits[0]),
-              net::to_mbit(targets[0].model.ground_truth(params.sockets)),
-              12);
-  EXPECT_NEAR(net::to_mbit(result.median_capacities_bits[1]),
-              net::to_mbit(targets[1].model.ground_truth(params.sockets)),
-              25);
-  // The consensus weight for each relay is the median of the three files.
-  for (const auto& entry : result.consensus.entries) {
-    std::vector<double> weights;
-    for (const auto& file : result.per_bwauth_files)
-      for (const auto& e : file)
-        if (e.fingerprint == entry.fingerprint)
-          weights.push_back(e.weight);
-    std::sort(weights.begin(), weights.end());
-    EXPECT_DOUBLE_EQ(entry.weight, weights[1]);
-  }
-}
-
-TEST(Deployment, BWAuthsDrawIndependentSubstreams) {
-  const auto topo = net::make_table1_hosts();
-  Params params;
-  std::vector<net::HostId> team_hosts = {topo.find("NL")};
-  std::vector<RelayTarget> targets;
-  RelayTarget t;
-  t.model.name = "relay";
-  t.model.nic_up_bits = t.model.nic_down_bits = net::mbit(954);
-  t.model.rate_limit_bits = net::mbit(100);
-  t.model.cpu = tor::CpuModel::us_sw();
-  t.host = topo.find("US-SW");
-  t.previous_estimate_bits = net::mbit(100);
-  targets.push_back(std::move(t));
-
-  const auto result =
-      run_deployment(topo, params, team_hosts, targets, 3, 0xFACE);
-  // Different BWAuths see different noise: estimates differ.
-  const double a = result.per_bwauth_files[0][0].capacity_bits;
-  const double b = result.per_bwauth_files[1][0].capacity_bits;
-  EXPECT_NE(a, b);
-  EXPECT_THROW(run_deployment(topo, params, team_hosts, targets, 0, 1),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 // build, not a user. docs/result-files.md gets the same treatment from
 // the result sinks' column tables. Further tests keep the relative links
 // inside docs/ and README.md pointing at files that exist, and hold
-// src/ to docs/ARCHITECTURE.md's rule that dependencies point downward.
+// src/ to docs/ARCHITECTURE.md's rules that dependencies point downward
+// and that every header has a user outside the tests.
 //
 // FLASHFLOW_REPO_DIR is injected by CMake so the suite finds the
 // checked-in markdown from any build directory.
@@ -42,6 +43,18 @@ std::string read_file(const fs::path& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// The paths a file names in its `#include "..."` lines, in order.
+std::vector<std::string> quoted_includes(const fs::path& path) {
+  const std::string prefix = "#include \"";
+  std::vector<std::string> includes;
+  std::istringstream lines(read_file(path));
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind(prefix, 0) == 0)
+      includes.push_back(line.substr(
+          prefix.size(), line.find('"', prefix.size()) - prefix.size()));
+  return includes;
 }
 
 /// Specs that together exercise every branch of serialize_scenario():
@@ -192,14 +205,10 @@ TEST(DocsStaleness, ModuleIncludeGraphIsAcyclic) {
     for (const fs::directory_entry& entry :
          fs::recursive_directory_iterator(src / module)) {
       if (!entry.is_regular_file()) continue;
-      std::istringstream lines(read_file(entry.path()));
-      for (std::string line; std::getline(lines, line);) {
-        const std::string prefix = "#include \"";
-        if (line.rfind(prefix, 0) != 0) continue;
-        const std::size_t slash = line.find('/', prefix.size());
+      for (const std::string& include : quoted_includes(entry.path())) {
+        const std::size_t slash = include.find('/');
         if (slash == std::string::npos) continue;
-        const std::string dep =
-            line.substr(prefix.size(), slash - prefix.size());
+        const std::string dep = include.substr(0, slash);
         if (dep == module || !modules.count(dep)) continue;
         edges += deps[module]
                      .emplace(dep, module + "/" +
@@ -240,6 +249,47 @@ TEST(DocsStaleness, ModuleIncludeGraphIsAcyclic) {
     if (state[module] == 0) visit(module);
   for (const std::string& cycle : cycles)
     ADD_FAILURE() << "src/ module include cycle: " << cycle;
+}
+
+TEST(DocsStaleness, EverySourceHeaderIsReachedFromAProgram) {
+  // docs/ARCHITECTURE.md: every src/ header has a user outside the tests.
+  // The roots are the programs' own files; a quoted include leads into
+  // src/, and a reached src/X/Y.h also brings in src/X/Y.cpp's includes.
+  const fs::path src = repo_dir() / "src";
+  std::vector<fs::path> pending;
+  for (const char* dir : {"tools", "bench", "examples"})
+    for (const fs::directory_entry& entry :
+         fs::recursive_directory_iterator(repo_dir() / dir))
+      if (entry.path().extension() == ".cpp" ||
+          entry.path().extension() == ".h")
+        pending.push_back(entry.path());
+  ASSERT_GE(pending.size(), 25u) << "found almost no program sources";
+
+  std::set<std::string> reached;  // relative to src/, e.g. "core/bwauth.h"
+  while (!pending.empty()) {
+    const fs::path file = pending.back();
+    pending.pop_back();
+    for (const std::string& header : quoted_includes(file)) {
+      if (!fs::is_regular_file(src / header) ||
+          !reached.insert(header).second)
+        continue;
+      pending.push_back(src / header);
+      const fs::path source = (src / header).replace_extension(".cpp");
+      if (fs::is_regular_file(source)) pending.push_back(source);
+    }
+  }
+
+  std::set<std::string> headers;
+  for (const fs::directory_entry& entry :
+       fs::recursive_directory_iterator(src))
+    if (entry.path().extension() == ".h")
+      headers.insert(fs::relative(entry.path(), src).generic_string());
+  ASSERT_GE(headers.size(), 50u) << "src/ tree is missing headers";
+  for (const std::string& header : headers)
+    EXPECT_TRUE(reached.count(header))
+        << "src/" << header
+        << " is reached only from tests: wire it into a program under "
+           "tools/, bench/ or examples/, or delete it";
 }
 
 TEST(DocsStaleness, RelativeLinksInDocsResolve) {

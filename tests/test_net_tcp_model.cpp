@@ -78,14 +78,6 @@ TEST(TcpModel, RejectsNonPositiveRtt) {
       std::invalid_argument);
 }
 
-TEST(TcpModel, AggregateScalesWithSockets) {
-  const auto k = KernelProfile::default_profile();
-  const double one = tcp_aggregate_cap(k, 0.1, 1e-4, 1);
-  const double ten = tcp_aggregate_cap(k, 0.1, 1e-4, 10);
-  EXPECT_DOUBLE_EQ(ten, one * 10.0);
-  EXPECT_DOUBLE_EQ(tcp_aggregate_cap(k, 0.1, 1e-4, 0), 0.0);
-}
-
 // Parameterized sweep: throughput must be monotonically non-increasing in
 // loss for a fixed RTT (property of the Mathis term).
 class LossMonotoneTest : public ::testing::TestWithParam<double> {};

@@ -66,6 +66,29 @@ TEST(ScenarioBuilder, RejectsInvalidSpecs) {
   // Periods below 1.
   EXPECT_THROW(ScenarioBuilder().table1_relays({100}).periods(0).build(),
                std::invalid_argument);
+  // Capacity clamps with a maximum <= 0 (below an even lower minimum, so
+  // only that rule applies) or a minimum above the maximum, for both
+  // sampled populations.
+  analysis::PopulationParams no_max;
+  no_max.min_capacity_bits = -10;
+  no_max.max_capacity_bits = -5;
+  EXPECT_THROW(ScenarioBuilder().synthetic(no_max, 10).build(),
+               std::invalid_argument);
+  analysis::PopulationParams inverted;
+  inverted.min_capacity_bits = 5e8;
+  inverted.max_capacity_bits = 1e6;
+  EXPECT_THROW(ScenarioBuilder().synthetic(inverted, 10).build(),
+               std::invalid_argument);
+  shadowsim::ShadowNetParams shadow_no_max;
+  shadow_no_max.min_capacity_bits = 0;
+  shadow_no_max.max_capacity_bits = 0;
+  EXPECT_THROW(ScenarioBuilder().shadow_net(shadow_no_max, 1).build(),
+               std::invalid_argument);
+  shadowsim::ShadowNetParams shadow_inverted;
+  shadow_inverted.min_capacity_bits = 5e8;
+  shadow_inverted.max_capacity_bits = 1e6;
+  EXPECT_THROW(ScenarioBuilder().shadow_net(shadow_inverted, 1).build(),
+               std::invalid_argument);
   // Synthetic populations need capacity overrides at materialization time
   // (no real topology to mesh-measure).
   auto spec = ScenarioBuilder().synthetic({}, 10).build();

@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "tor/authority.h"
 #include "tor/descriptor.h"
-#include "tor/path_selection.h"
 
 namespace flashflow::tor {
 namespace {
@@ -70,39 +67,6 @@ TEST(BuildConsensus, MedianCapacity) {
   const std::vector<BandwidthFile> files = {f1, f2};
   EXPECT_DOUBLE_EQ(median_capacity(files, "a"), 200.0);
   EXPECT_DOUBLE_EQ(median_capacity(files, "nope"), 0.0);
-}
-
-TEST(PathSelection, WeightedFrequency) {
-  const auto c = make_consensus();
-  sim::Rng rng(11);
-  std::map<std::size_t, int> counts;
-  const int n = 30000;
-  for (int i = 0; i < n; ++i) ++counts[select_weighted(c, rng)];
-  EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.6, 0.02);
-  EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.1, 0.02);
-}
-
-TEST(PathSelection, PathHasDistinctRelays) {
-  const auto c = make_consensus();
-  sim::Rng rng(13);
-  for (int i = 0; i < 500; ++i) {
-    const auto path = select_path(c, rng);
-    EXPECT_NE(path[0], path[1]);
-    EXPECT_NE(path[1], path[2]);
-    EXPECT_NE(path[0], path[2]);
-  }
-}
-
-TEST(PathSelection, RequiresThreeUsableRelays) {
-  Consensus tiny;
-  tiny.entries = {{"a", 1.0, false}, {"b", 1.0, false}};
-  sim::Rng rng(17);
-  EXPECT_THROW(select_path(tiny, rng), std::invalid_argument);
-
-  Consensus zeros;
-  zeros.entries = {{"a", 1.0, false}, {"b", 0.0, false}, {"c", 0.0, false},
-                   {"d", 1.0, false}};
-  EXPECT_THROW(select_path(zeros, rng), std::invalid_argument);
 }
 
 }  // namespace

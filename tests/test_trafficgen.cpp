@@ -1,55 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "trafficgen/benchmark.h"
-#include "trafficgen/markov.h"
 
 namespace flashflow::trafficgen {
 namespace {
-
-TEST(Markov, StreamsWithinHorizon) {
-  MarkovParams params;
-  sim::Rng rng(1);
-  const auto streams =
-      generate_user_streams(params, 3600 * sim::kSecond, rng);
-  ASSERT_FALSE(streams.empty());
-  for (const auto& s : streams) {
-    EXPECT_GE(s.start, 0);
-    EXPECT_LT(s.start, 3600 * sim::kSecond);
-    EXPECT_GT(s.bytes, 0.0);
-  }
-}
-
-TEST(Markov, StartsAreNondecreasing) {
-  MarkovParams params;
-  sim::Rng rng(2);
-  const auto streams =
-      generate_user_streams(params, 1800 * sim::kSecond, rng);
-  for (std::size_t i = 1; i < streams.size(); ++i)
-    EXPECT_LE(streams[i - 1].start, streams[i].start);
-}
-
-TEST(Markov, EmpiricalLoadMatchesAnalytic) {
-  MarkovParams params;
-  sim::Rng rng(3);
-  double total_bytes = 0;
-  const double horizon_s = 40000.0;
-  for (int u = 0; u < 30; ++u) {
-    const auto streams = generate_user_streams(
-        params, sim::from_seconds(horizon_s), rng);
-    for (const auto& s : streams) total_bytes += s.bytes;
-  }
-  const double empirical = total_bytes / (horizon_s * 30);
-  const double analytic = expected_user_load_bytes_per_s(params);
-  // Heavy-tailed sizes: generous tolerance.
-  EXPECT_GT(empirical, analytic * 0.5);
-  EXPECT_LT(empirical, analytic * 2.0);
-}
-
-TEST(Markov, AggregateScalesWithUsers) {
-  MarkovParams params;
-  EXPECT_NEAR(aggregate_offered_bits(params, 100),
-              100 * aggregate_offered_bits(params, 1), 1.0);
-}
 
 TEST(Benchmark, ConstantsMatchPaper) {
   EXPECT_DOUBLE_EQ(kTransferBytes[0], 50.0 * 1024);
