@@ -1,8 +1,10 @@
 // Microbenchmarks (google-benchmark) for the hot paths under every
-// experiment: cell crypto, the event queue, the max-min fair solver, the
-// fluid network, and the statistics kernels.
+// experiment: cell crypto, the event queue, the max-min fair solver (one-shot
+// and a slot's prepared per-second solves), the fluid network, and the
+// statistics kernels.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -82,6 +84,67 @@ void BM_MaxMinFair(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaxMinFair)->Arg(16)->Arg(64)->Arg(256);
+
+// One slot's per-second solves, core::SlotRunner's shape: three shared
+// measurer NICs, then per target a NIC and a relay crossed by the same
+// flows (twins). Each target is measured by p of the measurers, each flow
+// weighted 160/p and capped near 2.25 z / p, with z drawn like the
+// crowded_slots workload's relays. One prepare, then 30 solve_prepared
+// calls while the relay capacities move. The target counts straddle
+// FairShareSolver::kIndexCutoff live resources (targets + 3).
+void BM_SlotSolvePrepared(benchmark::State& state) {
+  constexpr int kSeconds = 30;
+  const auto targets = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng(19);
+  std::vector<net::FairShareResource> resources(3 + 2 * targets);
+  for (std::size_t m = 0; m < 3; ++m) resources[m].capacity = 1e9;
+  std::vector<double> z(targets);
+  std::vector<net::FairShareFlow> flows;
+  for (std::size_t t = 0; t < targets; ++t) {
+    z[t] = std::min(rng.log_normal(14.5, 1.0), 998e6);
+    resources[3 + 2 * t].capacity = 954e6;
+    const auto participants = rng.uniform_int(1, 3);
+    const auto first = rng.uniform_int(0, 2);
+    for (std::int64_t i = 0; i < participants; ++i) {
+      net::FairShareFlow f;
+      f.resources = {static_cast<std::size_t>((first + i) % 3), 3 + 2 * t,
+                     4 + 2 * t};
+      f.weight = 160.0 / static_cast<double>(participants);
+      f.cap = 2.25 * z[t] * rng.uniform(0.6, 1.0) /
+              static_cast<double>(participants);
+      flows.push_back(std::move(f));
+    }
+  }
+  std::vector<double> relay_capacity(kSeconds * targets);
+  for (std::size_t k = 0; k < relay_capacity.size(); ++k)
+    relay_capacity[k] = z[k % targets] * rng.uniform(0.7, 1.3);
+
+  net::FairShareSolver solver;
+  solver.prepare(flows, resources.size());
+  for (auto _ : state) {
+    for (std::size_t s = 0; s < kSeconds; ++s) {
+      for (std::size_t t = 0; t < targets; ++t)
+        resources[4 + 2 * t].capacity = relay_capacity[s * targets + t];
+      benchmark::DoNotOptimize(solver.solve_prepared(resources).data());
+    }
+  }
+  const auto solves =
+      static_cast<double>(state.iterations()) * static_cast<double>(kSeconds);
+  state.SetItemsProcessed(static_cast<std::int64_t>(solves));
+  // The solver's own work counts, per solve.
+  const net::FairShareCounters work = solver.take_counters();
+  state.counters["steps"] = static_cast<double>(work.fill_steps) / solves;
+  state.counters["quotients"] =
+      static_cast<double>(work.exact_quotients) / solves;
+}
+BENCHMARK(BM_SlotSolvePrepared)
+    ->Arg(3)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(48)
+    ->Arg(64)
+    ->Arg(300);
 
 void BM_FlowNetAddRemove(benchmark::State& state) {
   sim::Simulator simu;

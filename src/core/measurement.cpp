@@ -403,9 +403,13 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
     }
   }
   // FF_HOT_END: per-second slot loop
-    if (probe_)
+    // Taken with or without a probe, so no count outlives its segment.
+    const net::FairShareCounters work = ws.solver_.take_counters();
+    if (probe_) {
       probe_->note_solve(probe_->now() - solve_start,
                          static_cast<std::uint64_t>(seg_end - seg_begin));
+      probe_->note_solver_work(work.fill_steps, work.exact_quotients);
+    }
   }
 
   // The BWAuth only sees what surviving measurers reported: estimates,

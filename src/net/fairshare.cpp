@@ -27,6 +27,11 @@ namespace flashflow::net {
 //     prefix of the class's cap order.
 //   - Resource-bound freezes come from the incidence lists of the resources
 //     saturated this step.
+//   - With kIndexCutoff or more live resources, the SaturationIndex finds
+//     the step's least resource quotient and its saturated resources among
+//     the few whose key lies within the drift bound of the heap's top; a
+//     window holding a non-positive or non-finite quotient makes the step
+//     scan every live resource instead.
 // Every value that reaches a rate is produced by the same floating-point
 // operations, in the same order, as the scan-everything loop (kept as the
 // reference in tests/test_net_fairshare.cpp); docs/determinism.md gives the
@@ -34,7 +39,221 @@ namespace flashflow::net {
 
 namespace {
 constexpr double kEps = 1e-9;
+constexpr std::size_t kNotLive = std::numeric_limits<std::size_t>::max();
 }  // namespace
+
+// ---- SaturationIndex ------------------------------------------------------
+
+void FairShareSolver::SaturationIndex::size_for(std::size_t live,
+                                                std::size_t resources) {
+  remaining_.resize(live);
+  weight_.resize(live);
+  info_.resize(live);
+  heap_.resize(live);
+  window_.resize(live);
+  live_of_.resize(resources);
+}
+
+// A key is `remaining / weight + level`: the level at which the resource
+// would saturate if its weight stayed put. Draining by step * weight and
+// adding step to the level leave it unchanged up to rounding. A quotient
+// that is non-positive or non-finite (or a key that overflows) keys at
+// -inf, so the resource is always in the window and its step scans.
+double FairShareSolver::SaturationIndex::key_of(std::size_t p) const {
+  const double quotient = remaining_[p] / weight_[p];
+  const double key = quotient + level_;
+  return quotient > 0 && std::isfinite(key)
+             ? key
+             : -std::numeric_limits<double>::infinity();
+}
+
+void FairShareSolver::SaturationIndex::place(std::size_t h, Entry e) {
+  heap_[h] = e;
+  info_[e.live].heap = h;
+}
+
+void FairShareSolver::SaturationIndex::sift_up(std::size_t h) {
+  const Entry e = heap_[h];
+  while (h > 0) {
+    const std::size_t parent = (h - 1) / 2;
+    if (!(e.key < heap_[parent].key)) break;
+    place(h, heap_[parent]);
+    h = parent;
+  }
+  place(h, e);
+}
+
+void FairShareSolver::SaturationIndex::sift_down(std::size_t h) {
+  const Entry e = heap_[h];
+  for (;;) {
+    std::size_t child = 2 * h + 1;
+    if (child >= n_) break;
+    child += static_cast<std::size_t>(child + 1 < n_ &&
+                                      heap_[child + 1].key < heap_[child].key);
+    if (!(heap_[child].key < e.key)) break;
+    place(h, heap_[child]);
+    h = child;
+  }
+  place(h, e);
+}
+
+// Drops live position p: the last live position moves into p, the last heap
+// entry into p's heap slot.
+void FairShareSolver::SaturationIndex::remove(std::size_t p) {
+  const std::size_t hole = info_[p].heap;
+  const std::size_t last = n_ - 1;
+  live_of_[info_[p].resource] = kNotLive;
+  if (p != last) {
+    remaining_[p] = remaining_[last];
+    weight_[p] = weight_[last];
+    info_[p] = info_[last];
+    live_of_[info_[p].resource] = p;
+    heap_[info_[p].heap].live = p;
+  }
+  n_ = last;
+  if (hole == n_) return;
+  // The hole is usually the top (the resource saturated first). Walk it
+  // down to a leaf along the lesser children, then sift the last entry up
+  // from there: it came from the bottom, so it rarely climbs far.
+  std::size_t h = hole;
+  for (std::size_t child = 2 * h + 1; child < n_; child = 2 * h + 1) {
+    child += static_cast<std::size_t>(child + 1 < n_ &&
+                                      heap_[child + 1].key < heap_[child].key);
+    place(h, heap_[child]);
+    h = child;
+  }
+  place(h, heap_[n_]);
+  sift_up(h);
+}
+
+void FairShareSolver::SaturationIndex::build(
+    std::span<const std::size_t> live, std::span<const ResourceState> state) {
+  std::fill(live_of_.begin(), live_of_.end(), kNotLive);
+  n_ = live.size();
+  level_ = 0.0;
+  steps_ = 0;
+  weight_floor_ = std::numeric_limits<double>::infinity();
+  for (std::size_t p = 0; p < n_; ++p) {
+    const std::size_t r = live[p];
+    remaining_[p] = state[r].remaining;
+    weight_[p] = state[r].weight;
+    weight_floor_ = std::min(weight_floor_, weight_[p]);
+    info_[p] = {r, p, false};
+    live_of_[r] = p;
+    heap_[p] = {key_of(p), p};
+  }
+  eps_margin_ = kEps / weight_floor_;
+  for (std::size_t h = n_ / 2; h-- > 0;) sift_down(h);
+}
+
+// The window: every heap entry whose key is at most
+//   (E + eps / weight_floor + level) * (1 + 4 * drift),
+//   drift = (steps + 8) * 2^-52,
+// with E the top entry's exact quotient. A key differs from its resource's
+// exact quotient plus the level by at most drift * (key + level), so a
+// resource keyed above the window has a quotient above
+// (E + eps / weight)(1 + 5u): it is not the least, and the drain cannot
+// bring it to eps (docs/determinism.md). The entries at or below a bound
+// form a subtree at the root, collected breadth-first.
+bool FairShareSolver::SaturationIndex::window_min(double& step,
+                                                  std::uint64_t& quotients) {
+  n_window_ = 0;
+  if (n_ == 0) return true;
+  const auto quotient = [this](std::size_t h) {
+    const std::size_t p = heap_[h].live;
+    return remaining_[p] / weight_[p];
+  };
+  double least = quotient(0);
+  ++quotients;
+  const double drift = static_cast<double>(steps_ + 8) * 0x1p-52;
+  const double bound = (least + eps_margin_ + level_) * (1.0 + 4.0 * drift);
+  if (!(least > 0) || !std::isfinite(bound)) return false;
+  window_[n_window_++] = 0;
+  for (std::size_t i = 0; i < n_window_; ++i) {
+    const std::size_t first = 2 * window_[i] + 1;
+    for (std::size_t c = first; c < first + 2 && c < n_; ++c) {
+      if (!(heap_[c].key <= bound)) continue;
+      const double q = quotient(c);
+      ++quotients;
+      if (!(q > 0) || !std::isfinite(q)) return false;
+      least = std::min(least, q);
+      window_[n_window_++] = c;
+    }
+  }
+  step = least;
+  return true;
+}
+
+double FairShareSolver::SaturationIndex::scan_min(
+    std::uint64_t& quotients) const {
+  double least = std::numeric_limits<double>::infinity();
+  for (std::size_t p = 0; p < n_; ++p)
+    least = std::min(least, remaining_[p] / weight_[p]);
+  quotients += n_;
+  return least;
+}
+
+void FairShareSolver::SaturationIndex::drain(double step) {
+  double* const remaining = remaining_.data();
+  const double* const weight = weight_.data();
+  for (std::size_t p = 0; p < n_; ++p) remaining[p] -= step * weight[p];
+  level_ += step;
+  ++steps_;
+}
+
+std::size_t FairShareSolver::SaturationIndex::saturated(
+    bool scanned, std::size_t* out) const {
+  std::size_t n = 0;
+  if (scanned) {
+    for (std::size_t p = 0; p < n_; ++p)
+      if (remaining_[p] <= kEps) out[n++] = info_[p].resource;
+  } else {
+    for (std::size_t i = 0; i < n_window_; ++i) {
+      const std::size_t p = heap_[window_[i]].live;
+      if (remaining_[p] <= kEps) out[n++] = info_[p].resource;
+    }
+  }
+  return n;
+}
+
+void FairShareSolver::SaturationIndex::subtract(std::size_t resource,
+                                                double weight,
+                                                std::size_t* touched,
+                                                std::size_t& n_touched) {
+  const std::size_t p = live_of_[resource];
+  if (p == kNotLive) return;
+  weight_[p] -= weight;
+  if (!info_[p].touched) {
+    info_[p].touched = true;
+    touched[n_touched++] = resource;
+  }
+}
+
+void FairShareSolver::SaturationIndex::rekey(const std::size_t* touched,
+                                             std::size_t n_touched) {
+  for (std::size_t i = 0; i < n_touched; ++i) {
+    const std::size_t p = live_of_[touched[i]];
+    info_[p].touched = false;
+    if (!(weight_[p] > kEps)) {
+      remove(p);
+      continue;
+    }
+    if (weight_[p] < weight_floor_) {
+      weight_floor_ = weight_[p];
+      eps_margin_ = kEps / weight_floor_;
+    }
+    const std::size_t h = info_[p].heap;
+    const double key = key_of(p);
+    const bool up = key < heap_[h].key;
+    heap_[h].key = key;
+    if (up)
+      sift_up(h);
+    else
+      sift_down(h);
+  }
+}
+
+// ---- FairShareSolver --------------------------------------------------------
 
 void FairShareSolver::prepare(std::span<const FairShareFlow> flows,
                               std::size_t num_resources) {
@@ -162,6 +381,8 @@ void FairShareSolver::prepare(std::span<const FairShareFlow> flows,
   // indices.
   state_.resize(num_resources);
   work_.resize(2 * num_resources + active_init_.size() + classes_.size());
+  const std::size_t groups = twin_begin_.size() - 1;
+  if (groups >= kIndexCutoff) index_.size_for(groups, num_resources);
   prepared_ = true;
 }
 
@@ -218,23 +439,36 @@ std::span<const double> FairShareSolver::solve_prepared(
   }
   std::size_t n_active = active_init_.size();
   std::size_t lowest = 0;  // active_init_ position of the lowest active flow
+  const bool indexed = n_live >= kIndexCutoff;
+  if (indexed) index_.build({live, n_live}, state_);
+  std::uint64_t fill_steps = 0;
+  std::uint64_t quotients = 0;
 
   while (n_active > 0) {
+    ++fill_steps;
     // Largest uniform per-weight increment before a resource saturates or a
     // flow reaches its cap. min() is exact, so the candidates may be
     // visited in any order. Resources whose active weight fell to eps or
-    // below leave the live list here, for good.
+    // below leave the live list here, for good (the index drops them as
+    // their weight falls).
     double step = std::numeric_limits<double>::infinity();
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < n_live; ++i) {
-      const ResourceState& st = state_[live[i]];
-      if (st.weight > kEps) {
-        live[kept++] = live[i];
-        step = std::min(step, st.remaining / st.weight);
+    bool scanned = true;
+    if (indexed) {
+      scanned = !index_.window_min(step, quotients);
+      if (scanned) step = index_.scan_min(quotients);
+    } else {
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < n_live; ++i) {
+        const ResourceState& st = state_[live[i]];
+        if (st.weight > kEps) {
+          live[kept++] = live[i];
+          step = std::min(step, st.remaining / st.weight);
+        }
       }
+      n_live = kept;
+      quotients += n_live;
     }
-    n_live = kept;
-    kept = 0;
+    std::size_t kept = 0;
     for (std::size_t j = 0; j < n_classes; ++j) {
       WeightClass& c = classes_[live_classes[j]];
       if (c.active == 0) continue;
@@ -256,10 +490,15 @@ std::span<const double> FairShareSolver::solve_prepared(
 
     // Drain the live resources and note the ones this step saturated.
     std::size_t n_saturated = 0;
-    for (std::size_t i = 0; i < n_live; ++i) {
-      ResourceState& st = state_[live[i]];
-      st.remaining -= step * st.weight;
-      if (st.remaining <= kEps) saturated[n_saturated++] = live[i];
+    if (indexed) {
+      index_.drain(step);
+      n_saturated = index_.saturated(scanned, saturated);
+    } else {
+      for (std::size_t i = 0; i < n_live; ++i) {
+        ResourceState& st = state_[live[i]];
+        st.remaining -= step * st.weight;
+        if (st.remaining <= kEps) saturated[n_saturated++] = live[i];
+      }
     }
 
     // Advance every class and freeze its members now at their caps: a
@@ -296,15 +535,29 @@ std::span<const double> FairShareSolver::solve_prepared(
       freeze(active_init_[lowest]);
     }
     // Remove the frozen flows' weight in ascending flow index: the order a
-    // scan over the active flows subtracts in.
+    // scan over the active flows subtracts in. The index then re-keys the
+    // live resources whose weight moved, listed in the saturated buffer
+    // (no longer needed this step).
     if (n_frozen > 1) std::sort(frozen_now, frozen_now + n_frozen);
-    for (std::size_t j = 0; j < n_frozen; ++j) {
-      const FlowInfo& info = flows_[frozen_now[j]];
-      for (std::size_t k = info.res_begin; k < info.res_end; ++k)
-        state_[res_index_[k]].weight -= info.weight;
+    if (indexed) {
+      std::size_t n_touched = 0;
+      for (std::size_t j = 0; j < n_frozen; ++j) {
+        const FlowInfo& info = flows_[frozen_now[j]];
+        for (std::size_t k = info.res_begin; k < info.res_end; ++k)
+          index_.subtract(res_index_[k], info.weight, saturated, n_touched);
+      }
+      index_.rekey(saturated, n_touched);
+    } else {
+      for (std::size_t j = 0; j < n_frozen; ++j) {
+        const FlowInfo& info = flows_[frozen_now[j]];
+        for (std::size_t k = info.res_begin; k < info.res_end; ++k)
+          state_[res_index_[k]].weight -= info.weight;
+      }
     }
     n_active -= n_frozen;
   }
+  counters_.fill_steps += fill_steps;
+  counters_.exact_quotients += quotients;
   return {rates_.data(), num_flows};
 }
 // FF_HOT_END: per-second fair-share re-solve

@@ -14,15 +14,22 @@
 //     per-second simulation loops (core::SlotRunner) allocate nothing after
 //     warm-up. The filling is event-driven: each iteration touches only the
 //     resources that can still bind, one level per weight class, and the
-//     flows that freeze (see fairshare.cpp and docs/determinism.md for why
-//     the rates are bit-identical to a scan over every flow and resource).
+//     flows that freeze. A solve with at least kIndexCutoff live resources
+//     (a crowded slot) also stops dividing every one of them per iteration:
+//     a min-heap keyed on each resource's approximate saturation level
+//     names the few that can bind, and only those get the exact quotient
+//     and the saturation test. See fairshare.cpp and docs/determinism.md
+//     for why the rates are bit-identical to a scan over every flow and
+//     resource.
 //   - max_min_fair_rates(): one-shot convenience wrapper over a fresh
 //     solver, returning an owned vector.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace flashflow::net {
@@ -38,11 +45,27 @@ struct FairShareFlow {
   double cap = std::numeric_limits<double>::infinity();
 };
 
+/// Deterministic work counts of the filling loop (telemetry's
+/// solver/fill_steps and solver/exact_quotients).
+struct FairShareCounters {
+  std::uint64_t fill_steps = 0;  // filling iterations
+  /// Exact `remaining / weight` quotients the iterations compared for their
+  /// step: every live resource in a scanned iteration, the heap window in
+  /// an indexed one.
+  std::uint64_t exact_quotients = 0;
+};
+
 /// Progressive-filling solver with reusable scratch. Successive solves are
 /// bit-identical to fresh ones (the algorithm never reads stale state), so
 /// one solver instance can serve a whole simulation loop.
 class FairShareSolver {
  public:
+  /// Solves with at least this many live resources (one per twin group)
+  /// find each step's binding resources through the saturation index;
+  /// smaller ones scan the live list, which is cheaper there (the
+  /// BM_SlotSolvePrepared sweep in bench/bench_micro.cpp).
+  static constexpr std::size_t kIndexCutoff = 48;
+
   /// Returns per-flow rates in bits/s. Guarantees:
   ///   - no resource's total allocated rate exceeds its capacity (within
   ///     eps);
@@ -80,6 +103,9 @@ class FairShareSolver {
   /// folded away at prepare time). Telemetry reads this for the
   /// solver/active_flows gauge; 0 before the first prepare.
   std::size_t prepared_active_flows() const { return active_init_.size(); }
+
+  /// The work counted since the last call (or construction), then zero.
+  FairShareCounters take_counters() { return std::exchange(counters_, {}); }
 
  private:
   /// A prepared flow: its weight, its slice of res_index_ and its weight
@@ -124,6 +150,72 @@ class FairShareSolver {
     double weight = 0;
   };
 
+  /// The live resources of a solve with at least kIndexCutoff of them.
+  /// Remaining capacity and active weight sit in parallel arrays, compacted
+  /// by swap-removal, so one branch-free pass drains them per step. A
+  /// binary min-heap keys each on its approximate saturation level,
+  /// `remaining / weight + level` (level = the sum of the steps so far),
+  /// which draining leaves unchanged; a key is recomputed only when a
+  /// frozen flow lowers the resource's weight. A step divides exactly only
+  /// the window of keys within the drift bound of the top.
+  class SaturationIndex {
+   public:
+    /// Sizes the scratch for up to `live` resources out of `resources`.
+    void size_for(std::size_t live, std::size_t resources);
+    /// Starts a solve over the live resources `live`, read from `state`.
+    void build(std::span<const std::size_t> live,
+               std::span<const ResourceState> state);
+    /// The least exact quotient over the window, or false when the window
+    /// holds a non-positive or non-finite one: then the step must scan.
+    bool window_min(double& step, std::uint64_t& quotients);
+    /// The least exact quotient over every live resource.
+    double scan_min(std::uint64_t& quotients) const;
+    /// Drains every live resource by step * weight and advances the level.
+    void drain(double step);
+    /// Writes the resources that the last drain saturated (remaining at or
+    /// below eps) to `out`: those in the window, or, after a scanned step,
+    /// every live one. Returns their count.
+    std::size_t saturated(bool scanned, std::size_t* out) const;
+    /// Subtracts a frozen flow's weight from `resource` if it is live, and
+    /// records it in touched[0 .. n_touched) the first time.
+    void subtract(std::size_t resource, double weight, std::size_t* touched,
+                  std::size_t& n_touched);
+    /// Re-keys the touched resources, or drops those whose weight fell to
+    /// eps or below.
+    void rekey(const std::size_t* touched, std::size_t n_touched);
+
+   private:
+    struct Entry {
+      double key = 0;
+      std::size_t live = 0;  // position in the live arrays
+    };
+    struct LiveInfo {
+      std::size_t resource = 0;
+      std::size_t heap = 0;  // position in heap_
+      bool touched = false;  // already listed by subtract() this step
+    };
+    double key_of(std::size_t p) const;
+    void place(std::size_t h, Entry e);
+    void sift_up(std::size_t h);
+    void sift_down(std::size_t h);
+    void remove(std::size_t p);
+
+    std::size_t n_ = 0;        // live resources (and heap entries)
+    double level_ = 0;         // sum of the steps so far
+    std::uint64_t steps_ = 0;  // steps so far, for the drift bound
+    double weight_floor_ = 0;  // least weight any live resource has had
+    double eps_margin_ = 0;    // eps / weight_floor_
+    std::vector<double> remaining_;
+    std::vector<double> weight_;
+    std::vector<LiveInfo> info_;
+    std::vector<Entry> heap_;
+    /// Heap positions of the current window, in breadth-first order.
+    std::vector<std::size_t> window_;
+    std::size_t n_window_ = 0;
+    /// Per resource: its position in the live arrays, or none.
+    std::vector<std::size_t> live_of_;
+  };
+
   // ---- prepare() products: invariants of the flow set -------------------
   /// prepared_ is false until a prepare() run completes, so a validation
   /// throw mid-prepare cannot be followed by a solve over half-built state.
@@ -155,9 +247,14 @@ class FairShareSolver {
   /// Index scratch, sized by prepare(): the live resources (per twin
   /// group, the member with the least finite capacity, while its active
   /// weight is above eps; the list only shrinks, since active weights only
-  /// decrease), the resources saturated and the flows frozen in the
-  /// current step, and the classes with active members.
+  /// decrease), the resources saturated in the current step (then, in an
+  /// indexed solve, those whose weight it lowered), the flows frozen in
+  /// it, and the classes with active members.
   std::vector<std::size_t> work_;
+  /// Sized by prepare() only for flow sets with kIndexCutoff or more twin
+  /// groups, the most live resources a solve can start with.
+  SaturationIndex index_;
+  FairShareCounters counters_;
 };
 
 /// One-shot convenience wrapper: solves with a fresh FairShareSolver and

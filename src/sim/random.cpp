@@ -68,7 +68,10 @@ double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw std::invalid_argument("uniform_int: lo > hi");
-  const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
+  // The span and the offset are unsigned: hi - lo overflows std::int64_t
+  // for any range wider than INT64_MAX, and so may lo + offset.
+  const auto first = static_cast<std::uint64_t>(lo);
+  const std::uint64_t range = static_cast<std::uint64_t>(hi) - first + 1;
   if (range == 0) return static_cast<std::int64_t>((*this)());  // full range
   // Rejection sampling to avoid modulo bias.
   const std::uint64_t limit = (~0ULL) - (~0ULL) % range;
@@ -76,7 +79,7 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   do {
     draw = (*this)();
   } while (draw >= limit);
-  return lo + static_cast<std::int64_t>(draw % range);
+  return static_cast<std::int64_t>(first + draw % range);
 }
 
 bool Rng::chance(double p) {

@@ -66,6 +66,8 @@ EngineMetrics EngineMetrics::register_in(Registry& registry) {
   m.trace_rows = registry.counter("campaign/trace_slots");
   m.prepare_calls = registry.counter("solver/prepare_calls");
   m.solve_seconds = registry.counter("solver/solve_seconds");
+  m.fill_steps = registry.counter("solver/fill_steps");
+  m.exact_quotients = registry.counter("solver/exact_quotients");
   m.fill_calls = registry.counter("paths/fill_calls");
   m.active_flows = registry.gauge("solver/active_flows");
   m.segments_hist = registry.histogram("slot/segments");

@@ -170,6 +170,8 @@ struct EngineMetrics {
   MetricId trace_rows = 0;     // campaign/trace_slots emitted
   MetricId prepare_calls = 0;  // solver/prepare_calls
   MetricId solve_seconds = 0;  // solver/solve_seconds (solve_prepared calls)
+  MetricId fill_steps = 0;     // solver/fill_steps (filling iterations)
+  MetricId exact_quotients = 0;  // solver/exact_quotients (step divisions)
   MetricId fill_calls = 0;     // paths/fill_calls (one per target per slot)
   // Gauges.
   MetricId active_flows = 0;   // solver/active_flows (max over slots)
@@ -229,6 +231,12 @@ class SlotProbe {
   void note_solve(std::uint64_t micros, std::uint64_t seconds) {
     timing_.solve_micros += micros;
     shard_->add(metrics_->solve_seconds, seconds);
+  }
+  /// The fair-share solver's work counts over a segment's solves.
+  void note_solver_work(std::uint64_t fill_steps,
+                        std::uint64_t exact_quotients) {
+    shard_->add(metrics_->fill_steps, fill_steps);
+    shard_->add(metrics_->exact_quotients, exact_quotients);
   }
   void note_segments(int segments) { segments_ = segments; }
 

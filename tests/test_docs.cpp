@@ -6,10 +6,11 @@
 // (plus every optional section) and fails if any emitted key is missing
 // from the page — so adding a key without documenting it breaks the
 // build, not a user. docs/result-files.md gets the same treatment from
-// the result sinks' column tables. Further tests keep the relative links
-// inside docs/ and README.md pointing at files that exist, and hold
-// src/ to docs/ARCHITECTURE.md's rules that dependencies point downward
-// and that every header has a user outside the tests.
+// the result sinks' column tables and the engine's metric registry.
+// Further tests keep the relative links inside docs/ and README.md
+// pointing at files that exist, and hold src/ to docs/ARCHITECTURE.md's
+// rules that dependencies point downward and that every header has a
+// user outside the tests.
 //
 // FLASHFLOW_REPO_DIR is injected by CMake so the suite finds the
 // checked-in markdown from any build directory.
@@ -29,6 +30,7 @@
 #include "campaign/sink.h"
 #include "scenario/scenario.h"
 #include "scenario/serialize.h"
+#include "telemetry/telemetry.h"
 
 namespace flashflow {
 namespace {
@@ -144,6 +146,28 @@ TEST(DocsStaleness, ScenarioReferenceDocumentsEverySerializedKey) {
   // All three populations plus the optional sections: a meaningful sweep,
   // not an accidentally-empty loop.
   EXPECT_GE(checked, 50);
+}
+
+TEST(DocsStaleness, ResultReferenceNamesEveryEngineMetric) {
+  // `flashflow run --metrics` writes every metric the engine registers;
+  // the page names each one.
+  const std::string doc = read_file(repo_dir() / "docs" / "result-files.md");
+  ASSERT_FALSE(doc.empty());
+  telemetry::Recorder recorder;
+  const telemetry::Registry& registry = recorder.registry();
+  int checked = 0;
+  for (const auto* names :
+       {&registry.counter_names(), &registry.gauge_names(),
+        &registry.histogram_names()}) {
+    for (const std::string& name : *names) {
+      EXPECT_NE(doc.find("`" + name + "`"), std::string::npos)
+          << "engine metric '" << name
+          << "' is written by --metrics but not named in "
+             "docs/result-files.md";
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 20);
 }
 
 TEST(DocsStaleness, ResultReferenceDocumentsEveryColumn) {

@@ -330,6 +330,9 @@ INSTANTIATE_TEST_SUITE_P(
 struct ReferenceStats {
   std::size_t safety_freezes = 0;
   std::size_t unbounded_exits = 0;
+  /// remaining / weight quotients the reference computed: one per finite
+  /// resource with active weight above eps per filling iteration.
+  std::size_t divisions = 0;
 };
 
 /// The progressive-filling loop FairShareSolver replaced, kept verbatim
@@ -387,8 +390,10 @@ std::vector<double> reference_rates(
     // saturates or a flow reaches its cap.
     double step = std::numeric_limits<double>::infinity();
     for (const std::size_t r : finite_res_) {
-      if (active_weight_[r] > kEps)
+      if (active_weight_[r] > kEps) {
+        ++stats.divisions;
         step = std::min(step, remaining_[r] / active_weight_[r]);
+      }
     }
     for (const std::size_t f : active_) {
       if (std::isfinite(caps_[f]))
@@ -625,10 +630,10 @@ struct SlotInstance {
   std::vector<double> relay_z;  // per target: its capacity estimate z
 };
 
-SlotInstance random_slot(sim::Rng& rng, int max_targets) {
+SlotInstance random_slot(sim::Rng& rng, int min_targets, int max_targets) {
   SlotInstance slot;
   const auto targets = static_cast<std::size_t>(
-      rng.uniform_int(1, max_targets));
+      rng.uniform_int(min_targets, max_targets));
   slot.res.resize(3 + 2 * targets);
   for (std::size_t m = 0; m < 3; ++m)
     slot.res[m].capacity = rng.uniform(0.8e9, 1.0e9);
@@ -661,7 +666,7 @@ TEST(FairShareDifferential, SlotShapedInstancesMatchReference) {
   FairShareSolver reused;
   ReferenceStats stats;
   for (int i = 0; i < 600; ++i) {
-    const SlotInstance slot = random_slot(rng, 60);
+    const SlotInstance slot = random_slot(rng, 1, 60);
     if (!matches_reference(reused, slot.res, slot.flows, stats, "slot", i))
       break;
   }
@@ -678,7 +683,7 @@ TEST(FairShareDifferential, PreparedReSolvesMatchReference) {
   ReferenceStats stats;
   bool ok = true;
   for (int i = 0; i < 60 && ok; ++i) {
-    SlotInstance slot = random_slot(rng, 120);
+    SlotInstance slot = random_slot(rng, 1, 120);
     for (int segment = 0; segment < 2 && ok; ++segment) {
       if (segment == 1) {
         const auto crashed = rng.uniform_int(0, 2);
@@ -701,6 +706,207 @@ TEST(FairShareDifferential, PreparedReSolvesMatchReference) {
     }
   }
   EXPECT_GT(stats.safety_freezes, 0u);
+}
+
+// ------------- above the cutoff: the saturation index ----------------------
+
+/// Every family below solves instances with FairShareSolver::kIndexCutoff or
+/// more live resources. A scanned step divides every live resource, so a
+/// solver that averages at most `per_step` exact quotients per filling
+/// step over a family of such solves found its steps through the heap
+/// window.
+void expect_indexed(FairShareSolver& solver, double per_step) {
+  const FairShareCounters work = solver.take_counters();
+  ASSERT_GT(work.fill_steps, 0u);
+  EXPECT_LE(static_cast<double>(work.exact_quotients),
+            per_step * static_cast<double>(work.fill_steps));
+}
+
+TEST(FairShareDifferential, CrowdedSlotsMatchReference) {
+  // The §7 crowded slot: 300-600 targets, hundreds of live relays.
+  sim::Rng rng(0x5eed0006);
+  FairShareSolver reused;
+  ReferenceStats stats;
+  for (int i = 0; i < 24; ++i) {
+    const SlotInstance slot = random_slot(rng, 300, 600);
+    if (!matches_reference(reused, slot.res, slot.flows, stats, "crowded",
+                           i))
+      break;
+  }
+  expect_indexed(reused, 2.0);
+}
+
+TEST(FairShareDifferential, NearTiedRelaysMatchReference) {
+  // Relays in pairs of equal weight (the same number of measurers), so
+  // both drain by the same amounts. The second relay's capacity equals the
+  // first's, is one ulp above or below it, or sits 1e-9 plus a few ulps
+  // above it, so that when the first saturates the second's remaining
+  // lands on the 1e-9 saturation threshold. Both must freeze in the same
+  // iteration exactly when the reference's test says so, whatever the
+  // keys' drift. Half the instances use capacities of a few bits, where
+  // eps / weight rather than the drift decides the window. In half the
+  // pairs one flow of each relay reaches the same cap first, lowering
+  // both relays' weights in the same iteration.
+  sim::Rng rng(0x5eed0007);
+  FairShareSolver reused;
+  ReferenceStats stats;
+  for (int i = 0; i < 200; ++i) {
+    const bool tiny = rng.chance(0.5);
+    const auto pairs = static_cast<std::size_t>(rng.uniform_int(25, 80));
+    const std::size_t targets = 2 * pairs;
+    std::vector<FairShareResource> res(3 + 2 * targets);
+    for (std::size_t m = 0; m < 3; ++m)
+      res[m].capacity = tiny ? rng.uniform(0.8e5, 1.0e5)
+                             : rng.uniform(0.8e9, 1.0e9);
+    std::vector<FairShareFlow> flows;
+    for (std::size_t pair = 0; pair < pairs; ++pair) {
+      const std::size_t a = 2 * pair;
+      const double first = tiny ? log_uniform(rng, 1.0, 1e3)
+                                : log_uniform(rng, 0.25e6, 20e6);
+      const double ulp = std::nextafter(first, 1e300) - first;
+      double second = first;
+      switch (rng.uniform_int(0, 3)) {
+        case 0: break;
+        case 1: second = std::nextafter(first, 1e300); break;
+        case 2: second = std::nextafter(first, 0.0); break;
+        default:
+          second = first + 1e-9 +
+                   static_cast<double>(rng.uniform_int(-4, 4)) * ulp;
+      }
+      res[4 + 2 * a].capacity = first;
+      res[6 + 2 * a].capacity = second;
+      res[3 + 2 * a].capacity = res[5 + 2 * a].capacity = tiny ? 954e2 : 954e6;
+      const auto participants = rng.uniform_int(1, 3);
+      const double weight = 160.0 / static_cast<double>(participants);
+      const double cap =
+          rng.chance(0.5) ? first * rng.uniform(0.2, 0.8) /
+                                static_cast<double>(participants)
+                          : std::numeric_limits<double>::infinity();
+      for (std::size_t t = a; t < a + 2; ++t) {
+        const auto measurer = rng.uniform_int(0, 2);
+        for (std::int64_t m = 0; m < participants; ++m) {
+          FairShareFlow f;
+          f.resources = {static_cast<std::size_t>((measurer + m) % 3),
+                         3 + 2 * t, 4 + 2 * t};
+          f.weight = weight;
+          if (m == 0) f.cap = cap;
+          flows.push_back(std::move(f));
+        }
+      }
+    }
+    if (!matches_reference(reused, res, flows, stats, "near-tied", i)) break;
+  }
+  expect_indexed(reused, 3.0);
+}
+
+TEST(FairShareDifferential, WideWeightsAboveTheCutoffMatchReference) {
+  // Non-integer weights from 1e-3 to 1e8 over kIndexCutoff + 1 to about
+  // three times as many finite resources. Sums and differences of such
+  // weights round: a resource whose flows have all frozen often keeps a
+  // residue above eps, saturates without freezing anything and drives
+  // numerical-safety freezes, and quotients spread over many orders of
+  // magnitude. Each resource also carries a flow of its own, so no two are
+  // twins.
+  const auto cutoff = static_cast<std::int64_t>(FairShareSolver::kIndexCutoff);
+  sim::Rng rng(0x5eed0008);
+  FairShareSolver reused;
+  ReferenceStats stats;
+  for (int i = 0; i < 150; ++i) {
+    std::vector<FairShareResource> res(static_cast<std::size_t>(
+        rng.uniform_int(cutoff + 1, 3 * cutoff + 32)));
+    for (auto& r : res) r.capacity = log_uniform(rng, 1.0, 1e10);
+    std::vector<FairShareFlow> flows(res.size() +
+                                     static_cast<std::size_t>(rng.uniform_int(
+                                         0, 2 * static_cast<std::int64_t>(
+                                                    res.size()))));
+    for (std::size_t k = 0; k < flows.size(); ++k) {
+      FairShareFlow& f = flows[k];
+      if (k < res.size()) {
+        f.resources = {k};
+      } else {
+        const auto uses = rng.uniform_int(1, 3);
+        for (std::int64_t u = 0; u < uses; ++u)
+          f.resources.push_back(static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(res.size()) - 1)));
+      }
+      f.weight = log_uniform(rng, 1e-3, 1e8);
+      const double u = rng.uniform();
+      f.cap = u < 0.5 ? std::numeric_limits<double>::infinity()
+                      : log_uniform(rng, 0.5, 1e10);
+      if (k >= res.size() && rng.chance(0.05)) f.cap = 0.0;
+    }
+    if (!matches_reference(reused, res, flows, stats, "wide-weights", i))
+      break;
+  }
+  EXPECT_GT(stats.safety_freezes, 0u);
+  // Without twins a scanned step divides exactly what the reference
+  // divides, so fewer quotients mean some steps used the window.
+  EXPECT_LT(reused.take_counters().exact_quotients, stats.divisions);
+}
+
+TEST(FairShareDifferential, ResidualWeightPaddedPastTheCutoffStillBinds) {
+  // ResidualWeightOfZeroCapFlowsStillBinds with padding flows, each on a
+  // resource of its own, so the solve starts above the cutoff. Resource 0
+  // keeps a ~2.4e-8 residual weight after it saturates, stays live and
+  // drives numerical-safety freezes; its quotient turns non-positive, which
+  // sends those steps to the scan. The padding saturates around it: half
+  // before, half after.
+  const std::size_t padding = 2 * FairShareSolver::kIndexCutoff;
+  std::vector<FairShareFlow> flows(3 + padding);
+  flows[0].resources = {0};
+  flows[0].weight = 3e8 + 0.7;
+  flows[0].cap = 0.0;
+  flows[1].resources = {0};
+  flows[1].weight = 0.1;
+  flows[1].cap = 0.0;
+  flows[2].resources = {1};
+  std::vector<FairShareResource> res = {{1e-9}, {100.0}};
+  for (std::size_t j = 0; j < padding; ++j) {
+    flows[3 + j].resources = {2 + j};
+    res.push_back({j % 2 == 0 ? 1e-3 * static_cast<double>(j + 1)
+                              : 50.0 + static_cast<double>(j)});
+  }
+  ReferenceStats stats;
+  const std::vector<double> want = reference_rates(res, flows, stats);
+  ASSERT_GT(stats.safety_freezes, 0u);
+  FairShareSolver solver;
+  EXPECT_TRUE(same_bits(solver.solve(res, flows), want));
+  // No twins here, so a scanned step divides exactly what the reference
+  // divides: fewer quotients means some steps used the window.
+  EXPECT_LT(solver.take_counters().exact_quotients, stats.divisions);
+}
+
+TEST(FairShareDifferential, CrowdedPreparedReSolvesMatchReference) {
+  // The per-second pattern above the cutoff: moving relay capacities, then
+  // a measurer crash re-prepared with its flows at cap 0.
+  sim::Rng rng(0x5eed0009);
+  FairShareSolver solver;
+  ReferenceStats stats;
+  bool ok = true;
+  for (int i = 0; i < 4 && ok; ++i) {
+    SlotInstance slot = random_slot(rng, 300, 600);
+    for (int segment = 0; segment < 2 && ok; ++segment) {
+      if (segment == 1) {
+        const auto crashed = rng.uniform_int(0, 2);
+        for (auto& f : slot.flows)
+          if (f.resources[0] == static_cast<std::size_t>(crashed))
+            f.cap = 0.0;
+      }
+      solver.prepare(slot.flows, slot.res.size());
+      for (int second = 0; second < 10 && ok; ++second) {
+        for (std::size_t t = 0; t < slot.relay_z.size(); ++t)
+          slot.res[4 + 2 * t].capacity =
+              rng.chance(0.05) ? 0.0
+                               : slot.relay_z[t] * rng.uniform(0.7, 1.3);
+        const std::vector<double> want =
+            reference_rates(slot.res, slot.flows, stats);
+        ok = same_bits(solver.solve_prepared(slot.res), want);
+        EXPECT_TRUE(ok) << "slot " << i << " segment " << segment
+                        << " second " << second;
+      }
+    }
+  }
+  expect_indexed(solver, 2.0);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -71,6 +73,29 @@ TEST(Rng, UniformIntInclusiveBounds) {
 TEST(Rng, UniformIntSinglePoint) {
   Rng r(17);
   EXPECT_EQ(r.uniform_int(4, 4), 4);
+}
+
+TEST(Rng, UniformIntWideRangesStayInRange) {
+  // Spans wider than INT64_MAX: the span and the offset must be computed
+  // unsigned (signed hi - lo overflows here, which UBSan reports).
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  Rng r(19);
+  bool saw_negative = false, saw_positive = false;
+  for (int i = 0; i < 1000; ++i) {
+    const auto v = r.uniform_int(kMin, kMax);
+    saw_negative |= v < 0;
+    saw_positive |= v > 0;
+  }
+  EXPECT_TRUE(saw_negative);
+  EXPECT_TRUE(saw_positive);
+  bool saw_upper_half = false;
+  for (int i = 0; i < 1000; ++i) {
+    const auto v = r.uniform_int(-5, kMax);
+    EXPECT_GE(v, -5);
+    saw_upper_half |= v > kMax / 2;
+  }
+  EXPECT_TRUE(saw_upper_half);
 }
 
 TEST(Rng, UniformIntThrowsOnBadRange) {

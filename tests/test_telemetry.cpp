@@ -255,6 +255,29 @@ TEST(TelemetryDeterminism, MetricsJsonIsStableAcrossThreadCounts) {
   EXPECT_NE(json.find("\"stage/solver_solve\""), std::string::npos);
 }
 
+TEST(TelemetryDeterminism, SolverWorkCountersMatchAcrossThreadCounts) {
+  // The fair-share solver counts its filling iterations and exact step
+  // quotients per slot segment; the totals depend on the slots alone, not
+  // on which lane solved them.
+  const auto count = [](const telemetry::Snapshot& snap,
+                        std::string_view name) {
+    for (const auto& [counter, value] : snap.counters)
+      if (counter == name) return value;
+    ADD_FAILURE() << "no counter " << name;
+    return std::uint64_t{0};
+  };
+  const telemetry::Snapshot one = run_with_recorder(1, 0).second;
+  const telemetry::Snapshot eight = run_with_recorder(8, 0).second;
+  for (const std::string_view name :
+       {"solver/fill_steps", "solver/exact_quotients"}) {
+    EXPECT_GT(count(one, name), 0u) << name;
+    EXPECT_EQ(count(one, name), count(eight, name)) << name;
+  }
+  // Every solve of a segment takes at least one filling step.
+  EXPECT_GE(count(one, "solver/fill_steps"),
+            count(one, "solver/solve_seconds"));
+}
+
 TEST(PerfCounters, DegradesToInertSamplerWhereUnavailable) {
   // Containers and CI runners routinely deny perf_event_open; the
   // sampler must construct, run and read without error either way, and
