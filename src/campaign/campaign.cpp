@@ -83,16 +83,25 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
     stats.slots_in_period = schedule.slots_in_period();
   }
 
-  // Group relays by slot; only occupied slots become work items.
+  // Group relays by slot with a counting sort into one flat array: slot
+  // s holds [slot_begin[s], slot_begin[s + 1]) of `members`, in relay
+  // order. Only occupied slots become work items.
   int last_slot = -1;
   for (const int s : relay_slot) last_slot = std::max(last_slot, s);
-  std::vector<std::vector<std::size_t>> slot_relays(
-      static_cast<std::size_t>(last_slot + 1));
-  for (std::size_t r = 0; r < relay_slot.size(); ++r)
-    slot_relays[static_cast<std::size_t>(relay_slot[r])].push_back(r);
+  std::vector<std::size_t> slot_begin(
+      static_cast<std::size_t>(last_slot + 2), 0);
+  for (const int s : relay_slot) ++slot_begin[static_cast<std::size_t>(s) + 1];
   std::vector<std::size_t> occupied;
-  for (std::size_t s = 0; s < slot_relays.size(); ++s)
-    if (!slot_relays[s].empty()) occupied.push_back(s);
+  for (std::size_t s = 0; s + 1 < slot_begin.size(); ++s) {
+    if (slot_begin[s + 1] > 0) occupied.push_back(s);
+    slot_begin[s + 1] += slot_begin[s];
+  }
+  std::vector<std::size_t> members(relay_slot.size());
+  {
+    std::vector<std::size_t> cursor(slot_begin.begin(), slot_begin.end() - 1);
+    for (std::size_t r = 0; r < relay_slot.size(); ++r)
+      members[cursor[static_cast<std::size_t>(relay_slot[r])]++] = r;
+  }
 
   stats.simulated_seconds =
       static_cast<double>(last_slot + 1) * params.slot_seconds;
@@ -142,14 +151,17 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
 
   // Work items for the current retry round. Round 0 is the scheduler's
   // layout; later rounds hold only re-queued failures, grouped into fresh
-  // slots later in the period.
+  // slots later in the period. An item's relays are the range [begin,
+  // end) of `members`, which each round refills.
   struct WorkItem {
     std::size_t slot = 0;
-    std::vector<std::size_t> members;
+    std::size_t begin = 0;
+    std::size_t end = 0;
   };
   std::vector<WorkItem> work;
   work.reserve(occupied.size());
-  for (const std::size_t s : occupied) work.push_back({s, slot_relays[s]});
+  for (const std::size_t s : occupied)
+    work.push_back({s, slot_begin[s], slot_begin[s + 1]});
 
   std::atomic<bool> cancelled{false};
   // Mutated only inside the deliver callback, which the buffer serializes
@@ -180,10 +192,11 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
       scratch[l].probe.arm(rec->time_source(), rec->lane(l), rec->engine());
   }
 
-  // Per-work-item failure lists for the current round: written lock-free
-  // by whichever worker ran the item, read only after the round's
-  // parallel_for has drained, in deterministic (work, member) order.
-  std::vector<std::vector<std::size_t>> failed_of(work.size());
+  // Per relay: its slot failed in the current round. Written lock-free by
+  // whichever worker ran the relay's item (a relay is in one item per
+  // round), read only after the round's parallel_for has drained, in
+  // deterministic (work, member) order.
+  std::vector<char> failed_now(relays.size(), 0);
 
   const auto run_slot = [&](std::size_t lane, std::size_t w,
                             SlotReorderBuffer& reorder) {
@@ -206,7 +219,8 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
     // §4.2 allocation: each relay in the slot claims f * z0 from the
     // measurers' remaining capacity, largest-residual first.
     ws.residual = measurer_caps_;
-    const std::vector<std::size_t>& slot_members = work[w].members;
+    const std::span<const std::size_t> slot_members(
+        members.data() + work[w].begin, work[w].end - work[w].begin);
     const std::size_t n_targets = slot_members.size();
     if (ws.targets.size() < n_targets) ws.targets.resize(n_targets);
     ws.target_sockets.assign(n_targets, 0);
@@ -239,13 +253,14 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
     // Dispatch = §4.2 allocation + target build, everything up to here.
     if (probe) probe->timing().dispatch_micros = probe->now() - slot_start;
 
-    auto outcomes = runner.run_concurrent(
+    // The outcomes stay in the lane's workspace until its next slot.
+    const std::vector<core::SlotOutcome>& outcomes = runner.run_concurrent(
         std::span<const core::SlotRunner::ConcurrentTarget>(
             ws.targets.data(), n_targets),
         ws.workspace);
     SlotResult result;
     result.slot = static_cast<int>(slot);
-    result.relay_indices = slot_members;
+    result.relay_indices.assign(slot_members.begin(), slot_members.end());
     result.estimates.reserve(outcomes.size());
     for (std::size_t t = 0; t < outcomes.size(); ++t) {
       const std::size_t r = slot_members[t];
@@ -266,9 +281,9 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
         est.relative_error =
             est.estimate_bits / est.ground_truth_bits - 1.0;
       result.estimates.push_back(est);
-      if (outcomes[t].failed) failed_of[w].push_back(r);
+      if (outcomes[t].failed) failed_now[r] = 1;
     }
-    if (config_.record_outcomes) result.outcomes = std::move(outcomes);
+    if (config_.record_outcomes) result.outcomes = outcomes;
 
     // The trace snapshot is taken before park(): reorder wait is not a
     // property of the slot's own work and is observed into the stage
@@ -304,7 +319,7 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
     const bool retry_round = round > 0;
     const std::uint64_t round_start = rec && retry_round ? rec->now() : 0;
     if (rec && retry_round) rec->serial().add(rec->engine().retry_rounds);
-    failed_of.assign(work.size(), {});
+    std::fill(failed_now.begin(), failed_now.end(), 0);
 
     // Delivery: slots complete in any order on the pool, but the sink
     // sees them serialized and in increasing slot order within the round.
@@ -363,11 +378,13 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
     // verification_failed is not a fault: a relay that flunked the spot
     // check is never retried (outcome.failed stays false for it).
     std::vector<std::pair<std::size_t, std::size_t>> failures;  // (r, slot)
-    for (std::size_t w = 0; w < work.size(); ++w) {
-      if (failed_of[w].empty()) continue;
-      ++stats.slots_failed;
-      for (const std::size_t r : failed_of[w])
-        failures.emplace_back(r, work[w].slot);
+    for (const WorkItem& item : work) {
+      const std::size_t before = failures.size();
+      for (std::size_t k = item.begin; k < item.end; ++k) {
+        const std::size_t r = members[k];
+        if (failed_now[r]) failures.emplace_back(r, item.slot);
+      }
+      if (failures.size() > before) ++stats.slots_failed;
     }
     if (failures.empty() || round >= config_.faults.max_retries) break;
 
@@ -412,10 +429,12 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
                        return a.first < b.first;
                      });
     std::vector<WorkItem> next;
+    members.clear();
     for (const auto& [s, r] : placed) {
       if (next.empty() || next.back().slot != s)
-        next.push_back({s, {}});
-      next.back().members.push_back(r);
+        next.push_back({s, members.size(), members.size()});
+      members.push_back(r);
+      ++next.back().end;
       period_end = std::max(period_end, static_cast<int>(s) + 1);
     }
     // Consumed: later rounds may not re-queue into an executed slot.

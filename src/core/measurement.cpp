@@ -14,6 +14,8 @@ namespace flashflow::core {
 
 namespace {
 const fault::FaultPlan kNoFaults{};  // an unarmed runner's plan: no faults
+// A host_resource_ entry for a host the current slot has not seen.
+constexpr std::size_t kNoResource = static_cast<std::size_t>(-1);
 }  // namespace
 
 double clamp_background(double reported_y_bits, double x_bits,
@@ -33,6 +35,68 @@ double offered_rate(const MeasurerSlot& m, const net::KernelProfile& kernel,
   return std::min(m.allocated_bits, per_socket * m.sockets);
 }
 
+void SlotWorkspace::shape_outcomes(std::size_t n_seconds) {
+  const std::size_t n_targets = team_offset_.size() - 1;
+  // Release everything this slot does not use before taking anything, so
+  // the series in use never exceed the larger of two consecutive slots'
+  // needs; a sequence of shapes already run once then draws from the
+  // pools alone. Parked whole, last position first, an outcome returns to
+  // the position it left.
+  const auto release_series = [this](SlotOutcome& out, std::size_t keep) {
+    while (out.x_by_measurer.size() > keep) {
+      spare_series_.push_back(std::move(out.x_by_measurer.back()));
+      out.x_by_measurer.pop_back();
+    }
+  };
+  while (outcomes_.size() > n_targets) {
+    release_series(outcomes_.back(), 0);
+    spare_outcomes_.push_back(std::move(outcomes_.back()));
+    outcomes_.pop_back();
+  }
+  for (std::size_t t = 0; t < outcomes_.size(); ++t)
+    release_series(outcomes_[t], team_offset_[t + 1] - team_offset_[t]);
+
+  while (outcomes_.size() < n_targets) {
+    if (spare_outcomes_.empty()) {
+      outcomes_.emplace_back();
+    } else {
+      outcomes_.push_back(std::move(spare_outcomes_.back()));
+      spare_outcomes_.pop_back();
+    }
+  }
+  for (std::size_t t = 0; t < n_targets; ++t) {
+    SlotOutcome& out = outcomes_[t];
+    const std::size_t team = team_offset_[t + 1] - team_offset_[t];
+    while (out.x_by_measurer.size() < team) {
+      if (spare_series_.empty()) {
+        out.x_by_measurer.emplace_back();
+      } else {
+        out.x_by_measurer.push_back(std::move(spare_series_.back()));
+        spare_series_.pop_back();
+      }
+    }
+    for (auto* series : {&out.x_bits, &out.y_reported_bits,
+                         &out.y_clamped_bits, &out.z_bits}) {
+      series->clear();
+      series->reserve(n_seconds);
+    }
+    for (auto& series : out.x_by_measurer) {
+      series.clear();
+      series.reserve(n_seconds);
+    }
+    out.estimate_bits = 0.0;
+    out.verification_failed = false;
+    out.quality = 1.0;
+    out.usable_seconds = 0;
+    out.failed = false;
+    out.failure = SlotFailure::kNone;
+  }
+  // Room for everything to park at once, so a later release never grows
+  // a pool.
+  spare_outcomes_.reserve(outcomes_.size() + spare_outcomes_.size());
+  spare_series_.reserve(team_offset_[n_targets] + spare_series_.size());
+}
+
 SlotRunner::SlotRunner(const net::Topology& topo, Params params, sim::Rng rng)
     : topo_(topo), params_(params), rng_(std::move(rng)) {}
 
@@ -45,38 +109,28 @@ SlotOutcome SlotRunner::run(const tor::RelayModel& relay,
   target.host = relay_host;
   target.team.assign(team.begin(), team.end());
   target.behavior = behavior;
-  return run_concurrent({&target, 1}).front();
+  return run_concurrent({&target, 1}, scratch()).front();
 }
 
 std::vector<SlotOutcome> SlotRunner::run_concurrent(
     std::span<const ConcurrentTarget> targets) {
-  return run_concurrent(targets, scratch_);
+  return run_concurrent(targets, scratch());
 }
 
-std::vector<SlotOutcome> SlotRunner::run_concurrent(
+SlotWorkspace& SlotRunner::scratch() {
+  if (!scratch_) scratch_ = std::make_unique<SlotWorkspace>();
+  return *scratch_;
+}
+
+const std::vector<SlotOutcome>& SlotRunner::run_concurrent(
     std::span<const ConcurrentTarget> targets, SlotWorkspace& ws) {
+  // Slot setup runs from here to the first segment; the stage contains
+  // fill_paths and the first prepare.
+  const std::uint64_t setup_start = probe_ ? probe_->now() : 0;
   const int t_seconds = params_.slot_seconds;
+  const std::size_t n_seconds = static_cast<std::size_t>(t_seconds);
   const std::size_t n_targets = targets.size();
   const fault::FaultPlan& faults = fault_plan_ ? *fault_plan_ : kNoFaults;
-
-  // Whole-slot timeout: the slot never runs. Series stay empty (shaped
-  // per team so downstream consumers can still iterate), every target
-  // fails, and rng_ is never touched — the decision is the plan's alone.
-  if (faults.slot_timeout(fault_slot_)) {
-    std::vector<SlotOutcome> outcomes(n_targets);
-    for (std::size_t t = 0; t < n_targets; ++t) {
-      outcomes[t].x_by_measurer.resize(targets[t].team.size());
-      outcomes[t].quality = 0.0;
-      outcomes[t].failed = true;
-      outcomes[t].failure = SlotFailure::kTimeout;
-    }
-    return outcomes;
-  }
-
-  // ---------------------------------------------------------- slot setup --
-  // Everything invariant across the slot's seconds is computed once here,
-  // into workspace buffers that persist across slots; the per-second loop
-  // below performs no heap allocation.
 
   // Member arena layout: target t's measurers occupy
   // [team_offset_[t], team_offset_[t+1]).
@@ -85,6 +139,26 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
   for (std::size_t t = 0; t < n_targets; ++t)
     ws.team_offset_[t + 1] = ws.team_offset_[t] + targets[t].team.size();
   const std::size_t n_members = ws.team_offset_[n_targets];
+  ws.shape_outcomes(n_seconds);
+
+  // Whole-slot timeout: the slot never runs. Series stay empty (shaped
+  // per team so downstream consumers can still iterate), every target
+  // fails, and rng_ is never touched — the decision is the plan's alone.
+  if (faults.slot_timeout(fault_slot_)) {
+    for (SlotOutcome& out : ws.outcomes_) {
+      out.quality = 0.0;
+      out.failed = true;
+      out.failure = SlotFailure::kTimeout;
+    }
+    if (probe_)
+      probe_->timing().slot_setup_micros = probe_->now() - setup_start;
+    return ws.outcomes_;
+  }
+
+  // ---------------------------------------------------------- slot setup --
+  // Everything invariant across the slot's seconds is computed once here,
+  // into workspace buffers that persist across slots; the per-second loop
+  // below performs no heap allocation.
 
   // Fault draws, resolved up front from the plan's pure per-slot oracle:
   // when a member's traffic stops (its flow leaves the fair-share
@@ -117,7 +191,6 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
   // whole slot's worth of factors can be drawn here in one batched pass
   // per target (tor::RelayNoise::fill_factors) without perturbing any
   // other stream — the per-second loop then just reads the arena.
-  const std::size_t n_seconds = static_cast<std::size_t>(t_seconds);
   ws.relay_down_.resize(n_targets);
   ws.member_crash_.resize(n_members);
   ws.report_end_.resize(n_members);
@@ -188,26 +261,20 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
         targets[t].relay->ground_truth(ws.sockets_at_target_[t]);
   }
 
-  std::vector<SlotOutcome> outcomes(n_targets);
-  for (std::size_t t = 0; t < n_targets; ++t) {
-    outcomes[t].x_bits.reserve(t_seconds);
-    outcomes[t].y_reported_bits.reserve(t_seconds);
-    outcomes[t].y_clamped_bits.reserve(t_seconds);
-    outcomes[t].z_bits.reserve(t_seconds);
-    outcomes[t].x_by_measurer.resize(targets[t].team.size());
-    for (auto& series : outcomes[t].x_by_measurer)
-      series.reserve(t_seconds);
-  }
-
   // Shared resources: measurer NIC (min of up/down since echo traffic rides
   // both directions at the measured rate) and target-host NIC.
-  // Resource layout: [measurer hosts..., target hosts..., per-target relay].
+  // Resource layout: [slot hosts in first-seen order..., per-target relay].
+  for (const net::HostId h : ws.hosts_) ws.host_resource_[h] = kNoResource;
   ws.hosts_.clear();
+  if (ws.host_resource_.size() < topo_.host_count())
+    ws.host_resource_.resize(topo_.host_count(), kNoResource);
   const auto host_resource = [&ws](net::HostId h) {
-    for (std::size_t i = 0; i < ws.hosts_.size(); ++i)
-      if (ws.hosts_[i] == h) return i;
-    ws.hosts_.push_back(h);
-    return ws.hosts_.size() - 1;
+    std::size_t& index = ws.host_resource_.at(h);
+    if (index == kNoResource) {
+      index = ws.hosts_.size();
+      ws.hosts_.push_back(h);
+    }
+    return index;
   };
   // First pass to assign indices deterministically.
   for (const auto& target : targets) {
@@ -277,14 +344,18 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
   // solve skips validation, flattening and the initial weight sums.
   const std::uint64_t prep_start = probe_ ? probe_->now() : 0;
   ws.solver_.prepare({ws.flows_.data(), n_flows}, ws.resources_.size());
-  if (probe_)
-    probe_->note_prepare(probe_->now() - prep_start,
+  if (probe_) {
+    const std::uint64_t prep_end = probe_->now();
+    probe_->note_prepare(prep_end - prep_start,
                          ws.solver_.prepared_active_flows());
+    probe_->timing().slot_setup_micros = prep_end - setup_start;
+  }
 
   ws.relay_capacity_.resize(n_targets);
   ws.x_t_.resize(n_targets);
   ws.y_t_.resize(n_targets);
   ws.x_it_.resize(n_members);
+  ws.z_hat_.reserve(n_seconds);
 
   // Segment loop: between crash boundaries the flow set is constant. At
   // each boundary after the first, the crashed members' flows leave the
@@ -374,10 +445,10 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
           ws.y_t_[t], ws.x_t_[t] * relay.ratio_r / (1.0 - relay.ratio_r));
     }
 
-    // Record per-second outcomes (series were reserved at setup: these
-    // push_backs never reallocate).
+    // Record per-second outcomes (shape_outcomes reserved every series:
+    // these push_backs never reallocate).
     for (std::size_t t = 0; t < n_targets; ++t) {
-      auto& out = outcomes[t];
+      auto& out = ws.outcomes_[t];
       const auto& target = targets[t];
       // FFCHECK(HP03): x_bits reserved t_seconds at setup; no realloc.
       out.x_bits.push_back(ws.x_t_[t]);
@@ -415,22 +486,23 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
   // The BWAuth only sees what surviving measurers reported: estimates,
   // verification and quality all derive from that evidence. The floor is
   // capped at the slot length, so a slot that ran whole always qualifies.
+  const std::uint64_t aggregate_start = probe_ ? probe_->now() : 0;
   aggregate(targets, std::min(faults.spec().min_usable_seconds, t_seconds),
-            ws, outcomes);
-  return outcomes;
+            ws);
+  if (probe_)
+    probe_->timing().aggregate_micros = probe_->now() - aggregate_start;
+  return ws.outcomes_;
 }
 
 void SlotRunner::aggregate(std::span<const ConcurrentTarget> targets,
-                           int min_usable_seconds, SlotWorkspace& ws,
-                           std::vector<SlotOutcome>& outcomes) {
+                           int min_usable_seconds, SlotWorkspace& ws) {
   const int t_seconds = params_.slot_seconds;
-  // Cold path (runs once per slot, after the hot loop): a local scratch
-  // vector is fine here.
-  std::vector<double> z_hat;
-  z_hat.reserve(static_cast<std::size_t>(t_seconds));
+  std::vector<double>& z_hat = ws.z_hat_;
 
+  // FF_HOT_BEGIN: per-target aggregation — ffcheck rejects
+  // allocation-shaped calls until the matching FF_HOT_END.
   for (std::size_t t = 0; t < targets.size(); ++t) {
-    SlotOutcome& out = outcomes[t];
+    SlotOutcome& out = ws.outcomes_[t];
     const ConcurrentTarget& target = targets[t];
     const std::size_t off = ws.team_offset_[t];
 
@@ -479,6 +551,7 @@ void SlotRunner::aggregate(std::span<const ConcurrentTarget> targets,
       const double y_hat = clamp_background(
           out.y_reported_bits[static_cast<std::size_t>(j)], x_hat,
           params_.ratio);
+      // FFCHECK(HP03): z_hat reserved slot_seconds at setup; no realloc.
       z_hat.push_back(x_hat + y_hat);
       // The ratio, not the raw allocation, so that a fully covered second
       // adds an exact 1.0 and an untouched relay's quality is exactly 1.
@@ -505,9 +578,12 @@ void SlotRunner::aggregate(std::span<const ConcurrentTarget> targets,
       out.failed = true;
       out.failure = SlotFailure::kInsufficientEvidence;
     } else if (!out.verification_failed) {
-      out.estimate_bits = metrics::median(metrics::as_span(z_hat));
+      // The median of the plain BWAuth rule, selected in z_hat's own
+      // storage (metrics::median would copy and sort).
+      out.estimate_bits = metrics::percentile_in_place(z_hat, 50.0);
     }
   }
+  // FF_HOT_END: per-target aggregation
 }
 
 }  // namespace flashflow::core

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -99,12 +100,18 @@ double offered_rate(const MeasurerSlot& m, const net::KernelProfile& kernel,
 /// Owns every buffer the slot pipeline needs — flat SoA arrays for the
 /// per-target capacities and x/y/z accumulators, a stride-indexed
 /// per-(target, measurer) arena (path factors and the per-second x_ij
-/// rates), the host→resource index map, the hoisted fair-share flow set,
-/// and the fair-share solver's scratch. A workspace is filled during slot
-/// setup and then reused across all slot_seconds iterations: the
-/// per-second loop performs no heap allocation. Reusing one workspace
-/// across many slots (campaign worker threads hold one each) additionally
-/// amortizes the setup buffers to steady-state zero growth.
+/// rates), a host→resource table indexed by host id, the hoisted
+/// fair-share flow set, the fair-share solver's scratch, the aggregation's
+/// median scratch, and the slot's outcomes themselves. A workspace is
+/// filled during slot setup and then reused across all slot_seconds
+/// iterations: the per-second loop performs no heap allocation.
+///
+/// Reused across slots (campaign worker lanes hold one each), a workspace
+/// reaches steady-state zero allocation: once it has run slots of every
+/// shape a sequence holds, running that sequence again allocates nothing
+/// (tests/test_core_slot_workspace.cpp counts). Buffers are reshaped, never
+/// freed: outcomes and member series that a smaller slot does not use park
+/// in spare pools until a later slot needs them again.
 ///
 /// Results are bit-identical whether a workspace is fresh or reused; it is
 /// pure scratch, never carrying state between runs.
@@ -118,6 +125,11 @@ class SlotWorkspace {
 
  private:
   friend class SlotRunner;
+
+  /// Sizes outcomes_ to the targets and each x_by_measurer to its team
+  /// (both read from team_offset_), with every series empty and reserved
+  /// `n_seconds` and every scalar at its default.
+  void shape_outcomes(std::size_t n_seconds);
 
   // Per-target state (size: n_targets).
   std::vector<double> slot_factor_;
@@ -163,7 +175,12 @@ class SlotWorkspace {
   std::vector<double> jitter_;
 
   // Shared-resource model, built once per slot.
-  std::vector<net::HostId> hosts_;  // de-duplicated measurer + target hosts
+  std::vector<net::HostId> hosts_;  // de-duplicated, in first-seen order
+  /// Host id → its index in hosts_, kNoResource when the slot has not
+  /// seen it. Sized to the largest topology run so far; the previous
+  /// slot's entries are reset through its hosts_, so a slot touches only
+  /// its own hosts.
+  std::vector<std::size_t> host_resource_;
   std::vector<net::FairShareResource> resources_;
   /// Hoisted flow set: offered rates, weights and resource triples are
   /// second-invariant (only the relay resource capacities change), so the
@@ -173,6 +190,18 @@ class SlotWorkspace {
   std::vector<net::FairShareFlow> flows_;
   std::vector<std::pair<std::size_t, std::size_t>> flow_ids_;  // (t, i)
   net::FairShareSolver solver_;
+
+  /// One target's usable z-hat seconds; the median selects in place.
+  std::vector<double> z_hat_;
+  /// The slot's outcomes, aligned with its targets: what run_concurrent
+  /// returns, valid until the next run on this workspace.
+  std::vector<SlotOutcome> outcomes_;
+  /// Outcomes beyond the current slot's targets, last position on top, so
+  /// each returns to the position it left (and meets the teams it grew
+  /// its member list for).
+  std::vector<SlotOutcome> spare_outcomes_;
+  /// Member series no current outcome uses, kept with their capacity.
+  std::vector<std::vector<double>> spare_series_;
 };
 
 /// Runs one measurement slot against a single target.
@@ -208,13 +237,16 @@ class SlotRunner {
     /// derives the identical substream seed.
     std::uint64_t name_hash = 0;
   };
+  /// Returns a copy of the outcomes. Runs on a runner-owned workspace,
+  /// created on first use and reused by later calls.
   std::vector<SlotOutcome> run_concurrent(
       std::span<const ConcurrentTarget> targets);
-  /// Same, but with caller-owned scratch: a campaign worker thread keeps
-  /// one SlotWorkspace for its lifetime so steady-state slots allocate
-  /// (almost) nothing. The single-argument overload reuses a runner-owned
-  /// workspace across calls.
-  std::vector<SlotOutcome> run_concurrent(
+  /// Same, but on caller-owned scratch, and the outcomes stay in it: the
+  /// reference is into `ws` and valid until the next run on `ws` (the
+  /// contract of net::FairShareSolver::solve). A campaign worker lane
+  /// keeps one SlotWorkspace for its lifetime, so its steady-state slots
+  /// allocate nothing.
+  const std::vector<SlotOutcome>& run_concurrent(
       std::span<const ConcurrentTarget> targets, SlotWorkspace& ws);
 
   /// Arms deterministic fault injection for subsequent run_concurrent
@@ -233,17 +265,22 @@ class SlotRunner {
   void set_probe(telemetry::SlotProbe* probe) { probe_ = probe; }
 
  private:
+  /// The runner-owned workspace, created on first use.
+  SlotWorkspace& scratch();
+
   /// BWAuth aggregation of every slot: estimates from the surviving
   /// (reported, still-alive) allocation share, refusing seconds below the
   /// §4.2 headroom bar and targets with < `min_usable_seconds` left.
+  /// Writes each target's evidence fields into ws.outcomes_.
   void aggregate(std::span<const ConcurrentTarget> targets,
-                 int min_usable_seconds, SlotWorkspace& ws,
-                 std::vector<SlotOutcome>& outcomes);
+                 int min_usable_seconds, SlotWorkspace& ws);
 
   const net::Topology& topo_;
   Params params_;
   sim::Rng rng_;
-  SlotWorkspace scratch_;  // backs the workspace-less run_concurrent
+  /// Backs the workspace-less run_concurrent; created on first use, so a
+  /// runner built per slot around a caller's workspace stays a few words.
+  std::unique_ptr<SlotWorkspace> scratch_;
   const fault::FaultPlan* fault_plan_ = nullptr;
   std::uint64_t fault_slot_ = 0;
   telemetry::SlotProbe* probe_ = nullptr;

@@ -11,6 +11,12 @@ void reject(const std::string& what) {
   throw std::invalid_argument("FaultSpec: " + what);
 }
 
+// The query domains, hashed once rather than on every query.
+const std::uint64_t kTimeoutDomain = sim::hash_tag("fault/timeout");
+const std::uint64_t kRelayDomain = sim::hash_tag("fault/relay");
+const std::uint64_t kMeasurerDomain = sim::hash_tag("fault/measurer");
+const std::uint64_t kReportDomain = sim::hash_tag("fault/report");
+
 }  // namespace
 
 void FaultSpec::validate() const {
@@ -56,7 +62,7 @@ sim::Rng FaultPlan::query_rng(std::uint64_t domain, std::uint64_t slot,
 
 bool FaultPlan::slot_timeout(std::uint64_t slot) const {
   if (spec_.slot_timeout <= 0.0) return false;
-  sim::Rng rng = query_rng(sim::hash_tag("fault/timeout"), slot, 0, 0);
+  sim::Rng rng = query_rng(kTimeoutDomain, slot, 0, 0);
   return rng.chance(spec_.slot_timeout);
 }
 
@@ -64,7 +70,7 @@ int FaultPlan::relay_disconnect_second(std::uint64_t slot,
                                        std::uint64_t relay_hash,
                                        int slot_seconds) const {
   if (spec_.relay_disconnect <= 0.0 || slot_seconds < 2) return -1;
-  sim::Rng rng = query_rng(sim::hash_tag("fault/relay"), slot, relay_hash, 0);
+  sim::Rng rng = query_rng(kRelayDomain, slot, relay_hash, 0);
   if (!rng.chance(spec_.relay_disconnect)) return -1;
   return static_cast<int>(rng.uniform_int(1, slot_seconds - 1));
 }
@@ -73,8 +79,7 @@ int FaultPlan::measurer_crash_second(std::uint64_t slot,
                                      std::uint64_t measurer_host,
                                      int slot_seconds) const {
   if (spec_.measurer_crash <= 0.0 || slot_seconds < 2) return -1;
-  sim::Rng rng =
-      query_rng(sim::hash_tag("fault/measurer"), slot, measurer_host, 0);
+  sim::Rng rng = query_rng(kMeasurerDomain, slot, measurer_host, 0);
   if (!rng.chance(spec_.measurer_crash)) return -1;
   return static_cast<int>(rng.uniform_int(1, slot_seconds - 1));
 }
@@ -84,9 +89,7 @@ int FaultPlan::report_seconds(std::uint64_t slot, std::uint64_t relay_hash,
                               int slot_seconds) const {
   if (spec_.report_drop <= 0.0 && spec_.report_truncate <= 0.0)
     return slot_seconds;
-  sim::Rng rng =
-      query_rng(sim::hash_tag("fault/report"), slot, relay_hash,
-                measurer_host);
+  sim::Rng rng = query_rng(kReportDomain, slot, relay_hash, measurer_host);
   // Two sequential trials, always both drawn so the truncation draw does
   // not depend on whether dropping is enabled.
   const bool dropped = rng.chance(spec_.report_drop);

@@ -10,7 +10,8 @@
 //        that. Enforced in src/ only: tests and harnesses may read clocks.
 //   HP — hot-path allocation guards. Regions bracketed by the comments
 //        `// FF_HOT_BEGIN` ... `// FF_HOT_END` (the per-second slot loop,
-//        FairShareSolver::solve_prepared, TieredPathModel::fill_paths)
+//        the slot aggregation, FairShareSolver::solve_prepared,
+//        TieredPathModel::fill_paths)
 //        must stay free of allocation-shaped calls; PR 4 bought that
 //        property and nothing should quietly spend it.
 //   FL — floating-point accumulation over unordered containers, where the

@@ -31,7 +31,9 @@ double Cdf::fraction_at_most(double x) {
 
 double Cdf::quantile(double q) {
   if (samples_.empty()) throw std::logic_error("Cdf: empty");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("Cdf::quantile: q");
+  // Negated so that a NaN q fails too (its rank cannot become an index).
+  if (!(q >= 0.0 && q <= 1.0))
+    throw std::invalid_argument("Cdf::quantile: q");
   finalize();
   if (samples_.size() == 1) return samples_.front();
   const double rank = q * static_cast<double>(samples_.size() - 1);

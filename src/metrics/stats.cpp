@@ -37,17 +37,33 @@ double relative_stdev(std::span<const double> xs) {
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 
 double percentile(std::span<const double> xs, double q) {
+  std::vector<double> copy(xs.begin(), xs.end());
+  return percentile_in_place(copy, q);
+}
+
+double percentile_in_place(std::span<double> xs, double q) {
   require_nonempty(xs, "percentile");
-  if (q < 0.0 || q > 100.0)
+  // Negated so that a NaN q fails too: its rank would convert to an
+  // integer below, which is undefined behaviour.
+  if (!(q >= 0.0 && q <= 100.0))
     throw std::invalid_argument("percentile: q out of [0,100]");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double rank = q / 100.0 * static_cast<double>(sorted.size() - 1);
+  // NaN breaks the strict weak ordering std::nth_element needs.
+  if (std::any_of(xs.begin(), xs.end(),
+                  [](double x) { return std::isnan(x); }))
+    throw std::invalid_argument("percentile: NaN element");
+  if (xs.size() == 1) return xs.front();
+  const double rank = q / 100.0 * static_cast<double>(xs.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
+  const auto hi = std::min(lo + 1, xs.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  // The lo-th order statistic, then the hi-th: the smallest of what
+  // nth_element left above it. Sorting would put the same two values at
+  // lo and hi, so the interpolation below matches a sort bit for bit.
+  const auto nth = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), nth, xs.end());
+  const double at_lo = *nth;
+  const double at_hi = hi == lo ? at_lo : *std::min_element(nth + 1, xs.end());
+  return at_lo + frac * (at_hi - at_lo);
 }
 
 double min_value(std::span<const double> xs) {

@@ -20,8 +20,15 @@ double relative_stdev(std::span<const double> xs);
 /// Median (averaging the middle pair for even sizes). Non-empty range.
 double median(std::span<const double> xs);
 
-/// Linear-interpolated percentile; q in [0, 100]. Non-empty range.
+/// Linear-interpolated percentile; q in [0, 100]. Non-empty range. Throws
+/// std::invalid_argument on a NaN q or a NaN element.
 double percentile(std::span<const double> xs, double q);
+
+/// The same percentile, bit for bit, computed in place: selects the two
+/// order statistics the interpolation reads with std::nth_element and
+/// std::min_element instead of sorting a copy, and leaves `xs` permuted.
+/// For callers that own scratch (the slot aggregation's per-target median).
+double percentile_in_place(std::span<double> xs, double q);
 
 /// Smallest/largest value. Non-empty range.
 double min_value(std::span<const double> xs);

@@ -15,6 +15,8 @@ std::string_view stage_name(Stage stage) {
     case Stage::kReorderWait: return "reorder_wait";
     case Stage::kSinkSerialize: return "sink_serialize";
     case Stage::kRetryRound: return "retry_round";
+    case Stage::kSlotSetup: return "slot_setup";
+    case Stage::kAggregate: return "aggregate";
   }
   return "unknown";
 }
@@ -93,6 +95,8 @@ void SlotProbe::finish_slot(std::size_t slot_relays) {
   shard_->observe(stage(Stage::kSolverPrepare), timing_.prepare_micros);
   shard_->observe(stage(Stage::kSolverSolve), timing_.solve_micros);
   shard_->observe(stage(Stage::kReorderWait), timing_.reorder_micros);
+  shard_->observe(stage(Stage::kSlotSetup), timing_.slot_setup_micros);
+  shard_->observe(stage(Stage::kAggregate), timing_.aggregate_micros);
 }
 
 Recorder::Recorder(const Clock* clock)

@@ -48,9 +48,9 @@ class Clock {
 const Clock& monotonic_clock();
 
 /// Engine phases with stage timers around them. Per-slot stages (dispatch
-/// through reorder_wait) are timed on the worker lane that ran the slot;
-/// layout, retry_round and sink_serialize are timed in the serialized
-/// sections of the campaign loop.
+/// through reorder_wait, slot_setup, aggregate) are timed on the worker
+/// lane that ran the slot; layout, retry_round and sink_serialize are
+/// timed in the serialized sections of the campaign loop.
 enum class Stage : int {
   kLayout = 0,      // scheduler layout (greedy pack / randomized period)
   kDispatch,        // §4.2 allocation + target build, per slot
@@ -60,8 +60,10 @@ enum class Stage : int {
   kReorderWait,     // SlotReorderBuffer::park wait + prefix flush
   kSinkSerialize,   // SlotSink::slot_done, under the reorder lock
   kRetryRound,      // one whole retry round (rounds after the first)
+  kSlotSetup,       // run_concurrent entry to the first segment, per slot
+  kAggregate,       // SlotRunner::aggregate (BWAuth estimates), per slot
 };
-inline constexpr int kStageCount = 8;
+inline constexpr int kStageCount = 10;
 std::string_view stage_name(Stage stage);
 
 /// Per-stage wall micros for one slot, written by the engine while the
@@ -74,6 +76,9 @@ struct SlotTiming {
   std::uint64_t prepare_micros = 0;
   std::uint64_t solve_micros = 0;
   std::uint64_t reorder_micros = 0;
+  /// Contains fill_paths and the first prepare.
+  std::uint64_t slot_setup_micros = 0;
+  std::uint64_t aggregate_micros = 0;
 };
 
 /// Per-slot execution trace attached to campaign::SlotResult when tracing

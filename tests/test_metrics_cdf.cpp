@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace flashflow::metrics {
@@ -31,6 +33,13 @@ TEST(Cdf, QuantileRejectsOutOfRange) {
   Cdf c = make_cdf();
   EXPECT_THROW(c.quantile(-0.1), std::invalid_argument);
   EXPECT_THROW(c.quantile(1.1), std::invalid_argument);
+}
+
+TEST(Cdf, QuantileRejectsNaN) {
+  // NaN passes a `q < 0 || q > 1` check, and its rank has no index.
+  Cdf c = make_cdf();
+  EXPECT_THROW(c.quantile(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(Cdf, FractionWithin) {

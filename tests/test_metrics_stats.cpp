@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -58,6 +59,27 @@ TEST(Stats, PercentileInterpolates) {
 TEST(Stats, PercentileRejectsBadQ) {
   EXPECT_THROW(percentile(as_span(kSample), -1.0), std::invalid_argument);
   EXPECT_THROW(percentile(as_span(kSample), 101.0), std::invalid_argument);
+}
+
+TEST(Stats, PercentileRejectsNaN) {
+  // NaN passes a `q < 0 || q > 100` check, and its rank has no index; a
+  // NaN element breaks the ordering selection and sorting rely on.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(percentile(as_span(kSample), nan), std::invalid_argument);
+  std::vector<double> with_nan = {1.0, nan, 3.0};
+  EXPECT_THROW(median(as_span(with_nan)), std::invalid_argument);
+  EXPECT_THROW(percentile_in_place(with_nan, 50.0), std::invalid_argument);
+  std::vector<double> scratch = kSample;
+  EXPECT_THROW(percentile_in_place(scratch, nan), std::invalid_argument);
+}
+
+TEST(Stats, PercentileInPlaceMatchesPercentile) {
+  std::vector<double> scratch = kSample;
+  EXPECT_EQ(percentile_in_place(scratch, 50.0), 3.0);
+  scratch = {0.0, 10.0};
+  EXPECT_EQ(percentile_in_place(scratch, 25.0), 2.5);
+  std::vector<double> empty;
+  EXPECT_THROW(percentile_in_place(empty, 50.0), std::invalid_argument);
 }
 
 TEST(Stats, MinMax) {
