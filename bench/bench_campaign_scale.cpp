@@ -18,9 +18,11 @@
 // "Performance"); CI runs the small size as a smoke test (with a 1,2
 // sweep) and uploads the JSON as an artifact.
 //
-// This is a throughput harness, not a figure reproduction: the sink only
-// counts slots, record_outcomes stays off, and the population/seed are
-// fixed so numbers compare across commits run on the same machine.
+// This is a throughput harness, not a figure reproduction: a one-period
+// scenario::Experiment streams into a sink that only counts slots (beside
+// the experiment's own per-relay aggregate), record_outcomes stays off,
+// and the population/seed are fixed so numbers compare across commits run
+// on the same machine.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -38,7 +40,7 @@
 #include "bench_util.h"
 #include "campaign/campaign.h"
 #include "net/units.h"
-#include "scenario/scenario.h"
+#include "scenario/experiment.h"
 #include "telemetry/perf_counters.h"
 #include "telemetry/telemetry.h"
 
@@ -108,13 +110,13 @@ SizeResult run_size_once(int relays, std::uint64_t seed, int threads,
       .threads(threads)
       .seed(seed);
   if (tiered) builder.tiered_topology();
-  scenario::Scenario scenario(builder.build());
+  scenario::Experiment experiment(builder.build());
 
   // The recorder exists only to measure instrumentation overhead: with
   // telemetry on the engine takes the guarded branches, with it off the
   // pre-telemetry instruction stream — results are identical either way.
   telemetry::Recorder recorder;
-  if (telemetry_on) scenario.set_telemetry(&recorder);
+  if (telemetry_on) experiment.set_telemetry(&recorder);
 
   CountingSink sink;
   SizeResult result;
@@ -125,7 +127,7 @@ SizeResult run_size_once(int relays, std::uint64_t seed, int threads,
   std::optional<telemetry::PerfSampler> sampler;
   if (perf) sampler.emplace();
   if (sampler) sampler->start();
-  result.stats = scenario.run(sink);
+  result.stats = experiment.run(&sink).periods.front().stats;
   if (sampler) {
     sampler->stop();
     result.perf = sampler->read();

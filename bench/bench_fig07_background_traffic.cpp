@@ -14,7 +14,7 @@
 #include "bench_util.h"
 #include "campaign/sink.h"
 #include "net/units.h"
-#include "scenario/scenario.h"
+#include "scenario/experiment.h"
 #include "scenario/serialize.h"
 
 using namespace flashflow;
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
                 "background clamps to ~25 Mbit/s under r=0.1; initial "
                 "burst spike; sum equals relay total; instant recovery");
 
-  const scenario::Scenario scenario(spec);
+  scenario::Experiment experiment(spec);
 
   // Capture the relay's full slot outcome from the stream.
   struct TimelineSink : campaign::SlotSink {
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
       outcome = slot.outcomes.front();
     }
   } sink;
-  scenario.run(sink);
+  experiment.run(&sink);
   const core::SlotOutcome& out = sink.outcome;
 
   std::cout << "Timeline (before: relay forwards ~50 Mbit/s of client "

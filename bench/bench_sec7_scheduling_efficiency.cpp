@@ -7,9 +7,9 @@
 // 30 s median (max 13 minutes for a 98-relay burst).
 //
 // The whole-network layout is the checked-in scenarios/sec7.yaml
-// scenario file (`--scenario FILE` substitutes another);
-// Scenario::plan() computes the packing without materializing a
-// topology (6,419 relays would need a ~1 GB path matrix).
+// scenario file (`--scenario FILE` substitutes another). scenario::plan()
+// lays out period 0 with the run's own priors and packing, on the
+// implicit path model (a dense 6,419-relay path matrix would need ~1 GB).
 #include <algorithm>
 #include <iostream>
 
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   // July-2019-like capacity sample: 6,419 relays, largest 998 Mbit/s,
   // total ~608 Gbit/s, measured by three 1 Gbit/s measurers.
   scenario::ScenarioSpec spec = scenario::load_scenario_file(path);
-  // Schedule-only analysis (Scenario::plan()); no worker pool, so no
+  // Schedule-only analysis (scenario::plan()); no worker pool, so no
   // --threads flag. The file's seed is the default; --seed overrides.
   const auto cli = bench::parse_cli(argc, argv, /*default_seed=*/spec.seed,
                                     /*default_threads=*/1,
@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
                 "whole network in ~5 h (599 slots) with 3x1 Gbit/s; new "
                 "relays within ~30 s median");
 
-  const scenario::Scenario scenario(spec);
-  const auto plan = scenario.plan();
+  const auto plan = scenario::plan(spec);
   const double hours = plan.simulated_seconds / 3600.0;
 
   metrics::Table table({"quantity", "ours", "paper"});
@@ -56,12 +55,11 @@ int main(int argc, char** argv) {
 
   // New relays: FCFS into the randomized schedule's leftover capacity,
   // on top of the same priors the plan above packed.
-  const auto capacities = scenario.prior_capacities();
   std::vector<double> delays_s;
   for (int burst : {1, 3, 10, 98}) {
     core::PeriodSchedule fresh(spec.params, plan.team_capacity_bits,
                                cli.seed + 100 + burst);
-    fresh.schedule_old_relays(capacities);
+    fresh.schedule_old_relays(plan.priors);
     int worst_slot = 0;
     for (int i = 0; i < burst; ++i)
       worst_slot =

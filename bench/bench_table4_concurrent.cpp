@@ -13,7 +13,7 @@
 
 #include "bench_util.h"
 #include "net/units.h"
-#include "scenario/scenario.h"
+#include "scenario/experiment.h"
 
 using namespace flashflow;
 
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     const double per_measurer =
         params.excess_factor() * net::mbit(config.limit_mbit) *
         config.count / 2.0;
-    const scenario::Scenario scenario(
+    scenario::Experiment experiment(
         scenario::ScenarioBuilder("table4")
             .table1_relays(std::vector<double>(
                 static_cast<std::size_t>(config.count), config.limit_mbit))
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
             .threads(cli.threads)
             .seed(cli.seed)
             .build());
-    const auto result = scenario.run();
+    const auto result = experiment.run().final_period;
 
     const double gt = result.relays.front().ground_truth_bits;
     double lo = 1e18, hi = 0;

@@ -1,16 +1,16 @@
-// Quickstart: measure a Tor relay with FlashFlow's Scenario API.
+// Quickstart: measure a Tor relay with FlashFlow's scenario API.
 //
 // A scenario declares *what* to measure — population, measurer team,
-// protocol parameters — and the engine does the wiring: the §4.2 iPerf
-// measurer mesh, greedy capacity allocation, the 30-second §4.1 slot, and
-// verification. Here the paper's Table 1 vantage points measure one
-// 250 Mbit/s relay carrying 50 Mbit/s of client traffic.
+// protocol parameters — and scenario::Experiment does the wiring: the
+// §4.2 iPerf measurer mesh, greedy capacity allocation, the 30-second
+// §4.1 slot, and verification. Here the paper's Table 1 vantage points
+// measure one 250 Mbit/s relay carrying 50 Mbit/s of client traffic.
 //
 //   ./examples/example_quickstart [scenario-file]
 #include <iostream>
 
 #include "net/units.h"
-#include "scenario/scenario.h"
+#include "scenario/experiment.h"
 #include "scenario/serialize.h"
 
 using namespace flashflow;
@@ -24,19 +24,19 @@ int main(int argc, char** argv) {
   const std::string path =
       argc > 1 ? argv[1]
                : scenario::default_scenario_dir() + "/quickstart.yaml";
-  const scenario::Scenario scenario(scenario::load_scenario_file(path));
+  scenario::Experiment experiment(scenario::load_scenario_file(path));
 
   // The measurer team, resolved from the mesh.
-  const auto& mat = scenario.materialized();
+  const auto& mat = experiment.materialized();
   std::cout << "Measurer capacities (from the iPerf mesh):\n";
-  const auto& caps = scenario.runner().measurer_capacities();
+  const auto& caps = experiment.measurer_capacities();
   for (std::size_t i = 0; i < mat.measurer_hosts.size(); ++i)
     std::cout << "  " << mat.topology.host(mat.measurer_hosts[i]).name
               << ": " << net::to_mbit(caps[i]) << " Mbit/s\n";
 
   // Measure. One period: allocation f * z0 across the team, a 30-second
   // slot, echo verification, estimate = median per-second throughput.
-  const auto result = scenario.run();
+  const auto result = experiment.run().final_period;
   const auto& est = result.relays.front();
 
   std::cout << "\nMeasured " << mat.fingerprints.front() << " in slot "

@@ -41,6 +41,40 @@ double CampaignRunner::team_capacity_bits() const {
   return std::accumulate(measurer_caps_.begin(), measurer_caps_.end(), 0.0);
 }
 
+std::vector<double> scheduling_priors(std::span<const CampaignRelay> relays,
+                                      const core::Params& params) {
+  std::vector<double> priors;
+  priors.reserve(relays.size());
+  for (const auto& r : relays) {
+    const double prior = r.prior_estimate_bits > 0.0
+                             ? r.prior_estimate_bits
+                             : r.model.ground_truth(params.sockets);
+    if (prior <= 0.0)
+      throw std::invalid_argument("scheduling_priors: relay with no capacity");
+    priors.push_back(prior);
+  }
+  return priors;
+}
+
+PeriodLayout lay_out_period(std::span<const double> priors,
+                            double team_capacity_bits,
+                            const core::Params& params, ScheduleMode mode,
+                            std::uint64_t period_seed) {
+  PeriodLayout layout;
+  if (mode == ScheduleMode::kGreedyPack) {
+    auto packing = core::greedy_pack(priors, team_capacity_bits, params);
+    layout.relay_slot = std::move(packing.relay_slot);
+    layout.slots_in_period = packing.slots_used;
+  } else {
+    core::PeriodSchedule schedule(
+        params, team_capacity_bits,
+        period_seed ^ sim::hash_tag("campaign/schedule"));
+    layout.relay_slot = schedule.schedule_old_relays(priors);
+    layout.slots_in_period = schedule.slots_in_period();
+  }
+  return layout;
+}
+
 RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
                              SlotSink& sink) const {
   // All wall-clock reads go through the Clock seam (telemetry/clock.cpp
@@ -52,17 +86,7 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
   const std::uint64_t wall_start = wall_clock.now_micros();
   const core::Params& params = config_.params;
 
-  // Scheduling priors: explicit z0, or the oracle prior.
-  std::vector<double> priors;
-  priors.reserve(relays.size());
-  for (const auto& r : relays) {
-    const double prior = r.prior_estimate_bits > 0.0
-                             ? r.prior_estimate_bits
-                             : r.model.ground_truth(params.sockets);
-    if (prior <= 0.0)
-      throw std::invalid_argument("CampaignRunner: relay with no capacity");
-    priors.push_back(prior);
-  }
+  const std::vector<double> priors = scheduling_priors(relays, params);
 
   // Period layout: relay -> slot. Timed into a local: the recorder's
   // shards are sized at begin_run(), which needs the lane count computed
@@ -70,18 +94,10 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
   const std::uint64_t layout_start = rec ? rec->now() : 0;
   RunStats stats;
   const double team_capacity = team_capacity_bits();
-  std::vector<int> relay_slot;
-  if (config_.schedule == ScheduleMode::kGreedyPack) {
-    auto packing = core::greedy_pack(priors, team_capacity, params);
-    relay_slot = std::move(packing.relay_slot);
-    stats.slots_in_period = packing.slots_used;
-  } else {
-    core::PeriodSchedule schedule(
-        params, team_capacity,
-        config_.seed ^ sim::hash_tag("campaign/schedule"));
-    relay_slot = schedule.schedule_old_relays(priors);
-    stats.slots_in_period = schedule.slots_in_period();
-  }
+  const PeriodLayout layout = lay_out_period(
+      priors, team_capacity, params, config_.schedule, config_.seed);
+  const std::vector<int>& relay_slot = layout.relay_slot;
+  stats.slots_in_period = layout.slots_in_period;
 
   // Group relays by slot with a counting sort into one flat array: slot
   // s holds [slot_begin[s], slot_begin[s + 1]) of `members`, in relay

@@ -204,6 +204,29 @@ struct RunStats {
   bool cancelled = false;
 };
 
+/// The scheduling priors z0 a period starts from, aligned with `relays`:
+/// each relay's configured prior, or its oracle prior (Tor ground truth at
+/// params.sockets). Throws std::invalid_argument for a relay with no
+/// capacity.
+std::vector<double> scheduling_priors(std::span<const CampaignRelay> relays,
+                                      const core::Params& params);
+
+/// One period's layout: which slot each relay is measured in.
+struct PeriodLayout {
+  /// relay index -> slot index, aligned with the priors.
+  std::vector<int> relay_slot;
+  /// kGreedyPack: the packing length; kRandomized: the whole period.
+  int slots_in_period = 0;
+};
+
+/// Lays `priors` out into slots: the §7 greedy packing, or the §4.3
+/// randomized schedule drawn from `period_seed`. Deterministic in its
+/// arguments; CampaignRunner::run and scenario::plan both call it.
+PeriodLayout lay_out_period(std::span<const double> priors,
+                            double team_capacity_bits,
+                            const core::Params& params, ScheduleMode mode,
+                            std::uint64_t period_seed);
+
 /// Streaming consumer of campaign results. Delivery is serialized and in
 /// increasing slot order within each retry round regardless of the thread
 /// count (fault-free runs have exactly one round, hence globally increasing

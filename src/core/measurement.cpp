@@ -109,17 +109,8 @@ SlotOutcome SlotRunner::run(const tor::RelayModel& relay,
   target.host = relay_host;
   target.team.assign(team.begin(), team.end());
   target.behavior = behavior;
-  return run_concurrent({&target, 1}, scratch()).front();
-}
-
-std::vector<SlotOutcome> SlotRunner::run_concurrent(
-    std::span<const ConcurrentTarget> targets) {
-  return run_concurrent(targets, scratch());
-}
-
-SlotWorkspace& SlotRunner::scratch() {
   if (!scratch_) scratch_ = std::make_unique<SlotWorkspace>();
-  return *scratch_;
+  return run_concurrent({&target, 1}, *scratch_).front();
 }
 
 const std::vector<SlotOutcome>& SlotRunner::run_concurrent(

@@ -215,6 +215,8 @@ class SlotRunner {
  public:
   SlotRunner(const net::Topology& topo, Params params, sim::Rng rng);
 
+  /// One target on a runner-owned workspace (created on first use and
+  /// reused by later calls); returns a copy of its outcome.
   SlotOutcome run(const tor::RelayModel& relay, net::HostId relay_host,
                   std::span<const MeasurerSlot> team,
                   TargetBehavior behavior = TargetBehavior::kHonest);
@@ -237,11 +239,7 @@ class SlotRunner {
     /// derives the identical substream seed.
     std::uint64_t name_hash = 0;
   };
-  /// Returns a copy of the outcomes. Runs on a runner-owned workspace,
-  /// created on first use and reused by later calls.
-  std::vector<SlotOutcome> run_concurrent(
-      std::span<const ConcurrentTarget> targets);
-  /// Same, but on caller-owned scratch, and the outcomes stay in it: the
+  /// Runs on caller-owned scratch, and the outcomes stay in it: the
   /// reference is into `ws` and valid until the next run on `ws` (the
   /// contract of net::FairShareSolver::solve). A campaign worker lane
   /// keeps one SlotWorkspace for its lifetime, so its steady-state slots
@@ -265,9 +263,6 @@ class SlotRunner {
   void set_probe(telemetry::SlotProbe* probe) { probe_ = probe; }
 
  private:
-  /// The runner-owned workspace, created on first use.
-  SlotWorkspace& scratch();
-
   /// BWAuth aggregation of every slot: estimates from the surviving
   /// (reported, still-alive) allocation share, refusing seconds below the
   /// §4.2 headroom bar and targets with < `min_usable_seconds` left.
@@ -278,8 +273,8 @@ class SlotRunner {
   const net::Topology& topo_;
   Params params_;
   sim::Rng rng_;
-  /// Backs the workspace-less run_concurrent; created on first use, so a
-  /// runner built per slot around a caller's workspace stays a few words.
+  /// Backs run(); created on first use, so a runner built per slot around
+  /// a caller's workspace stays a few words.
   std::unique_ptr<SlotWorkspace> scratch_;
   const fault::FaultPlan* fault_plan_ = nullptr;
   std::uint64_t fault_slot_ = 0;

@@ -8,13 +8,38 @@
 
 namespace flashflow::scenario {
 
+namespace {
+
+/// One period's campaign config: the team at `team_caps`,
+/// period_seed(spec, period), and `recorder` (borrowed; null skips
+/// telemetry).
+campaign::CampaignConfig campaign_config(
+    const ScenarioSpec& spec, const MaterializedScenario& mat,
+    const std::vector<double>& team_caps, int period,
+    telemetry::Recorder* recorder) {
+  campaign::CampaignConfig config;
+  config.params = spec.params;
+  config.measurer_hosts = mat.measurer_hosts;
+  config.measurer_capacity_bits = team_caps;
+  config.schedule = spec.schedule;
+  config.threads = spec.threads;
+  config.shard_slots = spec.shard_slots;
+  config.seed = period_seed(spec, period);
+  config.record_outcomes = spec.record_outcomes;
+  config.faults = spec.faults;
+  config.telemetry = recorder;
+  return config;
+}
+
+}  // namespace
+
 Experiment::Experiment(ScenarioSpec spec)
     : spec_(std::move(spec)),
       materialized_(materialize(spec_)),
       // Resolved once — §4.2 measures the measurers when the spec carries
       // no capacity overrides — so every period reuses the same estimates
-      // instead of re-running the mesh with each period's seed, and a
-      // 1-period Experiment agrees exactly with Scenario::run().
+      // instead of re-running the mesh with each period's seed, and plan()
+      // lays period 0 out against the same team.
       measurer_caps_(resolve_team_capacities(spec_, materialized_)) {}
 
 Experiment::Result Experiment::run(campaign::SlotSink* sink,

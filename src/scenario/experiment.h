@@ -1,8 +1,10 @@
 // Multi-period measurement experiments (§4.3's feedback loop).
 //
-// FlashFlow measures every relay once per period, and this period's
-// estimates become next period's scheduling/allocation priors z0. The
-// batch campaign engine runs one period; Experiment drives the loop:
+// Experiment is how a slot-based ScenarioSpec runs; scenario::plan
+// (scenario.h) is its dry run. FlashFlow measures every relay once per
+// period, and this period's estimates become next period's
+// scheduling/allocation priors z0. The batch campaign engine runs one
+// period; Experiment drives the loop:
 //
 //   priors(0) = population priors (advertised bandwidth, configured z0,
 //               or the oracle)

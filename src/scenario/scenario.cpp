@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
-#include "core/schedule.h"
 #include "core/team.h"
 #include "net/units.h"
 #include "sim/random.h"
@@ -307,25 +305,11 @@ std::uint64_t period_seed(const ScenarioSpec& spec, int period) {
          sim::hash_tag("scenario/period-" + std::to_string(period));
 }
 
-campaign::CampaignConfig campaign_config(
-    const ScenarioSpec& spec, const MaterializedScenario& mat,
-    std::vector<double> team_caps, int period, telemetry::Recorder* recorder) {
-  campaign::CampaignConfig config;
-  config.params = spec.params;
-  config.measurer_hosts = mat.measurer_hosts;
-  config.measurer_capacity_bits = std::move(team_caps);
-  config.schedule = spec.schedule;
-  config.threads = spec.threads;
-  config.shard_slots = spec.shard_slots;
-  config.seed = period_seed(spec, period);
-  config.record_outcomes = spec.record_outcomes;
-  config.faults = spec.faults;
-  config.telemetry = recorder;
-  return config;
-}
-
 MaterializedScenario materialize(const ScenarioSpec& spec) {
   spec.validate();
+  if (spec.speedtest)
+    reject("the speedtest window applies only to run_speed_test, not to "
+           "slot-based scenario runs");
   MaterializedScenario mat;
 
   if (const auto* t1 = std::get_if<Table1PopulationSpec>(&spec.population)) {
@@ -432,20 +416,6 @@ MaterializedScenario materialize(const ScenarioSpec& spec) {
   return mat;
 }
 
-Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)) {
-  spec_.validate();
-  if (spec_.speedtest)
-    throw std::invalid_argument(
-        "Scenario: the speedtest window applies only to run_speed_test, "
-        "not to slot-based scenario runs");
-}
-
-const MaterializedScenario& Scenario::materialized() const {
-  if (!materialized_)
-    materialized_ = std::make_unique<MaterializedScenario>(materialize(spec_));
-  return *materialized_;
-}
-
 std::vector<double> resolve_team_capacities(const ScenarioSpec& spec,
                                             const MaterializedScenario& mat) {
   if (!mat.measurer_capacity_bits.empty()) return mat.measurer_capacity_bits;
@@ -454,104 +424,39 @@ std::vector<double> resolve_team_capacities(const ScenarioSpec& spec,
   return team.capacities();
 }
 
-const campaign::CampaignRunner& Scenario::runner() const {
-  if (!runner_) {
-    const MaterializedScenario& mat = materialized();
-    runner_ = std::make_unique<campaign::CampaignRunner>(
-        mat.topology,
-        campaign_config(spec_, mat, resolve_team_capacities(spec_, mat), 0,
-                        telemetry_));
-  }
-  return *runner_;
-}
+PlanResult plan(const ScenarioSpec& spec) {
+  // The layout never reads a path, so a synthetic population plans on the
+  // implicit 1-tier model — the dense flat mesh's bit-identical twin —
+  // rather than filling three n x n matrices.
+  ScenarioSpec planned = spec;
+  if (std::holds_alternative<SyntheticPopulationSpec>(spec.population))
+    planned.topology.path_model = TopologySpec::PathModelKind::kTiered;
+  const MaterializedScenario mat = materialize(planned);
+  const std::vector<double> team_caps = resolve_team_capacities(spec, mat);
 
-const std::vector<double>& Scenario::prior_capacities() const {
-  if (priors_) return *priors_;
-  std::vector<double> priors;
-  if (materialized_) {
-    // The population is already built: read the priors off it (the same
-    // rule CampaignRunner applies) instead of regenerating the source.
-    for (const auto& relay : materialized_->relays)
-      priors.push_back(relay.prior_estimate_bits > 0.0
-                           ? relay.prior_estimate_bits
-                           : relay.model.ground_truth(spec_.params.sockets));
-  } else if (const auto* t1 =
-                 std::get_if<Table1PopulationSpec>(&spec_.population)) {
-    for (std::size_t i = 0; i < t1->rate_limit_mbit.size(); ++i) {
-      const auto model = make_table1_relay(i, t1->rate_limit_mbit[i],
-                                           t1->background_mbit,
-                                           spec_.params.ratio);
-      priors.push_back(t1->prior_mbit > 0.0
-                           ? net::mbit(t1->prior_mbit)
-                           : model.ground_truth(spec_.params.sockets));
-    }
-  } else if (const auto* shadow =
-                 std::get_if<ShadowPopulationSpec>(&spec_.population)) {
-    const auto network = shadowsim::make_shadow_net(shadow->params,
-                                                    shadow->seed);
-    // Same rule the runner applies: the advertised-bandwidth prior, or
-    // the oracle (ground truth == capacity for shadow relays) if a relay
-    // somehow advertises nothing.
-    for (const auto& r : network.relays)
-      priors.push_back(r.advertised_bits > 0.0 ? r.advertised_bits
-                                               : r.capacity_bits);
-  } else {
-    const auto& syn = std::get<SyntheticPopulationSpec>(spec_.population);
-    priors = analysis::sample_capacities(
-        syn.params, syn.relays,
-        spec_.seed ^ sim::hash_tag("scenario/synthetic"));
-    if (syn.prior_fraction > 0.0)
-      for (double& p : priors) p *= syn.prior_fraction;
-  }
-  priors_ = std::make_unique<std::vector<double>>(std::move(priors));
-  return *priors_;
-}
-
-PlanResult Scenario::plan() const {
-  const std::vector<double>& priors = prior_capacities();
   PlanResult plan;
-  plan.relays = static_cast<int>(priors.size());
+  plan.priors = campaign::scheduling_priors(mat.relays, spec.params);
+  plan.relays = static_cast<int>(plan.priors.size());
   plan.total_prior_bits =
-      std::accumulate(priors.begin(), priors.end(), 0.0);
+      std::accumulate(plan.priors.begin(), plan.priors.end(), 0.0);
   plan.total_requirement_bits =
-      plan.total_prior_bits * spec_.params.excess_factor();
-  if (!spec_.team.capacity_bits.empty()) {
-    plan.team_capacity_bits =
-        std::accumulate(spec_.team.capacity_bits.begin(),
-                        spec_.team.capacity_bits.end(), 0.0);
-  } else {
-    // No overrides: resolving the team runs the iPerf mesh, which needs
-    // the materialized topology anyway.
-    plan.team_capacity_bits = runner().team_capacity_bits();
-  }
+      plan.total_prior_bits * spec.params.excess_factor();
+  plan.team_capacity_bits =
+      std::accumulate(team_caps.begin(), team_caps.end(), 0.0);
 
-  if (spec_.schedule == campaign::ScheduleMode::kGreedyPack) {
-    const auto packing = core::greedy_pack(priors, plan.team_capacity_bits,
-                                           spec_.params);
-    plan.slots_in_period = packing.slots_used;
-    plan.slots_used = packing.slots_used;
-    plan.simulated_seconds =
-        static_cast<double>(packing.slots_used) * spec_.params.slot_seconds;
-  } else {
-    core::PeriodSchedule schedule(
-        spec_.params, plan.team_capacity_bits,
-        period_seed(spec_, 0) ^ sim::hash_tag("campaign/schedule"));
-    const auto slots = schedule.schedule_old_relays(priors);
-    plan.slots_in_period = schedule.slots_in_period();
-    plan.slots_used = static_cast<int>(
-        std::set<int>(slots.begin(), slots.end()).size());
-    plan.simulated_seconds = static_cast<double>(plan.slots_in_period) *
-                             spec_.params.slot_seconds;
-  }
+  const campaign::PeriodLayout layout = campaign::lay_out_period(
+      plan.priors, plan.team_capacity_bits, spec.params, spec.schedule,
+      period_seed(spec, 0));
+  plan.slots_in_period = layout.slots_in_period;
+  std::vector<char> occupied(
+      static_cast<std::size_t>(layout.slots_in_period), 0);
+  for (const int s : layout.relay_slot)
+    occupied[static_cast<std::size_t>(s)] = 1;
+  plan.slots_used =
+      static_cast<int>(std::count(occupied.begin(), occupied.end(), 1));
+  plan.simulated_seconds = static_cast<double>(plan.slots_in_period) *
+                           spec.params.slot_seconds;
   return plan;
-}
-
-campaign::RunStats Scenario::run(campaign::SlotSink& sink) const {
-  return runner().run(materialized().relays, sink);
-}
-
-campaign::CampaignResult Scenario::run() const {
-  return runner().run(materialized().relays);
 }
 
 analysis::SpeedTestResult run_speed_test(const ScenarioSpec& spec) {

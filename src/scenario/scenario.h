@@ -4,10 +4,11 @@
 // adversary mix, a background-traffic model, a measurer team, a schedule
 // mode and a period count — without any of the topology/allocation wiring
 // the bench binaries used to hand-roll. ScenarioBuilder composes specs
-// fluently; Scenario materializes one into a topology + campaign
-// population and runs (or just plans) a single period through
-// campaign::CampaignRunner; scenario::Experiment (experiment.h) drives the
-// multi-period §4.3 feedback loop on top.
+// fluently; materialize() turns one into a topology + campaign population.
+// scenario::Experiment (experiment.h) runs a spec: every period through
+// campaign::CampaignRunner, with the §4.3 prior feedback between them.
+// plan() is its dry run: period 0's priors and slot layout, computed by
+// the same campaign functions the run calls, without measuring anything.
 //
 // Population sources:
 //   - Table1PopulationSpec: lab relays on the paper's Table 1 Internet
@@ -21,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <variant>
@@ -64,8 +64,8 @@ struct ShadowPopulationSpec {
 
 /// Capacities sampled from the §3 population mixture; relays are placed on
 /// synthetic hosts in a flat topology. Used for scale and scheduling
-/// studies (e.g. the §7 efficiency numbers), where plan() needs no
-/// topology at all.
+/// studies (e.g. the §7 efficiency numbers), which plan() lays out on the
+/// implicit path model, so no n x n path matrix is built.
 struct SyntheticPopulationSpec {
   analysis::PopulationParams params;
   int relays = 0;
@@ -161,7 +161,8 @@ struct ScenarioSpec {
   BackgroundModel background;
   core::Params params;
   campaign::ScheduleMode schedule = campaign::ScheduleMode::kGreedyPack;
-  /// Measurement periods for Experiment; Scenario::run executes one.
+  /// Measurement periods Experiment::run executes; plan() lays out the
+  /// first.
   int periods = 1;
   int threads = 1;
   /// Contiguous slots a worker lane claims per dispatch
@@ -176,7 +177,8 @@ struct ScenarioSpec {
   /// byte is identical to a pre-fault build.
   fault::FaultSpec faults;
   /// Engages the §3.4 archive speed-test experiment (run_speed_test);
-  /// slot-based Scenario/Experiment runs reject specs carrying it.
+  /// materialize() — and with it Experiment and plan() — rejects specs
+  /// carrying it.
   std::optional<SpeedTestWindow> speedtest;
 
   /// Validates the spec (params + fractions + population/team coherence);
@@ -248,12 +250,12 @@ struct MaterializedScenario {
   std::vector<std::string> fingerprints;
 };
 
-/// Schedule-only dry run: how would this population pack into a period?
-/// Computed without materializing a topology, so it scales to full-network
-/// populations (§7's 6,419 relays) whose dense path matrices would not fit
-/// in memory. Requires team capacity overrides in the spec.
+/// Schedule-only dry run: how period 0 of a spec's run lays out.
 struct PlanResult {
   int relays = 0;
+  /// The scheduling priors z0 the layout packs, aligned with the
+  /// materialized population (campaign::scheduling_priors).
+  std::vector<double> priors;
   double total_prior_bits = 0.0;
   double team_capacity_bits = 0.0;
   /// f * z0 summed over the population.
@@ -267,71 +269,32 @@ struct PlanResult {
   double simulated_seconds = 0.0;
 };
 
-/// A materialized, runnable scenario: one measurement period.
-/// Materialization and team resolution happen lazily, so plan() never
-/// builds a topology. Not copyable (the campaign runner holds references
-/// into the materialization).
-class Scenario {
- public:
-  explicit Scenario(ScenarioSpec spec);  // validates
-  Scenario(const Scenario&) = delete;
-  Scenario& operator=(const Scenario&) = delete;
-
-  const ScenarioSpec& spec() const { return spec_; }
-
-  /// Lays the population out into slots without running any measurement.
-  PlanResult plan() const;
-
-  /// Streams one period through `sink` (campaign::CampaignRunner::run).
-  campaign::RunStats run(campaign::SlotSink& sink) const;
-  /// Batch convenience: one period, aggregated in memory.
-  campaign::CampaignResult run() const;
-
-  const MaterializedScenario& materialized() const;
-  const campaign::CampaignRunner& runner() const;
-
-  /// Attaches a telemetry recorder (borrowed; must outlive every run).
-  /// Call before the first run()/runner() — the campaign config is built
-  /// lazily and snapshots the pointer. Null (the default) keeps every
-  /// instrumentation site skipped.
-  void set_telemetry(telemetry::Recorder* recorder) { telemetry_ = recorder; }
-
-  /// The scheduling priors z0 this scenario starts from, aligned with the
-  /// population (what plan() packs and period 0 allocates by). Computed
-  /// once, without materializing a topology.
-  const std::vector<double>& prior_capacities() const;
-
- private:
-  ScenarioSpec spec_;
-  mutable std::unique_ptr<MaterializedScenario> materialized_;
-  mutable std::unique_ptr<campaign::CampaignRunner> runner_;
-  mutable std::unique_ptr<std::vector<double>> priors_;
-  telemetry::Recorder* telemetry_ = nullptr;
-};
-
 /// Materializes a spec into topology + population (exposed for callers
-/// that drive the campaign engine directly).
+/// that drive the campaign engine directly). Validates the spec, and
+/// rejects a speedtest window: that belongs to run_speed_test, not to a
+/// slot-based run.
 MaterializedScenario materialize(const ScenarioSpec& spec);
+
+/// Lays out period 0 of the spec's run without measuring anything: the
+/// priors and layout come from campaign::scheduling_priors and
+/// campaign::lay_out_period, the functions CampaignRunner::run calls, on
+/// the materialized population and resolved team. A synthetic population
+/// is materialized on the implicit 1-tier path model (the layout never
+/// reads a path), so §7's 6,419 relays build no n x n path matrix.
+PlanResult plan(const ScenarioSpec& spec);
 
 /// Resolves the team's per-measurer capacities: the spec's overrides, or
 /// the §4.2 iPerf mesh over the materialized topology. Deterministic in
 /// the spec alone (the mesh seed is derived from spec.seed, not from any
-/// period), so Scenario and Experiment agree on the team.
+/// period), so plan() and every period of a run agree on the team.
 std::vector<double> resolve_team_capacities(const ScenarioSpec& spec,
                                             const MaterializedScenario& mat);
 
-/// The campaign seed for one measurement period of a scenario: period 0 is
-/// what Scenario::run uses; Experiment advances through periods 0..n-1.
+/// The campaign seed for one measurement period of a scenario: Experiment
+/// advances through periods 0..n-1, and plan() lays out period 0.
 /// Deterministic, and distinct across periods so every period draws a
 /// fresh secret schedule (§4.3).
 std::uint64_t period_seed(const ScenarioSpec& spec, int period);
-
-/// The one spec → campaign config mapping Scenario and Experiment share:
-/// the team at `team_caps` (resolve_team_capacities), period_seed(spec,
-/// period), and `recorder` (borrowed; null skips telemetry).
-campaign::CampaignConfig campaign_config(
-    const ScenarioSpec& spec, const MaterializedScenario& mat,
-    std::vector<double> team_caps, int period, telemetry::Recorder* recorder);
 
 /// The §3.4 relay speed-test experiment (Fig 5) over a scenario's
 /// synthetic population: floods every live relay to capacity for the test

@@ -17,13 +17,15 @@
 // usage probes touch no file, so every invocation fails fast before any
 // scenario is loaded or directory created. The CliOutputs tests run real
 // scenarios into a scratch directory under the system temp dir and check
-// that a result file which cannot be written in full fails the run.
+// that a result file which cannot be written in full fails the run, and
+// that a spec no slot campaign can honor is refused.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -238,6 +240,33 @@ TEST(CliOutputs, RunFailsWhenBandwidthFileCannotBeCreated) {
                                (out / "bandwidth.txt").string()),
             std::string::npos)
       << result.output;
+}
+
+TEST(CliOutputs, RunAndPlanRefuseSpeedTestWindow) {
+  // A speedtest window drives the §3.4 archive experiment only. A spec
+  // that would otherwise run as a slot campaign must be refused by both
+  // commands, naming the window, rather than run without it.
+  const ScratchDir scratch;
+  const fs::path spec = scratch.path() / "window.yaml";
+  {
+    std::ofstream out(spec);
+    out << "flashflow_scenario: 1\n"
+           "population: synthetic\n"
+           "synthetic.relays: 10\n"
+           "team.capacity_bits: [1e9]\n"
+           "speedtest.warmup_days: 30\n";
+  }
+  const std::vector<std::string> commands = {
+      "run " + quoted(spec) + " --out " + quoted(scratch.path() / "out") +
+          " --quiet",
+      "plan " + quoted(spec)};
+  for (const std::string& command : commands) {
+    SCOPED_TRACE(command);
+    const RunResult result = run_cli(command);
+    EXPECT_EQ(result.exit_code, 1) << result.output;
+    EXPECT_NE(result.output.find("speedtest window"), std::string::npos)
+        << result.output;
+  }
 }
 
 TEST(CliOutputs, RunFailsWhenAnyOutputWriteFails) {

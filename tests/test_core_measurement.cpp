@@ -198,7 +198,8 @@ TEST(SlotRunner, ConcurrentTargetsShareMeasurers) {
   SlotRunner runner(topo, params, sim::Rng(8));
   std::vector<tor::RelayModel> models;
   const auto targets = concurrent_pair(topo, models);
-  const auto outs = runner.run_concurrent(targets);
+  SlotWorkspace ws;
+  const auto& outs = runner.run_concurrent(targets, ws);
   ASSERT_EQ(outs.size(), 2u);
   for (const auto& out : outs) {
     const double gt = models[0].ground_truth(80);
@@ -283,9 +284,10 @@ TEST(SlotRunner, DisabledPlanMatchesNoPlan) {
     armed.arm_faults(&plan, seed);
     SlotRunner disarmed(topo, params, sim::Rng(seed));
     disarmed.arm_faults(nullptr, seed);
-    const auto expected = plain.run_concurrent(targets);
-    EXPECT_TRUE(armed.run_concurrent(targets) == expected) << seed;
-    EXPECT_TRUE(disarmed.run_concurrent(targets) == expected) << seed;
+    SlotWorkspace ws;
+    const auto expected = plain.run_concurrent(targets, ws);
+    EXPECT_TRUE(armed.run_concurrent(targets, ws) == expected) << seed;
+    EXPECT_TRUE(disarmed.run_concurrent(targets, ws) == expected) << seed;
   }
 }
 
@@ -301,7 +303,8 @@ TEST(SlotRunner, DroppedReportsLeaveNoEvidence) {
   const auto targets = concurrent_pair(topo, models);
   SlotRunner runner(topo, params, sim::Rng(16));
   runner.arm_faults(&plan, 0);
-  for (const auto& out : runner.run_concurrent(targets)) {
+  SlotWorkspace ws;
+  for (const auto& out : runner.run_concurrent(targets, ws)) {
     EXPECT_TRUE(out.failed);
     EXPECT_EQ(out.failure, SlotFailure::kInsufficientEvidence);
     EXPECT_EQ(out.quality, 0.0);

@@ -45,7 +45,6 @@
 #include "campaign/sink.h"
 #include "net/units.h"
 #include "scenario/experiment.h"
-#include "scenario/scenario.h"
 #include "scenario/serialize.h"
 #include "sim/random.h"
 #include "telemetry/telemetry.h"
@@ -170,10 +169,10 @@ void expect_hash(const std::string& bytes, std::uint64_t expected,
 
 template <typename Sink>
 std::string spec_stream(const scenario::ScenarioSpec& spec) {
-  const scenario::Scenario scenario(spec);
+  scenario::Experiment experiment(spec);
   std::ostringstream out;
   Sink sink(out);
-  scenario.run(sink);
+  experiment.run(&sink);
   return out.str();
 }
 
@@ -281,8 +280,8 @@ FaultSmokeStreams fault_smoke_streams(int threads) {
   spec.shard_slots = forced_shard();
   telemetry::Recorder recorder;
   recorder.enable_trace();
-  scenario::Scenario scenario(spec);
-  scenario.set_telemetry(&recorder);
+  scenario::Experiment experiment(spec);
+  experiment.set_telemetry(&recorder);
 
   std::ostringstream csv_out, jsonl_out, ledger_out, trace_out;
   campaign::CsvSink csv(csv_out);
@@ -290,7 +289,7 @@ FaultSmokeStreams fault_smoke_streams(int threads) {
   campaign::FaultLedgerSink ledger(ledger_out);
   campaign::TraceJsonlSink trace(trace_out);
   campaign::FanoutSink fanout{&csv, &jsonl, &ledger, &trace};
-  scenario.run(fanout);
+  experiment.run(&fanout);
 
   FaultSmokeStreams streams{csv_out.str(), jsonl_out.str(), ledger_out.str(),
                             ""};

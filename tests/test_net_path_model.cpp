@@ -20,7 +20,7 @@
 #include "campaign/sink.h"
 #include "net/topology.h"
 #include "net/units.h"
-#include "scenario/scenario.h"
+#include "scenario/experiment.h"
 
 namespace flashflow::net {
 namespace {
@@ -259,10 +259,10 @@ TEST(PathModel, ScenarioBytesAreIdenticalUnderDenseAndOneTierTiered) {
         .measurer_capacities({mbit(800), mbit(800), mbit(800)})
         .seed(20210613);
     if (tiered) builder.tiered_topology();
-    const scenario::Scenario scenario(builder.build());
+    scenario::Experiment experiment(builder.build());
     std::ostringstream out;
     campaign::CsvSink sink(out);
-    scenario.run(sink);
+    experiment.run(&sink);
     return out.str();
   };
   const std::string dense_csv = run(false);

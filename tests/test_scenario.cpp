@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -95,10 +96,10 @@ TEST(ScenarioBuilder, RejectsInvalidSpecs) {
   EXPECT_THROW(materialize(spec), std::invalid_argument);
 }
 
-TEST(Scenario, Table1RunTracksGroundTruth) {
-  const Scenario scenario(
+TEST(Experiment, Table1RunTracksGroundTruth) {
+  Experiment experiment(
       lab_spec({10, 25, 50, 75, 100, 150, 200, 250, 40, 120}));
-  const auto result = scenario.run();
+  const auto result = experiment.run().final_period;
 
   ASSERT_EQ(result.relays.size(), 10u);
   EXPECT_EQ(result.summary.verification_failures, 0);
@@ -111,7 +112,7 @@ TEST(Scenario, Table1RunTracksGroundTruth) {
   EXPECT_LT(result.summary.mean_abs_relative_error, 0.15);
 }
 
-TEST(Scenario, DefaultTeamIsEveryOtherTable1Host) {
+TEST(Materialize, DefaultTeamIsEveryOtherTable1Host) {
   const auto spec = ScenarioBuilder().table1_relays({100}).build();
   const auto mat = materialize(spec);
   // US-SW hosts the relay; the other four Table 1 hosts measure.
@@ -120,10 +121,10 @@ TEST(Scenario, DefaultTeamIsEveryOtherTable1Host) {
   EXPECT_EQ(mat.fingerprints.size(), 1u);
 }
 
-TEST(Scenario, PlanMatchesRunLayout) {
-  const Scenario scenario(lab_spec({10, 25, 50, 75, 100, 150, 200, 250}));
-  const auto plan = scenario.plan();
-  const auto result = scenario.run();
+TEST(Plan, MatchesRunLayout) {
+  const ScenarioSpec spec = lab_spec({10, 25, 50, 75, 100, 150, 200, 250});
+  const auto plan = scenario::plan(spec);
+  const auto result = Experiment(spec).run().final_period;
 
   EXPECT_EQ(plan.relays, 8);
   EXPECT_EQ(plan.team_capacity_bits, net::mbit(1800));
@@ -131,21 +132,21 @@ TEST(Scenario, PlanMatchesRunLayout) {
   EXPECT_GT(plan.total_requirement_bits, plan.total_prior_bits);
 }
 
-TEST(Scenario, SyntheticPlanCoversWholePopulationWithoutTopology) {
+TEST(Plan, SyntheticCoversWholePopulationOnImplicitPaths) {
   analysis::PopulationParams pop;
   pop.lognormal_mu = 17.42;
   pop.lognormal_sigma = 1.45;
   pop.max_capacity_bits = 998e6;
-  // §7 scale: thousands of relays. plan() must not materialize a topology
-  // (whose dense path matrices would dwarf the schedule itself).
-  const Scenario scenario(ScenarioBuilder("sec7")
-                              .synthetic(pop, 6419)
-                              .measurer_capacities({net::gbit(1),
-                                                    net::gbit(1),
-                                                    net::gbit(1)})
-                              .seed(20210613)
-                              .build());
-  const auto plan = scenario.plan();
+  // §7 scale: thousands of relays on the default dense path model. plan()
+  // lays them out on the implicit model instead (dense path matrices
+  // would dwarf the schedule itself).
+  const auto plan = scenario::plan(ScenarioBuilder("sec7")
+                                       .synthetic(pop, 6419)
+                                       .measurer_capacities({net::gbit(1),
+                                                             net::gbit(1),
+                                                             net::gbit(1)})
+                                       .seed(20210613)
+                                       .build());
   EXPECT_EQ(plan.relays, 6419);
   EXPECT_EQ(plan.team_capacity_bits, net::gbit(3));
   // The paper needs ~599 slots (~5 h) for the July 2019 network.
@@ -154,73 +155,75 @@ TEST(Scenario, SyntheticPlanCoversWholePopulationWithoutTopology) {
   EXPECT_DOUBLE_EQ(plan.simulated_seconds, plan.slots_used * 30.0);
 }
 
-TEST(Scenario, SyntheticPlanAgreesWithRun) {
-  // plan() derives priors without a topology; run() materializes relays
-  // whose oracle ground truth must reproduce exactly the same layout.
+TEST(Plan, AgreesWithRunPeriodZero) {
+  // plan() lays out period 0 with the run's own priors and layout
+  // functions, so it must predict the run's first period exactly: greedy
+  // packing (the e2e workloads, lab relays, a dense synthetic mesh, a
+  // small Shadow network) and the randomized schedule (golden scenario,
+  // Shadow network, the 6,419-relay e2e workload), faults cleared (a
+  // retry round would execute extra slots).
+  struct Case {
+    ScenarioSpec spec;
+    int slots_used;
+  };
+  const auto file = [](const std::string& path) {
+    return load_scenario_file(std::string(FLASHFLOW_REPO_DIR) + path);
+  };
   analysis::PopulationParams pop;
   pop.lognormal_mu = 16.0;
   pop.max_capacity_bits = 200e6;
-  const Scenario scenario(ScenarioBuilder("syn")
-                              .synthetic(pop, 40)
-                              .measurer_capacities({net::mbit(900),
-                                                    net::mbit(900)})
-                              .seed(13)
-                              .build());
-  const auto plan = scenario.plan();
-  const auto result = scenario.run();
-  EXPECT_EQ(plan.slots_in_period, result.summary.slots_in_period);
-  EXPECT_EQ(plan.slots_used, result.summary.slots_executed);
-  EXPECT_EQ(plan.relays, result.summary.relays_measured);
-}
-
-TEST(Scenario, ShadowPlanAgreesWithRun) {
-  // Same layout-agreement pin as the synthetic case: plan() derives
-  // advertised-bandwidth priors without building the topology; run() must
-  // land on the same slot layout.
   shadowsim::ShadowNetParams net_params;
   net_params.relays = 25;
-  const Scenario scenario(ScenarioBuilder("shadow-plan")
-                              .shadow_net(net_params, 3)
-                              .measurer_capacities({net::gbit(1),
-                                                    net::gbit(1),
-                                                    net::gbit(1)})
-                              .seed(17)
-                              .build());
-  const auto plan = scenario.plan();
-  const auto result = scenario.run();
-  EXPECT_EQ(plan.slots_in_period, result.summary.slots_in_period);
-  EXPECT_EQ(plan.slots_used, result.summary.slots_executed);
-  EXPECT_EQ(plan.relays, result.summary.relays_measured);
+  const std::vector<Case> cases = {
+      {file("/bench/e2e/workloads/tor2019.yaml"), 610},
+      {file("/bench/e2e/workloads/crowded_slots.yaml"), 7},
+      {file("/scenarios/fig07.yaml"), 1},
+      {file("/scenarios/quickstart.yaml"), 1},
+      {ScenarioBuilder("syn")
+           .synthetic(pop, 40)
+           .measurer_capacities({net::mbit(900), net::mbit(900)})
+           .seed(13)
+           .build(),
+       2},
+      {ScenarioBuilder("shadow-plan")
+           .shadow_net(net_params, 3)
+           .measurer_capacities({net::gbit(1), net::gbit(1), net::gbit(1)})
+           .seed(17)
+           .build(),
+       1},
+      {file("/scenarios/golden_smoke.yaml"), 40},
+      {file("/scenarios/measure_network.yaml"), 313},
+      {file("/bench/e2e/workloads/faults_3p.yaml"), 2553},
+  };
+  for (Case c : cases) {
+    SCOPED_TRACE(c.spec.name);
+    c.spec.faults = {};
+    const auto plan = scenario::plan(c.spec);
+    const auto period0 = Experiment(c.spec).run().periods.front();
+    const bool randomized =
+        c.spec.schedule == campaign::ScheduleMode::kRandomized;
+    EXPECT_EQ(plan.slots_in_period, randomized ? 2880 : c.slots_used);
+    EXPECT_EQ(plan.slots_in_period, period0.summary.slots_in_period);
+    EXPECT_EQ(plan.slots_used, period0.summary.slots_executed);
+    EXPECT_EQ(plan.slots_used, c.slots_used);
+    EXPECT_EQ(plan.relays, period0.summary.relays_measured);
+  }
 }
 
-TEST(Scenario, RandomizedPlanAgreesWithRun) {
-  // plan() and CampaignRunner derive the §4.3 randomized schedule's seed
-  // separately; both must lay out the same schedule. Covers the golden
-  // scenario, the Shadow network, and the 6,419-relay e2e workload with
-  // its faults cleared (a retry round would execute extra slots).
-  struct Case {
-    std::string file;
-    int slots_used;
-  };
-  const std::string repo = FLASHFLOW_REPO_DIR;
-  const std::vector<Case> cases = {
-      {repo + "/scenarios/golden_smoke.yaml", 40},
-      {repo + "/scenarios/measure_network.yaml", 313},
-      {repo + "/bench/e2e/workloads/faults_3p.yaml", 2553},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.file);
-    ScenarioSpec spec = load_scenario_file(c.file);
-    ASSERT_EQ(spec.schedule, campaign::ScheduleMode::kRandomized);
-    spec.faults = {};
-    const Scenario scenario(std::move(spec));
-    const auto plan = scenario.plan();
-    const auto result = scenario.run();
-    EXPECT_EQ(plan.slots_in_period, 2880);
-    EXPECT_EQ(plan.slots_in_period, result.summary.slots_in_period);
-    EXPECT_EQ(plan.slots_used, result.summary.slots_executed);
-    EXPECT_EQ(plan.slots_used, c.slots_used);
-  }
+TEST(Plan, PriorsAreTheRunsSchedulingPriors) {
+  // Bit for bit: the oracle prior is the relay's ground truth at the
+  // configured socket count, not its sampled capacity (which differs in
+  // the last bits for about one relay in seven here).
+  const ScenarioSpec spec = load_scenario_file(
+      std::string(FLASHFLOW_REPO_DIR) + "/bench/e2e/workloads/tor2019.yaml");
+  const auto plan = scenario::plan(spec);
+  const std::vector<double> run_priors = campaign::scheduling_priors(
+      Experiment(spec).materialized().relays, spec.params);
+  ASSERT_EQ(plan.priors.size(), 6419u);
+  ASSERT_EQ(plan.priors.size(), run_priors.size());
+  EXPECT_EQ(std::memcmp(plan.priors.data(), run_priors.data(),
+                        run_priors.size() * sizeof(double)),
+            0);
 }
 
 TEST(ScenarioBuilder, RejectsNegativeTable1Fields) {
@@ -232,7 +235,7 @@ TEST(ScenarioBuilder, RejectsNegativeTable1Fields) {
   EXPECT_NO_THROW(ScenarioBuilder().table1_relays({0}).build());
 }
 
-TEST(Scenario, RecordOutcomesStreamsPerSecondTimeline) {
+TEST(Experiment, RecordOutcomesStreamsPerSecondTimeline) {
   auto spec = ScenarioBuilder("fig7-like")
                   .table1_relays({250}, /*background_mbit=*/50,
                                  /*prior_mbit=*/250)
@@ -241,7 +244,7 @@ TEST(Scenario, RecordOutcomesStreamsPerSecondTimeline) {
                   .record_outcomes()
                   .seed(20210607)
                   .build();
-  const Scenario scenario(std::move(spec));
+  Experiment experiment(std::move(spec));
 
   struct TimelineSink : campaign::SlotSink {
     std::vector<core::SlotOutcome> outcomes;
@@ -249,7 +252,7 @@ TEST(Scenario, RecordOutcomesStreamsPerSecondTimeline) {
       for (const auto& out : slot.outcomes) outcomes.push_back(out);
     }
   } sink;
-  scenario.run(sink);
+  experiment.run(&sink);
 
   ASSERT_EQ(sink.outcomes.size(), 1u);
   EXPECT_EQ(sink.outcomes[0].x_bits.size(), 30u);
@@ -328,10 +331,10 @@ TEST(Experiment, LiarInflationBoundedByMaxInflation) {
                        .seed(31)
                        .build();
 
-  const Scenario honest(std::move(honest_spec));
-  const Scenario lying(std::move(liar_spec));
-  const auto honest_result = honest.run();
-  const auto liar_result = lying.run();
+  Experiment honest(std::move(honest_spec));
+  Experiment lying(std::move(liar_spec));
+  const auto honest_result = honest.run().final_period;
+  const auto liar_result = lying.run().final_period;
 
   const double bound = core::Params{}.max_inflation();  // 1/(1-r) = 1.33
   int liars_seen = 0;
@@ -366,12 +369,12 @@ TEST(Experiment, ForgersFailVerification) {
                   .forgers(0.4)
                   .seed(7)
                   .build();
-  const Scenario scenario(std::move(spec));
-  const auto result = scenario.run();
+  Experiment experiment(std::move(spec));
+  const auto result = experiment.run().final_period;
 
   int forgers = 0;
   for (std::size_t i = 0; i < result.relays.size(); ++i) {
-    const bool is_forger = scenario.materialized().relays[i].behavior ==
+    const bool is_forger = experiment.materialized().relays[i].behavior ==
                            core::TargetBehavior::kForgeEchoes;
     forgers += is_forger;
     // The sampled spot check catches a 100 Mbit/s forger in a 30 s slot
@@ -407,18 +410,16 @@ TEST(Experiment, EmitsParsableBandwidthFile) {
   for (const auto& entry : parsed.entries) EXPECT_GT(entry.weight, 0.0);
 }
 
-TEST(Experiment, OnePeriodAgreesWithScenarioRun) {
-  // Both entry points must resolve the iPerf mesh with the same seed, so
-  // a 1-period Experiment and Scenario::run() are interchangeable.
-  const auto spec = ScenarioBuilder("mesh")
-                        .table1_relays({50, 100, 250})
-                        .seed(99)
-                        .build();  // no capacity overrides: mesh runs
-  const Scenario scenario{ScenarioSpec{spec}};
-  Experiment experiment{ScenarioSpec{spec}};
-  const auto direct = scenario.run();
-  const auto looped = experiment.run();
-  EXPECT_TRUE(direct == looped.final_period);
+TEST(Experiment, RefusesSpeedTestWindow) {
+  // The window drives run_speed_test only; a slot-based run must refuse
+  // it rather than silently measure slots without it.
+  const auto spec = ScenarioBuilder("window")
+                        .synthetic({}, 10)
+                        .measurer_capacities({net::gbit(1)})
+                        .speedtest(SpeedTestWindow{})
+                        .build();
+  EXPECT_THROW(Experiment{spec}, std::invalid_argument);
+  EXPECT_THROW(scenario::plan(spec), std::invalid_argument);
 }
 
 TEST(SpeedTest, RejectsSpecsItCannotHonor) {

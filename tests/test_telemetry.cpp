@@ -18,7 +18,7 @@
 #include "campaign/campaign.h"
 #include "campaign/sink.h"
 #include "net/units.h"
-#include "scenario/scenario.h"
+#include "scenario/experiment.h"
 #include "sim/random.h"
 #include "telemetry/perf_counters.h"
 #include "telemetry/telemetry.h"
@@ -142,7 +142,7 @@ TEST(TelemetryDeterminism, GoldenBytesUnchangedWithRecorderAttached) {
 }
 
 TEST(TelemetryDeterminism, GoldenScenarioBytesUnchangedWithRecorder) {
-  // Same check through the scenario layer (Scenario::set_telemetry).
+  // Same check through the scenario layer (Experiment::set_telemetry).
   analysis::PopulationParams pop;
   pop.lognormal_mu = 17.0;
   pop.lognormal_sigma = 1.2;
@@ -161,11 +161,11 @@ TEST(TelemetryDeterminism, GoldenScenarioBytesUnchangedWithRecorder) {
           .build();
 
   telemetry::Recorder recorder;
-  scenario::Scenario scenario(spec);
-  scenario.set_telemetry(&recorder);
+  scenario::Experiment experiment(spec);
+  experiment.set_telemetry(&recorder);
   std::ostringstream out;
   campaign::CsvSink sink(out);
-  scenario.run(sink);
+  experiment.run(&sink);
   EXPECT_EQ(sim::hash_tag(out.str()), kScenarioCsvHash)
       << "attaching a telemetry recorder changed the scenario bytes";
 

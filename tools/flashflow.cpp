@@ -68,8 +68,8 @@ int usage(std::ostream& out, int exit_code) {
          "      gauges, stage histograms) as JSON to FILE. Neither\n"
          "      changes a byte of the result files.\n"
          "  plan <scenario>\n"
-         "      Schedule-only dry run (no topology): slots, simulated\n"
-         "      time, team requirement.\n"
+         "      Dry run of period 0's layout (nothing is measured):\n"
+         "      slots, simulated time, team requirement.\n"
          "  validate <scenario> [<scenario> ...]\n"
          "      Parse + validate every file, reporting all diagnostics;\n"
          "      exit 1 if any file is invalid.\n"
@@ -333,8 +333,7 @@ int cmd_plan(Flags& flags) {
   flags.reject_leftovers();
 
   const scenario::ScenarioSpec spec = scenario::load_scenario_file(path);
-  const scenario::Scenario scenario(spec);
-  const auto plan = scenario.plan();
+  const auto plan = scenario::plan(spec);
   std::cout << "scenario '" << spec.name << "':\n"
             << "  relays               : " << plan.relays << "\n"
             << "  total prior          : "
