@@ -28,7 +28,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,7 +40,6 @@
 #include "campaign/campaign.h"
 #include "net/units.h"
 #include "scenario/experiment.h"
-#include "telemetry/perf_counters.h"
 #include "telemetry/telemetry.h"
 
 using namespace flashflow;
@@ -88,13 +86,10 @@ struct SizeResult {
   /// slots/sec over the same invocation's 1-thread run of this size;
   /// 0 when the sweep has no 1-thread baseline.
   double speedup_vs_1t = 0.0;
-  /// Hardware counters over the run (--perf-counters); invalid (all zero)
-  /// when not requested or when perf_event_open is denied.
-  telemetry::PerfSampler::Sample perf;
 };
 
 SizeResult run_size_once(int relays, std::uint64_t seed, int threads,
-                         bool tiered, bool perf, bool telemetry_on) {
+                         bool tiered, bool telemetry_on) {
   // July-2019-like capacity mixture (bench_sec7): largest 998 Mbit/s,
   // whole-network total ~608 Gbit/s at 6,419 relays.
   analysis::PopulationParams pop;
@@ -104,13 +99,16 @@ SizeResult run_size_once(int relays, std::uint64_t seed, int threads,
   // --path-model tiered swaps the dense n x n flat mesh for the implicit
   // 1-tier model (same 0.05 s / loss constants, so per-pair values are
   // identical); it is what makes the 50k-relay row fit in memory.
-  scenario::ScenarioBuilder builder("campaign-scale");
-  builder.synthetic(pop, relays)
-      .measurer_capacities({net::gbit(1), net::gbit(1), net::gbit(1)})
-      .threads(threads)
-      .seed(seed);
-  if (tiered) builder.tiered_topology();
-  scenario::Experiment experiment(builder.build());
+  scenario::ScenarioSpec spec{
+      .name = "campaign-scale",
+      .population =
+          scenario::SyntheticPopulationSpec{.params = pop, .relays = relays},
+      .team = {.capacity_bits = {net::gbit(1), net::gbit(1), net::gbit(1)}},
+      .threads = threads,
+      .seed = seed};
+  if (tiered)
+    spec.topology.path_model = scenario::TopologySpec::PathModelKind::kTiered;
+  scenario::Experiment experiment(spec);
 
   // The recorder exists only to measure instrumentation overhead: with
   // telemetry on the engine takes the guarded branches, with it off the
@@ -124,14 +122,7 @@ SizeResult run_size_once(int relays, std::uint64_t seed, int threads,
   result.threads = threads;
   result.tiered = tiered;
   result.telemetry = telemetry_on;
-  std::optional<telemetry::PerfSampler> sampler;
-  if (perf) sampler.emplace();
-  if (sampler) sampler->start();
   result.stats = experiment.run(&sink).periods.front().stats;
-  if (sampler) {
-    sampler->stop();
-    result.perf = sampler->read();
-  }
   if (result.stats.wall_seconds > 0.0) {
     result.slots_per_second =
         static_cast<double>(result.stats.slots_executed) /
@@ -147,12 +138,11 @@ SizeResult run_size_once(int relays, std::uint64_t seed, int threads,
 /// scheduler hiccup visibly dents one sample, and the fastest run is the
 /// least-interfered measurement of the engine itself.
 SizeResult run_size(int relays, std::uint64_t seed, int threads,
-                    int repeats, bool tiered, bool perf, bool telemetry_on) {
-  SizeResult best =
-      run_size_once(relays, seed, threads, tiered, perf, telemetry_on);
+                    int repeats, bool tiered, bool telemetry_on) {
+  SizeResult best = run_size_once(relays, seed, threads, tiered, telemetry_on);
   for (int rep = 1; rep < repeats; ++rep) {
     SizeResult next =
-        run_size_once(relays, seed, threads, tiered, perf, telemetry_on);
+        run_size_once(relays, seed, threads, tiered, telemetry_on);
     if (next.slots_per_second > best.slots_per_second) best = next;
   }
   return best;
@@ -169,7 +159,7 @@ void write_json(const std::string& path, std::uint64_t seed,
   out.precision(6);
   out << "{\n"
       << "  \"bench\": \"bench_campaign_scale\",\n"
-      << "  \"schema\": 4,\n"
+      << "  \"schema\": 5,\n"
       << "  \"seed\": " << seed << ",\n"
       << "  \"thread_counts\": [";
   for (std::size_t i = 0; i < thread_counts.size(); ++i)
@@ -189,22 +179,7 @@ void write_json(const std::string& path, std::uint64_t seed,
         << ", \"simulated_seconds\": " << r.stats.simulated_seconds
         << ", \"sim_seconds_per_wall_second\": " << r.sim_per_wall
         << ", \"peak_rss_mib\": " << r.rss_mib
-        << ", \"telemetry\": " << (r.telemetry ? "true" : "false");
-    // Schema 4: per-slot hardware-counter rates. All zero when
-    // --perf-counters was absent or perf_event_open was denied (the
-    // sampler degrades to an inert no-op; see telemetry/perf_counters.h).
-    const double slots = r.stats.slots_executed > 0
-                             ? static_cast<double>(r.stats.slots_executed)
-                             : 1.0;
-    out << ", \"instructions_per_slot\": "
-        << (r.perf.valid ? static_cast<double>(r.perf.instructions) / slots
-                         : 0.0)
-        << ", \"cycles_per_slot\": "
-        << (r.perf.valid ? static_cast<double>(r.perf.cycles) / slots : 0.0)
-        << ", \"cache_misses_per_slot\": "
-        << (r.perf.valid ? static_cast<double>(r.perf.cache_misses) / slots
-                         : 0.0)
-        << ", \"ipc\": " << r.perf.ipc() << "}"
+        << ", \"telemetry\": " << (r.telemetry ? "true" : "false") << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -251,7 +226,6 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_campaign.json";
   int repeats = 3;
   bool tiered = false;
-  bool perf = false;
   bool telemetry_on = false;
   std::vector<int> sweep;  // empty: single thread count from --threads
   std::vector<char*> passthrough = {argv[0]};
@@ -274,7 +248,7 @@ int main(int argc, char** argv) {
                 << " [--seed N] [--threads N] [--thread-sweep LIST]"
                    " [--relays N] [--path-model dense|tiered]"
                    " [--repeat N] [--out FILE]\n"
-                   "       [--perf-counters] [--telemetry]\n"
+                   "       [--telemetry]\n"
                    "  --seed         population/campaign seed (default "
                    "20210613)\n"
                    "  --threads      campaign worker threads, 0 = all cores "
@@ -296,19 +270,12 @@ int main(int argc, char** argv) {
                    "3)\n"
                    "  --out          JSON output path (default "
                    "BENCH_campaign.json)\n"
-                   "  --perf-counters sample hardware counters per run "
-                   "(instructions,\n"
-                   "                 cycles, cache misses via "
-                   "perf_event_open; columns are 0\n"
-                   "                 when the kernel denies access)\n"
                    "  --telemetry    attach an engine telemetry recorder "
                    "during runs\n"
                    "                 (measures instrumentation overhead; "
                    "results are\n"
                    "                 byte-identical either way)\n";
       return 0;
-    } else if (arg == "--perf-counters") {
-      perf = true;
     } else if (arg == "--telemetry") {
       telemetry_on = true;
     } else if (const char* vs = value("--thread-sweep")) {
@@ -355,8 +322,8 @@ int main(int argc, char** argv) {
   for (const int relays : sizes) {
     const std::size_t size_begin = results.size();
     for (const int threads : thread_counts) {
-      const auto r = run_size(relays, cli.seed, threads, repeats, tiered,
-                              perf, telemetry_on);
+      const auto r =
+          run_size(relays, cli.seed, threads, repeats, tiered, telemetry_on);
       results.push_back(r);
       std::cout << "  " << r.relays << " relays @ " << r.threads
                 << " threads: " << metrics::Table::num(r.slots_per_second, 1)

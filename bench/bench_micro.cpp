@@ -1,11 +1,10 @@
 // Microbenchmarks (google-benchmark) for the hot paths under every
-// experiment: cell crypto, the event queue, the max-min fair solver (one-shot
-// and a slot's prepared per-second solves), the fluid network, and the
-// statistics kernels.
+// experiment: the event queue, the max-min fair solver (one-shot and a
+// slot's prepared per-second solves), the fluid network, and the statistics
+// kernels.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 #include "metrics/stats.h"
@@ -15,37 +14,10 @@
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
-#include "tor/circuit.h"
 
 namespace {
 
 using namespace flashflow;
-
-void BM_CellCipherApply(benchmark::State& state) {
-  tor::CellCipher cipher(0x1234);
-  std::array<std::uint8_t, tor::kCellPayloadSize> payload{};
-  std::uint64_t counter = 0;
-  for (auto _ : state) {
-    cipher.apply(counter++, payload);
-    benchmark::DoNotOptimize(payload);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          tor::kCellPayloadSize);
-}
-BENCHMARK(BM_CellCipherApply);
-
-void BM_MeasurementEchoRoundTrip(benchmark::State& state) {
-  tor::MeasurementSender sender(42, 1e-5, sim::Rng(1));
-  tor::MeasurementTarget target(42, tor::MeasurementTarget::Behavior::kHonest);
-  for (auto _ : state) {
-    const auto cell = sender.next_cell(7);
-    const auto echo = target.handle(cell);
-    benchmark::DoNotOptimize(sender.check_echo(echo));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          tor::kCellSize);
-}
-BENCHMARK(BM_MeasurementEchoRoundTrip);
 
 void BM_EventQueueScheduleCancel(benchmark::State& state) {
   sim::EventQueue queue;
@@ -61,7 +33,7 @@ void BM_SimulatorEventChurn(benchmark::State& state) {
     sim::Simulator simu;
     for (int i = 0; i < 1000; ++i)
       simu.schedule_at(i, [] {});
-    simu.run();
+    simu.run_until(1000);
     benchmark::DoNotOptimize(simu.events_dispatched());
   }
 }
@@ -150,11 +122,7 @@ void BM_FlowNetAddRemove(benchmark::State& state) {
   sim::Simulator simu;
   net::FlowNet netw(simu);
   std::vector<net::ResourceId> resources;
-  for (int i = 0; i < 16; ++i) {
-    std::string name = "r";
-    name += std::to_string(i);
-    resources.push_back(netw.add_resource(name, 1e9));
-  }
+  for (int i = 0; i < 16; ++i) resources.push_back(netw.add_resource(1e9));
   sim::Rng rng(9);
   for (auto _ : state) {
     net::FlowNet::FlowSpec spec;

@@ -46,15 +46,17 @@ int main(int argc, char** argv) {
     const double per_measurer =
         params.excess_factor() * net::mbit(config.limit_mbit) *
         config.count / 2.0;
-    scenario::Experiment experiment(
-        scenario::ScenarioBuilder("table4")
-            .table1_relays(std::vector<double>(
-                static_cast<std::size_t>(config.count), config.limit_mbit))
-            .measurers({"US-E", "NL"})
-            .measurer_capacities({per_measurer, per_measurer})
-            .threads(cli.threads)
-            .seed(cli.seed)
-            .build());
+    scenario::Experiment experiment(scenario::ScenarioSpec{
+        .name = "table4",
+        .population =
+            scenario::Table1PopulationSpec{
+                .rate_limit_mbit = std::vector<double>(
+                    static_cast<std::size_t>(config.count),
+                    config.limit_mbit)},
+        .team = {.measurer_names = {"US-E", "NL"},
+                 .capacity_bits = {per_measurer, per_measurer}},
+        .threads = cli.threads,
+        .seed = cli.seed});
     const auto result = experiment.run().final_period;
 
     const double gt = result.relays.front().ground_truth_bits;

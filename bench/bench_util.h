@@ -138,14 +138,4 @@ inline void header(const std::string& artifact, const std::string& claim) {
   std::cout << "Paper claim: " << claim << "\n\n";
 }
 
-/// Formats a boxplot summary on one line.
-inline std::string box_summary(const std::vector<double>& xs) {
-  if (xs.empty()) return "(no data)";
-  const auto b = metrics::box_stats(metrics::as_span(xs));
-  return "p5=" + metrics::Table::num(b.p5) + " q1=" +
-         metrics::Table::num(b.q1) + " med=" + metrics::Table::num(b.median) +
-         " q3=" + metrics::Table::num(b.q3) + " p95=" +
-         metrics::Table::num(b.p95) + " mean=" + metrics::Table::num(b.mean);
-}
-
 }  // namespace flashflow::bench

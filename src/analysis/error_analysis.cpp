@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "metrics/error_metrics.h"
+
 namespace flashflow::analysis {
 
 namespace {
@@ -45,7 +47,8 @@ void CapacityErrorAnalysis::observe(const Snapshot& snapshot) {
       const double cap = track.max_adv[w]->max();
       sum_max[w] += cap;
       if (sample && cap > 0.0) {
-        track.rce_sum[w] += 1.0 - relay.advertised_bits / cap;
+        track.rce_sum[w] +=
+            metrics::relay_capacity_error(relay.advertised_bits, cap);
         ++track.rce_count[w];
       }
     }
@@ -122,7 +125,7 @@ void WeightErrorAnalysis::observe(const Snapshot& snapshot) {
       const double c_norm = caps[i][w] / total_cap[w];
       tv[w] += std::abs(w_norm - c_norm);
       if (sample && c_norm > 0.0) {
-        track.rwe_sum[w] += w_norm / c_norm;
+        track.rwe_sum[w] += metrics::relay_weight_error(w_norm, c_norm);
         ++track.rwe_count[w];
       }
     }

@@ -474,11 +474,4 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
   return stats;
 }
 
-CampaignResult CampaignRunner::run(
-    std::span<const CampaignRelay> relays) const {
-  AggregatingSink sink;
-  const RunStats stats = run(relays, sink);
-  return std::move(sink).result(stats);
-}
-
 }  // namespace flashflow::campaign

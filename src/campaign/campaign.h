@@ -18,8 +18,8 @@
 // SlotSink as slots complete. Completed slots are re-ordered so the sink
 // always observes increasing slot indices, which makes the streamed byte
 // stream (CSV, JSONL, …) — not just the aggregate — independent of the
-// thread count. The batch run(relays) overload is a thin wrapper over an
-// in-memory aggregating sink (campaign/sink.h).
+// thread count. campaign/sink.h's AggregatingSink collects the stream back
+// into an in-memory CampaignResult.
 #pragma once
 
 #include <cstdint>
@@ -265,11 +265,6 @@ class CampaignRunner {
   /// independent of `threads`. Returns timing/progress stats — the only
   /// nondeterministic outputs of a run.
   RunStats run(std::span<const CampaignRelay> relays, SlotSink& sink) const;
-
-  /// Batch convenience: aggregates the stream into a CampaignResult
-  /// (campaign/sink.h AggregatingSink). Use the streaming overload to
-  /// recover wall-clock timing.
-  CampaignResult run(std::span<const CampaignRelay> relays) const;
 
   const std::vector<double>& measurer_capacities() const {
     return measurer_caps_;

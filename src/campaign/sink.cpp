@@ -171,11 +171,6 @@ std::size_t SlotReorderBuffer::delivered() const {
   return delivered_;
 }
 
-bool SlotReorderBuffer::aborted() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return aborted_;
-}
-
 void AggregatingSink::begin(const RunPlan& plan) {
   result_ = CampaignResult{};
   result_.relays.assign(static_cast<std::size_t>(plan.relays),

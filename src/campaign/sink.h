@@ -82,10 +82,6 @@ class SlotReorderBuffer {
   /// Results delivered so far (== count after an uncancelled run).
   std::size_t delivered() const;
 
-  /// True once cancelled by abort(), a deliver exception, or a deliver
-  /// callback returning false.
-  bool aborted() const;
-
  private:
   const std::size_t count_;
   const std::size_t window_;

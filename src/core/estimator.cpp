@@ -29,9 +29,4 @@ double new_relay_prior(std::span<const double> measured_capacities) {
   return metrics::percentile(measured_capacities, 75.0);
 }
 
-CapacityInterval implied_interval(double estimate_bits, const Params& params) {
-  return {estimate_bits / (1.0 + params.epsilon2),
-          estimate_bits / (1.0 - params.epsilon1)};
-}
-
 }  // namespace flashflow::core

@@ -35,12 +35,4 @@ double next_guess(double estimate_bits, double previous_guess_bits);
 /// measured capacities (§4.2 "Measuring New Relays"). Requires non-empty.
 double new_relay_prior(std::span<const double> measured_capacities);
 
-/// Accuracy interval implied by an accepted estimate: the true capacity
-/// lies in (z/(1+eps2), z/(1-eps1)).
-struct CapacityInterval {
-  double low_bits = 0;
-  double high_bits = 0;
-};
-CapacityInterval implied_interval(double estimate_bits, const Params& params);
-
 }  // namespace flashflow::core

@@ -32,10 +32,8 @@ void Team::measure_measurers(std::uint64_t seed) {
   net::FlowNet netw(simu);
   std::vector<net::ResourceId> up, down;
   for (const auto& m : measurers_) {
-    up.push_back(netw.add_resource(topo_.host(m.host).name + ".up",
-                                   topo_.host(m.host).nic_up_bits));
-    down.push_back(netw.add_resource(topo_.host(m.host).name + ".down",
-                                     topo_.host(m.host).nic_down_bits));
+    up.push_back(netw.add_resource(topo_.host(m.host).nic_up_bits));
+    down.push_back(netw.add_resource(topo_.host(m.host).nic_down_bits));
   }
   // flows[i][j]: measurer i sending to measurer j.
   std::vector<std::vector<net::FlowId>> flows(measurers_.size());
@@ -98,17 +96,6 @@ std::vector<int> Team::cores() const {
   for (const auto& m : measurers_)
     out.push_back(topo_.host(m.host).cpu_cores);
   return out;
-}
-
-double Team::total_capacity() const {
-  double total = 0.0;
-  for (const auto& m : measurers_) total += m.capacity_bits;
-  return total;
-}
-
-bool Team::sufficient_for(double relay_capacity_bits,
-                          double excess_factor) const {
-  return total_capacity() >= excess_factor * relay_capacity_bits;
 }
 
 }  // namespace flashflow::core

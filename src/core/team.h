@@ -35,11 +35,6 @@ class Team {
   const std::vector<Measurer>& measurers() const { return measurers_; }
   std::vector<double> capacities() const;
   std::vector<int> cores() const;
-  double total_capacity() const;
-
-  /// True if the team can measure a relay of the given capacity with excess
-  /// factor f: sum(c_i) >= f * relay_capacity.
-  bool sufficient_for(double relay_capacity_bits, double excess_factor) const;
 
  private:
   const net::Topology& topo_;

@@ -15,18 +15,6 @@ double evasion_probability(double check_probability,
                   std::log1p(-check_probability));
 }
 
-std::uint64_t cells_for_detection(double check_probability,
-                                  double detect_probability) {
-  if (check_probability <= 0.0 || check_probability >= 1.0)
-    throw std::invalid_argument("cells_for_detection: bad p");
-  if (detect_probability <= 0.0) return 0;
-  if (detect_probability >= 1.0)
-    throw std::invalid_argument("cells_for_detection: need < 1");
-  const double k =
-      std::log1p(-detect_probability) / std::log1p(-check_probability);
-  return static_cast<std::uint64_t>(std::ceil(k));
-}
-
 bool sample_detection(double check_probability, double total_bytes,
                       double cell_size, sim::Rng& rng) {
   if (cell_size <= 0.0)

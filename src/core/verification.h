@@ -19,11 +19,6 @@ namespace flashflow::core {
 double evasion_probability(double check_probability,
                            std::uint64_t forged_cells);
 
-/// Number of forged cells needed to drive detection probability above the
-/// given level: smallest k with 1-(1-p)^k >= detect_probability.
-std::uint64_t cells_for_detection(double check_probability,
-                                  double detect_probability);
-
 /// Samples whether a forging relay is caught during a slot that carried
 /// `total_bytes` of measurement traffic in `cell_size`-byte cells, with
 /// spot-check probability p. (A checked forged cell mismatches with

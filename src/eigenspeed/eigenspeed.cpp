@@ -107,38 +107,6 @@ std::vector<double> compute_weights(const ObservationMatrix& obs,
   return w;
 }
 
-std::vector<bool> detect_liars(const ObservationMatrix& obs,
-                               std::span<const double> weights,
-                               const std::vector<bool>& trusted,
-                               const EigenSpeedParams& params) {
-  const std::size_t n = obs.size();
-  std::vector<bool> liar(n, false);
-
-  // Trusted relays' observations *about* relay j give an independent
-  // estimate of j's bandwidth; a relay whose eigenvector weight exceeds
-  // that estimate's share by liar_threshold is flagged.
-  std::vector<double> trusted_view(n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    double sum = 0.0;
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!trusted[i] || i == j) continue;
-      sum += obs.at(i, j);
-      ++count;
-    }
-    trusted_view[j] = count > 0 ? sum / static_cast<double>(count) : 0.0;
-  }
-  const double view_total =
-      std::accumulate(trusted_view.begin(), trusted_view.end(), 0.0);
-  if (view_total <= 0.0) return liar;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double expected = trusted_view[j] / view_total;
-    if (expected > 0.0 && weights[j] / expected > params.liar_threshold)
-      liar[j] = true;
-  }
-  return liar;
-}
-
 double collusion_advantage(std::span<const double> capacities,
                            std::span<const std::size_t> colluders,
                            double inflation, double trusted_fraction,

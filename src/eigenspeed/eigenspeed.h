@@ -39,9 +39,6 @@ class ObservationMatrix {
 struct EigenSpeedParams {
   int max_iterations = 100;
   double tolerance = 1e-12;
-  /// Liar detection: relays whose per-iteration weight inflation relative
-  /// to the consensus exceeds this factor are flagged.
-  double liar_threshold = 3.0;
 };
 
 /// Builds the honest observation matrix: relay pairs observe roughly
@@ -59,13 +56,6 @@ void apply_collusion(ObservationMatrix& obs,
 std::vector<double> compute_weights(const ObservationMatrix& obs,
                                     const std::vector<bool>& trusted,
                                     const EigenSpeedParams& params);
-
-/// Flags relays whose final weight is wildly inconsistent with the
-/// observations *about* them made by trusted relays.
-std::vector<bool> detect_liars(const ObservationMatrix& obs,
-                               std::span<const double> weights,
-                               const std::vector<bool>& trusted,
-                               const EigenSpeedParams& params);
 
 /// Attack advantage: total normalized weight of the colluders divided by
 /// their normalized true capacity.

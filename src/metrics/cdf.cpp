@@ -1,7 +1,6 @@
 #include "metrics/cdf.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 namespace flashflow::metrics {
@@ -66,15 +65,6 @@ std::vector<Cdf::Point> Cdf::series(int points) {
     out.push_back({x, fraction_at_most(x)});
   }
   return out;
-}
-
-std::string Cdf::summary() {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "p5=%.4g p25=%.4g p50=%.4g p75=%.4g p95=%.4g (n=%zu)",
-                quantile(0.05), quantile(0.25), quantile(0.50), quantile(0.75),
-                quantile(0.95), samples_.size());
-  return buf;
 }
 
 }  // namespace flashflow::metrics

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 namespace flashflow::metrics {
@@ -37,10 +36,6 @@ class Cdf {
     double fraction = 0;
   };
   std::vector<Point> series(int points);
-
-  /// Renders quantiles of interest as a one-line summary, e.g. for benches:
-  /// "p5=.. p25=.. p50=.. p75=.. p95=..".
-  std::string summary();
 
  private:
   std::vector<double> samples_;

@@ -50,11 +50,4 @@ double network_weight_error(std::span<const double> normalized_weights,
   return total / 2.0;
 }
 
-double network_weight_error_raw(std::span<const double> weights,
-                                std::span<const double> capacities) {
-  const auto w = normalize(weights);
-  const auto c = normalize(capacities);
-  return network_weight_error(w, c);
-}
-
 }  // namespace flashflow::metrics

@@ -35,8 +35,4 @@ double relay_weight_error(double normalized_weight,
 double network_weight_error(std::span<const double> normalized_weights,
                             std::span<const double> normalized_capacities);
 
-/// Convenience: Eq 6 from raw (unnormalized) weights and capacities.
-double network_weight_error_raw(std::span<const double> weights,
-                                std::span<const double> capacities);
-
 }  // namespace flashflow::metrics

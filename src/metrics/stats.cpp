@@ -28,12 +28,6 @@ double stdev(std::span<const double> xs) {
   return std::sqrt(ss / static_cast<double>(xs.size()));
 }
 
-double relative_stdev(std::span<const double> xs) {
-  const double m = mean(xs);
-  if (m == 0.0) throw std::invalid_argument("relative_stdev: zero mean");
-  return stdev(xs) / m;
-}
-
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 
 double percentile(std::span<const double> xs, double q) {
@@ -66,26 +60,9 @@ double percentile_in_place(std::span<double> xs, double q) {
   return at_lo + frac * (at_hi - at_lo);
 }
 
-double min_value(std::span<const double> xs) {
-  require_nonempty(xs, "min_value");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
 double max_value(std::span<const double> xs) {
   require_nonempty(xs, "max_value");
   return *std::max_element(xs.begin(), xs.end());
-}
-
-BoxStats box_stats(std::span<const double> xs) {
-  require_nonempty(xs, "box_stats");
-  BoxStats b;
-  b.p5 = percentile(xs, 5.0);
-  b.q1 = percentile(xs, 25.0);
-  b.median = percentile(xs, 50.0);
-  b.q3 = percentile(xs, 75.0);
-  b.p95 = percentile(xs, 95.0);
-  b.mean = mean(xs);
-  return b;
 }
 
 }  // namespace flashflow::metrics

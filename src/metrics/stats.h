@@ -13,10 +13,6 @@ double mean(std::span<const double> xs);
 /// Population standard deviation. Requires a non-empty range.
 double stdev(std::span<const double> xs);
 
-/// Relative standard deviation stdev/mean (paper Eq. 7).
-/// Requires a non-empty range with non-zero mean.
-double relative_stdev(std::span<const double> xs);
-
 /// Median (averaging the middle pair for even sizes). Non-empty range.
 double median(std::span<const double> xs);
 
@@ -30,22 +26,8 @@ double percentile(std::span<const double> xs, double q);
 /// For callers that own scratch (the slot aggregation's per-target median).
 double percentile_in_place(std::span<double> xs, double q);
 
-/// Smallest/largest value. Non-empty range.
-double min_value(std::span<const double> xs);
+/// Largest value. Non-empty range.
 double max_value(std::span<const double> xs);
-
-/// Five-number summary used by the paper's boxplots: whiskers at the 5th and
-/// 95th percentiles, box at the interquartile range, line at the median,
-/// triangle at the mean (Fig. 9 caption).
-struct BoxStats {
-  double p5 = 0;
-  double q1 = 0;
-  double median = 0;
-  double q3 = 0;
-  double p95 = 0;
-  double mean = 0;
-};
-BoxStats box_stats(std::span<const double> xs);
 
 /// Convenience conversions for call sites holding vectors.
 inline std::span<const double> as_span(const std::vector<double>& v) {

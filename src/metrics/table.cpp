@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 
 namespace flashflow::metrics {
 
@@ -53,12 +52,6 @@ void Table::print(std::ostream& os) const {
   print_rule();
   for (const auto& row : rows_) print_row(row);
   print_rule();
-}
-
-std::string Table::to_string() const {
-  std::ostringstream ss;
-  print(ss);
-  return ss.str();
 }
 
 void print_banner(std::ostream& os, const std::string& title) {

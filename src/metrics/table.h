@@ -22,7 +22,6 @@ class Table {
   static std::string pct(double fraction, int precision = 1);
 
   void print(std::ostream& os) const;
-  std::string to_string() const;
 
  private:
   std::vector<std::string> headers_;

@@ -19,8 +19,6 @@ void PerSecondSeries::add(sim::SimTime at, double bytes) {
   bins_[idx] += bytes;
 }
 
-std::vector<double> PerSecondSeries::bins() const { return bins_; }
-
 std::vector<double> PerSecondSeries::bins_bits_per_second() const {
   std::vector<double> out = bins_;
   for (double& v : out) v *= 8.0;

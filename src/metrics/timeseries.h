@@ -21,10 +21,8 @@ class PerSecondSeries {
   /// Adds `bytes` observed at absolute simulation time `at`.
   void add(sim::SimTime at, double bytes);
 
-  /// Bin values in bytes/second, from the first bin touched through the last.
-  std::vector<double> bins() const;
-
-  /// Bin values converted to bits/second.
+  /// Bin values in bits/second, from the first bin touched through the
+  /// last.
   std::vector<double> bins_bits_per_second() const;
 
   /// First bin index (in whole seconds since sim start); 0 when empty.

@@ -20,28 +20,9 @@ constexpr double kByteEps = 1.0;
 
 FlowNet::FlowNet(sim::Simulator& simulator) : sim_(simulator) {}
 
-ResourceId FlowNet::add_resource(std::string name, double capacity_bits) {
+ResourceId FlowNet::add_resource(double capacity_bits) {
   resources_.push_back({capacity_bits});
-  resource_names_.push_back(std::move(name));
   return resources_.size() - 1;
-}
-
-void FlowNet::set_capacity(ResourceId id, double capacity_bits) {
-  if (id >= resources_.size()) throw std::out_of_range("FlowNet resource");
-  sync();
-  resources_[id].capacity = capacity_bits;
-  recompute_rates();
-}
-
-double FlowNet::capacity(ResourceId id) const {
-  if (id >= resources_.size()) throw std::out_of_range("FlowNet resource");
-  return resources_[id].capacity;
-}
-
-const std::string& FlowNet::resource_name(ResourceId id) const {
-  if (id >= resource_names_.size())
-    throw std::out_of_range("FlowNet resource");
-  return resource_names_[id];
 }
 
 double FlowNet::resource_usage(ResourceId id) {
@@ -82,32 +63,6 @@ void FlowNet::remove_flow(FlowId id) {
   retired_.emplace(id, std::move(it->second));
   flows_.erase(it);
   recompute_rates();
-}
-
-bool FlowNet::is_live(FlowId id) const { return flows_.count(id) > 0; }
-
-double FlowNet::rate(FlowId id) {
-  sync();
-  const auto it = flows_.find(id);
-  return it == flows_.end() ? 0.0 : it->second.rate_bits;
-}
-
-double FlowNet::bytes_transferred(FlowId id) {
-  sync();
-  if (const auto it = flows_.find(id); it != flows_.end())
-    return it->second.transferred_bytes;
-  if (const auto it = retired_.find(id); it != retired_.end())
-    return it->second.transferred_bytes;
-  throw std::invalid_argument("FlowNet::bytes_transferred: unknown flow");
-}
-
-double FlowNet::remaining_bytes(FlowId id) {
-  sync();
-  if (const auto it = flows_.find(id); it != flows_.end())
-    return it->second.remaining_bytes;
-  if (const auto it = retired_.find(id); it != retired_.end())
-    return it->second.remaining_bytes;
-  throw std::invalid_argument("FlowNet::remaining_bytes: unknown flow");
 }
 
 const metrics::PerSecondSeries& FlowNet::series(FlowId id) {
@@ -166,7 +121,6 @@ void FlowNet::advance_to(sim::SimTime t) {
         (void)id;
         const double bytes = bytes_from_bits(flow.rate_bits) * dt;
         const double delivered = std::min(bytes, flow.remaining_bytes);
-        flow.transferred_bytes += delivered;
         if (std::isfinite(flow.remaining_bytes))
           flow.remaining_bytes =
               std::max(0.0, flow.remaining_bytes - delivered);

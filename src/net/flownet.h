@@ -17,7 +17,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "metrics/timeseries.h"
@@ -35,11 +34,7 @@ class FlowNet {
 
   // --- resources ---
   /// Adds a capacitated resource; capacity in bits/s (<= 0: unconstrained).
-  ResourceId add_resource(std::string name, double capacity_bits);
-  /// Changes a resource's capacity; takes effect immediately.
-  void set_capacity(ResourceId id, double capacity_bits);
-  double capacity(ResourceId id) const;
-  const std::string& resource_name(ResourceId id) const;
+  ResourceId add_resource(double capacity_bits);
   /// Currently allocated rate through a resource (bits/s).
   double resource_usage(ResourceId id);
 
@@ -58,17 +53,11 @@ class FlowNet {
   };
 
   FlowId add_flow(FlowSpec spec);
-  /// Removes a live flow. Statistics remain queryable afterwards.
+  /// Removes a live flow. Its series remains queryable afterwards.
   void remove_flow(FlowId id);
-  bool is_live(FlowId id) const;
 
-  /// Current fair-share rate (bits/s); 0 for finished/removed flows.
-  double rate(FlowId id);
-  /// Total bytes transferred so far (live or retired flows).
-  double bytes_transferred(FlowId id);
-  /// Remaining volume for finite flows; infinity for unbounded ones.
-  double remaining_bytes(FlowId id);
-  /// Per-second byte series (requires record_per_second at creation).
+  /// Per-second byte series of a live or retired flow (empty unless
+  /// record_per_second was set at creation).
   const metrics::PerSecondSeries& series(FlowId id);
 
   /// Brings accrual up to the simulator's current time. Called implicitly
@@ -81,7 +70,6 @@ class FlowNet {
   struct FlowState {
     FlowSpec spec;
     double rate_bits = 0.0;
-    double transferred_bytes = 0.0;
     double remaining_bytes = std::numeric_limits<double>::infinity();
     metrics::PerSecondSeries series;
   };
@@ -97,7 +85,6 @@ class FlowNet {
 
   sim::Simulator& sim_;
   std::vector<FairShareResource> resources_;
-  std::vector<std::string> resource_names_;
   std::map<FlowId, FlowState> flows_;     // ordered: deterministic iteration
   std::map<FlowId, FlowState> retired_;   // finished/removed flows
   FlowId next_flow_id_ = 1;

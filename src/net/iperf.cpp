@@ -28,10 +28,8 @@ struct NicResources {
 NicResources make_nics(FlowNet& netw, const Topology& topo) {
   NicResources nics;
   for (HostId h = 0; h < topo.host_count(); ++h) {
-    nics.up.push_back(
-        netw.add_resource(topo.host(h).name + ".up", topo.host(h).nic_up_bits));
-    nics.down.push_back(netw.add_resource(topo.host(h).name + ".down",
-                                          topo.host(h).nic_down_bits));
+    nics.up.push_back(netw.add_resource(topo.host(h).nic_up_bits));
+    nics.down.push_back(netw.add_resource(topo.host(h).nic_down_bits));
   }
   return nics;
 }

@@ -19,10 +19,6 @@ void PathModel::fill_paths(HostId from, std::span<const HostId> to,
 
 // --------------------------------------------------------- DensePathModel ---
 
-std::unique_ptr<PathModel> DensePathModel::clone() const {
-  return std::make_unique<DensePathModel>(*this);
-}
-
 void DensePathModel::resize_hosts(std::size_t count) {
   hosts_ = count;
   // Geometric growth keeps unreserved host-by-host construction linear in
@@ -123,10 +119,6 @@ TieredPathModel::TieredPathModel(TieredPathParams params)
   }
 }
 
-std::unique_ptr<PathModel> TieredPathModel::clone() const {
-  return std::make_unique<TieredPathModel>(*this);
-}
-
 void TieredPathModel::resize_hosts(std::size_t count) {
   const std::size_t old = host_tier_.size();
   host_tier_.resize(count);
@@ -142,12 +134,6 @@ void TieredPathModel::set_host_tier(HostId host, int tier) {
     throw std::invalid_argument(
         "TieredPathModel::set_host_tier: tier out of range");
   host_tier_[host] = tier;
-}
-
-int TieredPathModel::host_tier(HostId host) const {
-  if (host >= host_tier_.size())
-    throw std::out_of_range("TieredPathModel::host_tier: bad host id");
-  return host_tier_[host];
 }
 
 double TieredPathModel::tier_rtt(int ta, int tb) const {

@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -48,9 +47,6 @@ struct PathCharacteristics {
 class PathModel {
  public:
   virtual ~PathModel() = default;
-
-  /// Deep copy (Topology is a value type and is copied with its model).
-  virtual std::unique_ptr<PathModel> clone() const = 0;
 
   /// Grows the model to cover hosts [0, count). Called by Topology on
   /// every add_host; models size any per-host state here.
@@ -76,7 +72,6 @@ class PathModel {
 /// reservation never re-lay them out.
 class DensePathModel final : public PathModel {
  public:
-  std::unique_ptr<PathModel> clone() const override;
   void resize_hosts(std::size_t count) override;
   void reserve_hosts(std::size_t count) override;
 
@@ -142,13 +137,11 @@ class TieredPathModel final : public PathModel {
   /// [0, 1), jitter in [0, 1).
   explicit TieredPathModel(TieredPathParams params);
 
-  std::unique_ptr<PathModel> clone() const override;
   /// New hosts join tier (id % tiers) until set_host_tier says otherwise.
   void resize_hosts(std::size_t count) override;
 
   /// Overrides a host's tier assignment (shadow regions).
   void set_host_tier(HostId host, int tier);
-  int host_tier(HostId host) const;
 
   const TieredPathParams& params() const { return params_; }
 

@@ -9,19 +9,6 @@ namespace flashflow::net {
 
 Topology::Topology() : model_(std::make_unique<DensePathModel>()) {}
 
-Topology::Topology(const Topology& other)
-    : hosts_(other.hosts_),
-      model_(other.model_->clone()),
-      name_index_(other.name_index_) {}
-
-Topology& Topology::operator=(const Topology& other) {
-  if (this == &other) return *this;
-  hosts_ = other.hosts_;
-  model_ = other.model_->clone();
-  name_index_ = other.name_index_;
-  return *this;
-}
-
 void Topology::use_path_model(std::unique_ptr<PathModel> model) {
   if (!model)
     throw std::invalid_argument("Topology::use_path_model: null model");
@@ -73,11 +60,6 @@ const Host& Topology::host(HostId id) const {
   return hosts_[id];
 }
 
-Host& Topology::host(HostId id) {
-  if (id >= hosts_.size()) throw std::out_of_range("Topology::host");
-  return hosts_[id];
-}
-
 HostId Topology::find(const std::string& name) const {
   const auto it = name_index_.find(name);
   if (it == name_index_.end())
@@ -93,11 +75,6 @@ double Topology::rtt(HostId a, HostId b) const {
 double Topology::loss(HostId a, HostId b) const {
   check_ids(a, b);
   return model_->loss(a, b);
-}
-
-double Topology::loaded_loss(HostId a, HostId b) const {
-  check_ids(a, b);
-  return model_->loaded_loss(a, b);
 }
 
 void Topology::fill_paths(HostId from, std::span<const HostId> to,
@@ -169,20 +146,6 @@ Topology make_table1_hosts() {
   topo.set_path(us_e, nl, 0.090, 1.0e-6, 8.0e-5);
   topo.set_path(in, nl, 0.130, 2.0e-6, 1.0e-4);
 
-  return topo;
-}
-
-Topology make_lab_pair() {
-  Topology topo;
-  const HostId target = topo.add_host(
-      {.name = "lab-target", .nic_up_bits = gbit(10),
-       .nic_down_bits = gbit(10), .cpu_cores = 56, .virtual_host = false,
-       .datacenter = true, .kernel = KernelProfile::default_profile()});
-  const HostId client = topo.add_host(
-      {.name = "lab-client", .nic_up_bits = gbit(10),
-       .nic_down_bits = gbit(10), .cpu_cores = 56, .virtual_host = false,
-       .datacenter = true, .kernel = KernelProfile::default_profile()});
-  topo.set_path(target, client, 0.00013, 0.0);
   return topo;
 }
 

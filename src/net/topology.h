@@ -38,8 +38,6 @@ struct Host {
 class Topology {
  public:
   Topology();
-  Topology(const Topology& other);
-  Topology& operator=(const Topology& other);
   Topology(Topology&&) noexcept = default;
   Topology& operator=(Topology&&) noexcept = default;
 
@@ -79,16 +77,12 @@ class Topology {
 
   std::size_t host_count() const { return hosts_.size(); }
   const Host& host(HostId id) const;
-  /// Mutable host access. Renaming a host through this reference does not
-  /// update the name index used by find().
-  Host& host(HostId id);
   /// Finds a host id by name (first added wins on duplicates); throws if
   /// absent.
   HostId find(const std::string& name) const;
 
   double rtt(HostId a, HostId b) const;
   double loss(HostId a, HostId b) const;
-  double loaded_loss(HostId a, HostId b) const;
 
   /// Bulk path resolution for the slot hot path: one virtual call for all
   /// of `from`'s paths to `to` instead of three scalar reads per pair.
@@ -114,10 +108,6 @@ class Topology {
 /// loss rates grow with RTT, calibrated so the Appendix E.1 socket sweep
 /// reproduces each host's peak location (IN peaks at s=160).
 Topology make_table1_hosts();
-
-/// Lab pair used in Appendix C/D: two hosts on a 10 Gbit/s link with
-/// 0.13 ms RTT and no loss.
-Topology make_lab_pair();
 
 /// Names of the five Table 1 hosts in paper order.
 const std::vector<std::string>& table1_host_names();

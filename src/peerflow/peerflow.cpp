@@ -1,8 +1,5 @@
 #include "peerflow/peerflow.h"
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "net/units.h"
@@ -84,19 +81,6 @@ std::vector<double> compute_weights(const TrafficMatrix& traffic,
   return weights;
 }
 
-std::vector<double> apply_growth_cap(std::span<const double> new_weights,
-                                     std::span<const double> old_weights,
-                                     const PeerFlowParams& params) {
-  if (new_weights.size() != old_weights.size())
-    throw std::invalid_argument("apply_growth_cap: size mismatch");
-  std::vector<double> out(new_weights.begin(), new_weights.end());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (old_weights[i] > 0.0)
-      out[i] = std::min(out[i], old_weights[i] * params.max_growth_factor);
-  }
-  return out;
-}
-
 double inflation_advantage(std::span<const PeerFlowRelay> relays,
                            const PeerFlowParams& params, std::uint64_t seed) {
   sim::Rng rng(seed);
@@ -118,22 +102,6 @@ double inflation_advantage(std::span<const PeerFlowRelay> relays,
   if (mal_cap <= 0.0 || total_weight <= 0.0)
     throw std::invalid_argument("inflation_advantage: no malicious capacity");
   return (mal_weight / total_weight) / (mal_cap / total_cap);
-}
-
-tor::BandwidthFile to_bandwidth_file(std::span<const PeerFlowRelay> relays,
-                                     std::span<const double> weights) {
-  if (relays.size() != weights.size())
-    throw std::invalid_argument("to_bandwidth_file: size mismatch");
-  tor::BandwidthFile file;
-  file.reserve(relays.size());
-  for (std::size_t i = 0; i < relays.size(); ++i) {
-    tor::BandwidthFileEntry e;
-    e.fingerprint = relays[i].fingerprint;
-    e.weight = weights[i];
-    e.capacity_bits = weights[i];  // lower-bound capacity estimate
-    file.push_back(std::move(e));
-  }
-  return file;
 }
 
 }  // namespace flashflow::peerflow

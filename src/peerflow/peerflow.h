@@ -8,7 +8,7 @@
 // bounded by roughly 2/tau (it can claim both directions of the traffic it
 // actually pushed through trusted peers). PeerFlow additionally caps how
 // fast any relay's weight can grow between periods (factor ~4.5 with the
-// suggested parameters).
+// suggested parameters); the single-period comparisons here never reach it.
 #pragma once
 
 #include <cstdint>
@@ -17,16 +17,12 @@
 #include <vector>
 
 #include "sim/random.h"
-#include "tor/authority.h"
 
 namespace flashflow::peerflow {
 
 struct PeerFlowParams {
   /// Fraction of total weight held by trusted relays (tau).
   double trusted_weight_fraction = 0.2;
-  /// Per-period weight growth cap (Theorem 1 of the PeerFlow paper: 4.5x
-  /// with suggested parameters).
-  double max_growth_factor = 4.5;
   /// Measurement period length in days (Table 2: 14+ days to cover the
   /// largest 96.8% of relays).
   double period_days = 14.0;
@@ -67,19 +63,9 @@ std::vector<double> compute_weights(const TrafficMatrix& traffic,
                                     std::span<const PeerFlowRelay> relays,
                                     const PeerFlowParams& params);
 
-/// Applies the per-period growth cap against previous weights.
-std::vector<double> apply_growth_cap(std::span<const double> new_weights,
-                                     std::span<const double> old_weights,
-                                     const PeerFlowParams& params);
-
 /// Normalized-weight advantage of the malicious coalition relative to its
 /// fair (capacity) share. Approaches 2/tau.
 double inflation_advantage(std::span<const PeerFlowRelay> relays,
                            const PeerFlowParams& params, std::uint64_t seed);
-
-/// Bandwidth file from weights (PeerFlow also yields capacity lower bounds:
-/// the credited traffic itself — Table 2 half-filled circle).
-tor::BandwidthFile to_bandwidth_file(std::span<const PeerFlowRelay> relays,
-                                     std::span<const double> weights);
 
 }  // namespace flashflow::peerflow

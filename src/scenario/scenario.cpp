@@ -182,124 +182,6 @@ void ScenarioSpec::validate() const {
   }
 }
 
-ScenarioBuilder::ScenarioBuilder(std::string name) {
-  spec_.name = std::move(name);
-}
-
-ScenarioBuilder& ScenarioBuilder::table1_relays(
-    std::vector<double> rate_limit_mbit, double background_mbit,
-    double prior_mbit) {
-  Table1PopulationSpec pop;
-  pop.rate_limit_mbit = std::move(rate_limit_mbit);
-  pop.background_mbit = background_mbit;
-  pop.prior_mbit = prior_mbit;
-  spec_.population = std::move(pop);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::shadow_net(shadowsim::ShadowNetParams params,
-                                             std::uint64_t seed) {
-  spec_.population = ShadowPopulationSpec{params, seed};
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::synthetic(analysis::PopulationParams params,
-                                            int relays,
-                                            double prior_fraction) {
-  spec_.population = SyntheticPopulationSpec{params, relays, prior_fraction};
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::topology(TopologySpec topology) {
-  spec_.topology = std::move(topology);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::tiered_topology(int tiers) {
-  TopologySpec topo;
-  topo.path_model = TopologySpec::PathModelKind::kTiered;
-  topo.tiers = tiers;
-  spec_.topology = std::move(topo);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::speedtest(SpeedTestWindow window) {
-  spec_.speedtest = window;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::measurers(std::vector<std::string> names) {
-  spec_.team.measurer_names = std::move(names);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::measurer_capacities(
-    std::vector<double> capacity_bits) {
-  spec_.team.capacity_bits = std::move(capacity_bits);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::liars(double fraction) {
-  spec_.adversaries.liar_fraction = fraction;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::forgers(double fraction) {
-  spec_.adversaries.forger_fraction = fraction;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::background_utilization(double mean,
-                                                         double sd) {
-  spec_.background = BackgroundModel{true, mean, sd};
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::params(core::Params params) {
-  spec_.params = params;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::schedule(campaign::ScheduleMode mode) {
-  spec_.schedule = mode;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::periods(int periods) {
-  spec_.periods = periods;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::threads(int threads) {
-  spec_.threads = threads;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::shard_slots(int shard_slots) {
-  spec_.shard_slots = shard_slots;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::seed(std::uint64_t seed) {
-  spec_.seed = seed;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::faults(fault::FaultSpec faults) {
-  spec_.faults = faults;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::record_outcomes(bool on) {
-  spec_.record_outcomes = on;
-  return *this;
-}
-
-ScenarioSpec ScenarioBuilder::build() const {
-  spec_.validate();
-  return spec_;
-}
-
 std::uint64_t period_seed(const ScenarioSpec& spec, int period) {
   return spec.seed ^
          sim::hash_tag("scenario/period-" + std::to_string(period));

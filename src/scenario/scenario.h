@@ -3,8 +3,10 @@
 // A ScenarioSpec says *what* to measure — a relay population source, an
 // adversary mix, a background-traffic model, a measurer team, a schedule
 // mode and a period count — without any of the topology/allocation wiring
-// the bench binaries used to hand-roll. ScenarioBuilder composes specs
-// fluently; materialize() turns one into a topology + campaign population.
+// the bench binaries used to hand-roll. A spec is a plain aggregate, written
+// with designated initializers or parsed from a scenario file
+// (serialize.h); materialize() turns one into a topology + campaign
+// population.
 // scenario::Experiment (experiment.h) runs a spec: every period through
 // campaign::CampaignRunner, with the §4.3 prior feedback between them.
 // plan() is its dry run: period 0's priors and slot layout, computed by
@@ -19,6 +21,10 @@
 //
 // Everything is deterministic in (spec, seed) and independent of the
 // worker thread count, inheriting the campaign engine's guarantee.
+//
+// Spec members with no default value carry an empty `{}` initializer, so a
+// designated initializer may leave them out without tripping GCC's
+// -Wmissing-field-initializers.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +47,7 @@ namespace flashflow::scenario {
 struct Table1PopulationSpec {
   /// Operator rate limit per relay; 0 means unlimited (NIC/CPU-capped,
   /// the §6 "unlimited" configuration). Negative limits are rejected.
-  std::vector<double> rate_limit_mbit;
+  std::vector<double> rate_limit_mbit{};
   std::string relay_host = "US-SW";
   /// Offered client (background) traffic per relay.
   double background_mbit = 0.0;
@@ -55,7 +61,7 @@ struct Table1PopulationSpec {
 /// The §7 Shadow-style private Tor network: ~328 relays with advertised
 /// bandwidths as scheduling priors and utilization-driven background.
 struct ShadowPopulationSpec {
-  shadowsim::ShadowNetParams params;
+  shadowsim::ShadowNetParams params{};
   std::uint64_t seed = 11;
 
   friend bool operator==(const ShadowPopulationSpec&,
@@ -67,7 +73,7 @@ struct ShadowPopulationSpec {
 /// studies (e.g. the §7 efficiency numbers), which plan() lays out on the
 /// implicit path model, so no n x n path matrix is built.
 struct SyntheticPopulationSpec {
-  analysis::PopulationParams params;
+  analysis::PopulationParams params{};
   int relays = 0;
   /// Scheduling prior as a fraction of true capacity; <= 0 means oracle.
   double prior_fraction = 0.0;
@@ -110,9 +116,9 @@ struct BackgroundModel {
 /// the three built-in 1 Gbit/s measurers; synthetic: hosts created from
 /// `capacity_bits`, which is then required).
 struct TeamSpec {
-  std::vector<std::string> measurer_names;
+  std::vector<std::string> measurer_names{};
   /// Per-measurer capacity overrides; empty runs the §4.2 iPerf mesh.
-  std::vector<double> capacity_bits;
+  std::vector<double> capacity_bits{};
 
   friend bool operator==(const TeamSpec&, const TeamSpec&) = default;
 };
@@ -133,7 +139,7 @@ struct TopologySpec {
   /// Upper triangle (incl. diagonal) of the tier x tier RTT table,
   /// seconds; empty means 0.05 s everywhere (the flat-mesh default, so a
   /// 1-tier tiered topology reproduces the dense flat mesh bit-exactly).
-  std::vector<double> tier_rtt_s;
+  std::vector<double> tier_rtt_s{};
   double loss = 1.0e-6;
   double loaded_loss = 5.0e-5;
   /// Per-pair RTT jitter fraction in [0, 1); 0 = exact table values.
@@ -154,12 +160,12 @@ struct SpeedTestWindow {
 
 struct ScenarioSpec {
   std::string name = "scenario";
-  PopulationSpec population;
-  TopologySpec topology;
-  TeamSpec team;
-  AdversaryMix adversaries;
-  BackgroundModel background;
-  core::Params params;
+  PopulationSpec population{};
+  TopologySpec topology{};
+  TeamSpec team{};
+  AdversaryMix adversaries{};
+  BackgroundModel background{};
+  core::Params params{};
   campaign::ScheduleMode schedule = campaign::ScheduleMode::kGreedyPack;
   /// Measurement periods Experiment::run executes; plan() lays out the
   /// first.
@@ -175,11 +181,11 @@ struct ScenarioSpec {
   /// Deterministic fault injection (faults.* in scenario files). The
   /// default (all rates zero) is inert: no slot fails and every output
   /// byte is identical to a pre-fault build.
-  fault::FaultSpec faults;
+  fault::FaultSpec faults{};
   /// Engages the §3.4 archive speed-test experiment (run_speed_test);
   /// materialize() — and with it Experiment and plan() — rejects specs
   /// carrying it.
-  std::optional<SpeedTestWindow> speedtest;
+  std::optional<SpeedTestWindow> speedtest{};
 
   /// Validates the spec (params + fractions + population/team coherence);
   /// throws std::invalid_argument.
@@ -187,54 +193,6 @@ struct ScenarioSpec {
 
   /// Whole-spec equality (scenario-file round-trip fidelity tests).
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
-};
-
-/// Fluent spec composition. Every setter returns *this; build() validates.
-///
-///   auto spec = ScenarioBuilder("fig7")
-///                   .table1_relays({250}, /*background_mbit=*/50)
-///                   .measurers({"NL"})
-///                   .params(params)
-///                   .seed(20210607)
-///                   .build();
-class ScenarioBuilder {
- public:
-  explicit ScenarioBuilder(std::string name = "scenario");
-
-  ScenarioBuilder& table1_relays(std::vector<double> rate_limit_mbit,
-                                 double background_mbit = 0.0,
-                                 double prior_mbit = 0.0);
-  ScenarioBuilder& shadow_net(shadowsim::ShadowNetParams params,
-                              std::uint64_t seed);
-  ScenarioBuilder& synthetic(analysis::PopulationParams params, int relays,
-                             double prior_fraction = 0.0);
-
-  ScenarioBuilder& topology(TopologySpec topology);
-  /// Shortcut: tiered path model with `tiers` tiers and default table.
-  ScenarioBuilder& tiered_topology(int tiers = 1);
-  ScenarioBuilder& speedtest(SpeedTestWindow window);
-
-  ScenarioBuilder& measurers(std::vector<std::string> names);
-  ScenarioBuilder& measurer_capacities(std::vector<double> capacity_bits);
-
-  ScenarioBuilder& liars(double fraction);
-  ScenarioBuilder& forgers(double fraction);
-  ScenarioBuilder& background_utilization(double mean, double sd = 0.0);
-
-  ScenarioBuilder& params(core::Params params);
-  ScenarioBuilder& schedule(campaign::ScheduleMode mode);
-  ScenarioBuilder& periods(int periods);
-  ScenarioBuilder& threads(int threads);
-  ScenarioBuilder& shard_slots(int shard_slots);
-  ScenarioBuilder& seed(std::uint64_t seed);
-  ScenarioBuilder& record_outcomes(bool on = true);
-  ScenarioBuilder& faults(fault::FaultSpec faults);
-
-  /// Validates and returns the spec; throws std::invalid_argument.
-  ScenarioSpec build() const;
-
- private:
-  ScenarioSpec spec_;
 };
 
 /// A spec turned into concrete simulation objects: an owned topology, the

@@ -270,8 +270,7 @@ PerfResult run_performance(const ShadowNet& net,
     // Saturated relays crawl: benchmark cells squeeze through whatever the
     // background stampede leaves over.
     const double avail = std::max(cap - carried[i], cap * 0.002);
-    relay_resources.push_back(
-        netw.add_resource(net.relays[i].fingerprint, avail));
+    relay_resources.push_back(netw.add_resource(avail));
   }
 
   sim::Rng rng(seed);

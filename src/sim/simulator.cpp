@@ -41,16 +41,6 @@ EventId Simulator::schedule_every(SimDuration interval,
                std::make_shared<std::function<bool()>>(std::move(fn))});
 }
 
-void Simulator::run() {
-  stopped_ = false;
-  while (!queue_.empty() && !stopped_) {
-    auto ev = queue_.pop();
-    now_ = ev.time;
-    ++dispatched_;
-    ev.fn();
-  }
-}
-
 void Simulator::run_until(SimTime deadline) {
   stopped_ = false;
   while (!queue_.empty() && !stopped_ && queue_.next_time() <= deadline) {

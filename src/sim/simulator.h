@@ -1,8 +1,8 @@
 // Discrete-event simulator: a clock plus an event queue.
 //
-// Components schedule callbacks; run() advances the clock to each event in
-// order. There is no real-time element: a multi-hour "Tor day" simulates in
-// milliseconds of wall time when event counts are modest.
+// Components schedule callbacks; run_until() advances the clock to each
+// event in order. There is no real-time element: a multi-hour "Tor day"
+// simulates in milliseconds of wall time when event counts are modest.
 #pragma once
 
 #include <functional>
@@ -29,9 +29,6 @@ class Simulator {
 
   /// Cancels a pending event.
   bool cancel(EventId id) { return queue_.cancel(id); }
-
-  /// Runs until the queue drains or stop() is called.
-  void run();
 
   /// Runs until the queue drains, stop() is called, or the clock would pass
   /// `deadline`; the clock finishes exactly at `deadline` if events remain.

@@ -10,9 +10,22 @@
 #include <string>
 #include <vector>
 
-#include "tor/descriptor.h"
+#include "sim/time.h"
 
 namespace flashflow::tor {
+
+/// One relay's line in a consensus: its load-balancing weight (unitless,
+/// relative).
+struct ConsensusEntry {
+  std::string fingerprint;
+  double weight = 0.0;
+};
+
+/// The hourly network consensus the Directory Authorities publish.
+struct Consensus {
+  sim::SimTime valid_after = 0;
+  std::vector<ConsensusEntry> entries;
+};
 
 /// One BWAuth's output for one relay. TorFlow-style systems produce only
 /// weights (capacity_bits == 0); FlashFlow produces true capacity estimates

@@ -1,47 +1,14 @@
 // Tor cells.
 //
 // Tor moves fixed-size 514-byte cells (circuit id + command + payload).
-// FlashFlow adds a measurement cell type that a supporting relay decrypts
-// and echoes back on the same circuit (§4.1), plus the SPEEDTEST cell used
-// by the paper's §3.4 live-network experiment.
+// FlashFlow's measurement cells (§4.1) are ordinary cells of this size, so
+// a measured byte count converts to the cell count the echo check samples.
 #pragma once
 
-#include <array>
-#include <cstdint>
-#include <span>
+#include <cstddef>
 
 namespace flashflow::tor {
 
 inline constexpr std::size_t kCellSize = 514;
-inline constexpr std::size_t kCellHeaderSize = 5;  // 4B circ id + 1B command
-inline constexpr std::size_t kCellPayloadSize = kCellSize - kCellHeaderSize;
-
-enum class CellCommand : std::uint8_t {
-  kCreate = 1,       // circuit creation (key exchange)
-  kCreated = 2,      // creation acknowledgment
-  kRelayData = 3,    // application data on a circuit
-  kDestroy = 4,      // circuit teardown
-  kMeasure = 10,     // FlashFlow measurement cell (random bytes)
-  kMeasureEcho = 11, // decrypted measurement cell echoed by the target
-  kSpeedtest = 12,   // §3.4 SPEEDTEST cell (forwarded straight back)
-};
-
-struct Cell {
-  std::uint32_t circuit_id = 0;
-  CellCommand command = CellCommand::kRelayData;
-  std::array<std::uint8_t, kCellPayloadSize> payload{};
-
-  std::span<std::uint8_t> payload_span() {
-    return {payload.data(), payload.size()};
-  }
-  std::span<const std::uint8_t> payload_span() const {
-    return {payload.data(), payload.size()};
-  }
-};
-
-/// True for the cell types that participate in FlashFlow measurement.
-constexpr bool is_measurement_cell(CellCommand c) {
-  return c == CellCommand::kMeasure || c == CellCommand::kMeasureEcho;
-}
 
 }  // namespace flashflow::tor

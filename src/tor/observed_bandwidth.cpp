@@ -8,10 +8,6 @@ ObservedBandwidth::ObservedBandwidth(std::size_t window_samples,
                                      std::size_t history_samples)
     : window_max_(window_samples, history_samples) {}
 
-ObservedBandwidth ObservedBandwidth::tor_live() {
-  return ObservedBandwidth(10, 5 * 24 * 60 * 60);
-}
-
 ObservedBandwidth ObservedBandwidth::archive_hourly() {
   return ObservedBandwidth(1, 5 * 24);
 }

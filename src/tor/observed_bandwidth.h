@@ -25,9 +25,6 @@ class ObservedBandwidth {
   /// history_samples: windows retained (Tor: 5 days of seconds).
   ObservedBandwidth(std::size_t window_samples, std::size_t history_samples);
 
-  /// Tor's live configuration: 10-second windows over 5 days of seconds.
-  static ObservedBandwidth tor_live();
-
   /// Hourly-archive configuration: window of one sample, 5 days of hours.
   static ObservedBandwidth archive_hourly();
 

@@ -24,14 +24,4 @@ double BenchmarkResults::error_rate() const {
   return static_cast<double>(errors) / records.size();
 }
 
-double BenchmarkResults::error_rate_for(TransferSize size) const {
-  std::size_t total = 0, errors = 0;
-  for (const auto& r : records) {
-    if (r.size != size) continue;
-    ++total;
-    if (r.timed_out) ++errors;
-  }
-  return total == 0 ? 0.0 : static_cast<double>(errors) / total;
-}
-
 }  // namespace flashflow::trafficgen

@@ -36,8 +36,6 @@ struct BenchmarkResults {
   std::vector<double> ttlb_for(TransferSize size) const;
   /// Error (timeout) rate across all transfers, in [0,1].
   double error_rate() const;
-  /// Error rate for one size.
-  double error_rate_for(TransferSize size) const;
 };
 
 }  // namespace flashflow::trafficgen

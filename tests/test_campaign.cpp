@@ -45,6 +45,15 @@ std::vector<CampaignRelay> small_population(const net::Topology& topo) {
   return relays;
 }
 
+/// The whole period aggregated in memory: the streaming run into an
+/// AggregatingSink.
+CampaignResult run_batch(const CampaignRunner& runner,
+                         std::span<const CampaignRelay> relays) {
+  AggregatingSink sink;
+  const RunStats stats = runner.run(relays, sink);
+  return std::move(sink).result(stats);
+}
+
 TEST(ThreadPool, ParallelForCoversEveryIndex) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
@@ -66,7 +75,7 @@ TEST(Campaign, EndToEndOverTable1Hosts) {
   const auto topo = net::make_table1_hosts();
   const auto relays = small_population(topo);
   const CampaignRunner runner(topo, lab_config(topo));
-  const auto result = runner.run(relays);
+  const auto result = run_batch(runner, relays);
 
   ASSERT_EQ(result.relays.size(), relays.size());
   EXPECT_EQ(result.summary.relays_measured,
@@ -94,8 +103,8 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
   auto config8 = lab_config(topo);
   config8.threads = 8;
 
-  const auto serial = CampaignRunner(topo, config1).run(relays);
-  const auto parallel = CampaignRunner(topo, config8).run(relays);
+  const auto serial = run_batch(CampaignRunner(topo, config1), relays);
+  const auto parallel = run_batch(CampaignRunner(topo, config8), relays);
 
   // Bit-identical, not merely close: per-slot sub-seeding must make the
   // schedule of workers irrelevant. Whole-struct equality is possible
@@ -296,7 +305,7 @@ TEST(Campaign, EstimatesTrackKnownCapacities) {
   const auto topo = net::make_table1_hosts();
   const auto relays = small_population(topo);
   const CampaignRunner runner(topo, lab_config(topo));
-  const auto result = runner.run(relays);
+  const auto result = run_batch(runner, relays);
 
   // Appendix E.5 error model: accepted estimates land in
   // ((1-eps1)x, (1+eps2)x) = (0.80x, 1.05x); allow the simulator's noise
@@ -319,7 +328,7 @@ TEST(Campaign, RandomizedScheduleSpreadsAcrossPeriod) {
   const auto relays = small_population(topo);
   auto config = lab_config(topo);
   config.schedule = ScheduleMode::kRandomized;
-  const auto result = CampaignRunner(topo, config).run(relays);
+  const auto result = run_batch(CampaignRunner(topo, config), relays);
 
   // A day of 30-second slots.
   EXPECT_EQ(result.summary.slots_in_period, 2880);

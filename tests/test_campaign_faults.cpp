@@ -43,6 +43,15 @@ std::vector<CampaignRelay> small_population(const net::Topology& topo) {
   return relays;
 }
 
+/// The whole period aggregated in memory: the streaming run into an
+/// AggregatingSink.
+CampaignResult run_batch(const CampaignRunner& runner,
+                         std::span<const CampaignRelay> relays) {
+  AggregatingSink sink;
+  const RunStats stats = runner.run(relays, sink);
+  return std::move(sink).result(stats);
+}
+
 fault::FaultSpec all_channels(double rate) {
   fault::FaultSpec faults;
   faults.measurer_crash = rate;
@@ -113,7 +122,7 @@ TEST(CampaignFaults, ErrorDegradesSmoothlyWithFaultRate) {
     auto config = lab_config(topo);
     config.faults = all_channels(rate);
     config.faults.slot_timeout = 0.0;  // isolate degradation from loss
-    const auto result = CampaignRunner(topo, config).run(relays);
+    const auto result = run_batch(CampaignRunner(topo, config), relays);
     return result.summary.median_abs_relative_error;
   };
 
@@ -183,7 +192,7 @@ TEST(CampaignFaults, ZeroRetryBudgetQuarantinesImmediately) {
   auto config = lab_config(topo);
   config.faults.slot_timeout = 0.6;
   config.faults.max_retries = 0;
-  const auto result = CampaignRunner(topo, config).run(relays);
+  const auto result = run_batch(CampaignRunner(topo, config), relays);
 
   EXPECT_GT(result.summary.relays_failed, 0);
   EXPECT_EQ(result.summary.relays_quarantined, result.summary.relays_failed);
@@ -202,7 +211,7 @@ TEST(CampaignFaults, DegradedRelaysCountedInSummary) {
 
   auto config = lab_config(topo);
   config.faults.report_truncate = 0.5;  // degrades evidence, rarely fails
-  const auto result = CampaignRunner(topo, config).run(relays);
+  const auto result = run_batch(CampaignRunner(topo, config), relays);
 
   int degraded = 0;
   for (const auto& est : result.relays)
@@ -367,12 +376,13 @@ TEST(CampaignFaults, InertSpecChangesNothing) {
   const auto topo = net::make_table1_hosts();
   const auto relays = small_population(topo);
 
-  const auto baseline = CampaignRunner(topo, lab_config(topo)).run(relays);
+  const auto baseline =
+      run_batch(CampaignRunner(topo, lab_config(topo)), relays);
 
   auto config = lab_config(topo);
   config.faults.max_retries = 7;        // policy knobs alone don't arm it
   config.faults.min_usable_seconds = 3;
-  const auto with_policy = CampaignRunner(topo, config).run(relays);
+  const auto with_policy = run_batch(CampaignRunner(topo, config), relays);
 
   EXPECT_TRUE(baseline == with_policy);
   EXPECT_EQ(baseline.summary.relays_failed, 0);

@@ -18,7 +18,8 @@
 // scenario is loaded or directory created. The CliOutputs tests run real
 // scenarios into a scratch directory under the system temp dir and check
 // that a result file which cannot be written in full fails the run, and
-// that a spec no slot campaign can honor is refused.
+// that a spec no slot campaign can honor is refused without writing
+// anything.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -267,6 +268,20 @@ TEST(CliOutputs, RunAndPlanRefuseSpeedTestWindow) {
     EXPECT_NE(result.output.find("speedtest window"), std::string::npos)
         << result.output;
   }
+}
+
+TEST(CliOutputs, RefusedRunLeavesNoDirectory) {
+  // The refusal comes before anything is written: no scenario.yaml or
+  // empty result files are left behind, so a second run into the same
+  // directory needs no --force.
+  const ScratchDir scratch;
+  const fs::path out = scratch.path() / "out";
+  const RunResult result = run_cli("run " + scenario_file("fig05.yaml") +
+                                   " --out " + quoted(out) + " --quiet");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("speedtest window"), std::string::npos)
+      << result.output;
+  EXPECT_FALSE(fs::exists(out));
 }
 
 TEST(CliOutputs, RunFailsWhenAnyOutputWriteFails) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "core/attack.h"
 #include "net/units.h"
 #include "tor/cpu_model.h"
@@ -41,16 +44,15 @@ TEST(Team, MeshEstimatesApproachNics) {
     EXPECT_LE(m.capacity_bits, t.host(m.host).nic_down_bits * 1.01);
     EXPECT_GE(m.capacity_bits, t.host(m.host).nic_down_bits * 0.55);
   }
-  EXPECT_GT(team.total_capacity(), net::gbit(3));
+  const std::vector<double> caps = team.capacities();
+  EXPECT_GT(std::accumulate(caps.begin(), caps.end(), 0.0), net::gbit(3));
 }
 
-TEST(Team, SufficiencyCheck) {
+TEST(Team, SetCapacityOverridesTheEstimate) {
   const auto t = topo();
   Team team(t, {t.find("NL")});
   team.set_capacity(0, net::gbit(1));
-  Params p;
-  EXPECT_TRUE(team.sufficient_for(net::mbit(300), p.excess_factor()));
-  EXPECT_FALSE(team.sufficient_for(net::mbit(500), p.excess_factor()));
+  EXPECT_EQ(team.capacities(), std::vector<double>{net::gbit(1)});
 }
 
 TEST(Team, RejectsEmptyAndBadIndex) {

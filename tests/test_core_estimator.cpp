@@ -49,14 +49,6 @@ TEST(Estimator, NewRelayPriorIs75thPercentile) {
   EXPECT_THROW(new_relay_prior(empty), std::invalid_argument);
 }
 
-TEST(Estimator, ImpliedIntervalBracketsTruth) {
-  Params p;
-  const auto iv = implied_interval(net::mbit(100), p);
-  EXPECT_NEAR(net::to_mbit(iv.low_bits), 100 / 1.05, 0.01);
-  EXPECT_NEAR(net::to_mbit(iv.high_bits), 100 / 0.80, 0.01);
-  EXPECT_LT(iv.low_bits, iv.high_bits);
-}
-
 // Property sweep: the acceptance rule is monotone — more allocation can
 // only make acceptance easier for a fixed estimate.
 class AcceptMonotone : public ::testing::TestWithParam<double> {};

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 namespace flashflow::core {
 namespace {
@@ -19,16 +18,6 @@ TEST(Verification, EvasionProbabilityFormula) {
 TEST(Verification, EvasionRejectsBadP) {
   EXPECT_THROW(evasion_probability(-0.1, 1), std::invalid_argument);
   EXPECT_THROW(evasion_probability(1.1, 1), std::invalid_argument);
-}
-
-TEST(Verification, CellsForDetection) {
-  // With p = 1e-5, ~2.3e5 forged cells give 90% detection.
-  const auto k = cells_for_detection(1e-5, 0.9);
-  EXPECT_NEAR(static_cast<double>(k), std::log(0.1) / std::log1p(-1e-5),
-              2.0);
-  EXPECT_EQ(cells_for_detection(0.5, 0.0), 0u);
-  EXPECT_THROW(cells_for_detection(0.0, 0.5), std::invalid_argument);
-  EXPECT_THROW(cells_for_detection(0.5, 1.0), std::invalid_argument);
 }
 
 TEST(Verification, SampleDetectionHighVolumeAlwaysCaught) {

@@ -69,41 +69,5 @@ TEST(EigenSpeed, MoreInflationMoreAdvantage) {
   EXPECT_GT(high, low);
 }
 
-TEST(EigenSpeed, LiarDetectionFlagsColluders) {
-  const auto caps = make_caps(40, 9);
-  sim::Rng rng(10);
-  auto obs = honest_observations(caps, 0.1, rng);
-  const std::vector<std::size_t> colluders = {35, 36, 37};
-  apply_collusion(obs, colluders, 500.0);
-  std::vector<bool> trusted(caps.size(), false);
-  for (int i = 0; i < 8; ++i) trusted[static_cast<std::size_t>(i)] = true;
-  const auto w = compute_weights(obs, trusted, {});
-  const auto liars = detect_liars(obs, w, trusted, {});
-  int flagged_colluders = 0;
-  int flagged_honest = 0;
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    const bool is_colluder =
-        std::find(colluders.begin(), colluders.end(), i) != colluders.end();
-    if (liars[i] && is_colluder) ++flagged_colluders;
-    if (liars[i] && !is_colluder) ++flagged_honest;
-  }
-  EXPECT_GE(flagged_colluders, 2);  // most colluders caught
-  EXPECT_LE(flagged_honest, 2);     // few false positives
-}
-
-TEST(EigenSpeed, HonestNetworkNoLiarsFlagged) {
-  const auto caps = make_caps(30, 11);
-  sim::Rng rng(12);
-  const auto obs = honest_observations(caps, 0.1, rng);
-  std::vector<bool> trusted(caps.size(), false);
-  for (int i = 0; i < 6; ++i) trusted[static_cast<std::size_t>(i)] = true;
-  const auto w = compute_weights(obs, trusted, {});
-  const auto liars = detect_liars(obs, w, trusted, {});
-  int flagged = 0;
-  for (const bool f : liars)
-    if (f) ++flagged;
-  EXPECT_LE(flagged, 1);
-}
-
 }  // namespace
 }  // namespace flashflow::eigenspeed

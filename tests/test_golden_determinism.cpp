@@ -123,9 +123,9 @@ std::string campaign_csv(int threads) {
   return out.str();
 }
 
-/// The golden scenario as a ScenarioBuilder program. scenario_file_spec()
-/// must parse to exactly this spec.
-scenario::ScenarioSpec golden_builder_spec(int threads) {
+/// The golden scenario written out in C++. scenario_file_spec() must parse
+/// to exactly this spec.
+scenario::ScenarioSpec golden_program_spec(int threads) {
   // Covers the scenario materialization path on top of the campaign
   // engine: synthetic population, adversary mix, background model, and the
   // randomized §4.3 schedule.
@@ -133,18 +133,18 @@ scenario::ScenarioSpec golden_builder_spec(int threads) {
   pop.lognormal_mu = 17.0;
   pop.lognormal_sigma = 1.2;
   pop.max_capacity_bits = 900e6;
-  return scenario::ScenarioBuilder("golden")
-      .synthetic(pop, 40, /*prior_fraction=*/0.8)
-      .measurer_capacities({net::mbit(800), net::mbit(800),
-                            net::mbit(800)})
-      .liars(0.10)
-      .forgers(0.10)
-      .background_utilization(0.2, 0.1)
-      .schedule(campaign::ScheduleMode::kRandomized)
-      .threads(threads)
-      .shard_slots(forced_shard())
-      .seed(20210613)
-      .build();
+  return {.name = "golden",
+          .population = scenario::SyntheticPopulationSpec{pop, 40, 0.8},
+          .team = {.capacity_bits = {net::mbit(800), net::mbit(800),
+                                     net::mbit(800)}},
+          .adversaries = {.liar_fraction = 0.10, .forger_fraction = 0.10},
+          .background = {.enabled = true,
+                         .utilization_mean = 0.2,
+                         .utilization_sd = 0.1},
+          .schedule = campaign::ScheduleMode::kRandomized,
+          .threads = threads,
+          .shard_slots = forced_shard(),
+          .seed = 20210613};
 }
 
 /// The same scenario loaded from the checked-in scenario file (what
@@ -181,7 +181,7 @@ std::string spec_csv(const scenario::ScenarioSpec& spec) {
 }
 
 std::string scenario_csv(int threads) {
-  return spec_csv(golden_builder_spec(threads));
+  return spec_csv(golden_program_spec(threads));
 }
 
 /// A 3-tier path model with jittered RTTs.
@@ -204,15 +204,15 @@ scenario::ScenarioSpec crowded_spec(int threads) {
   pop.lognormal_mu = 14.5;
   pop.lognormal_sigma = 1.0;
   pop.max_capacity_bits = 998e6;
-  return scenario::ScenarioBuilder("golden_crowded")
-      .synthetic(pop, 800)
-      .topology(tiered_topology())
-      .measurer_capacities({net::gbit(1), net::gbit(1), net::gbit(1)})
-      .schedule(campaign::ScheduleMode::kGreedyPack)
-      .threads(threads)
-      .shard_slots(forced_shard())
-      .seed(20210613)
-      .build();
+  return {.name = "golden_crowded",
+          .population = scenario::SyntheticPopulationSpec{pop, 800},
+          .topology = tiered_topology(),
+          .team = {.capacity_bits = {net::gbit(1), net::gbit(1),
+                                     net::gbit(1)}},
+          .schedule = campaign::ScheduleMode::kGreedyPack,
+          .threads = threads,
+          .shard_slots = forced_shard(),
+          .seed = 20210613};
 }
 
 std::string crowded_csv(int threads) {
@@ -230,17 +230,17 @@ scenario::ScenarioSpec dense_randomized_spec(int threads) {
   pop.max_capacity_bits = 998e6;
   core::Params params;
   params.period = sim::from_seconds(7200);
-  return scenario::ScenarioBuilder("golden_dense")
-      .synthetic(pop, 500, /*prior_fraction=*/0.8)
-      .topology(tiered_topology())
-      .measurer_capacities({net::gbit(1), net::gbit(1), net::gbit(1)})
-      .params(params)
-      .schedule(campaign::ScheduleMode::kRandomized)
-      .periods(2)
-      .threads(threads)
-      .shard_slots(forced_shard())
-      .seed(20210613)
-      .build();
+  return {.name = "golden_dense",
+          .population = scenario::SyntheticPopulationSpec{pop, 500, 0.8},
+          .topology = tiered_topology(),
+          .team = {.capacity_bits = {net::gbit(1), net::gbit(1),
+                                     net::gbit(1)}},
+          .params = params,
+          .schedule = campaign::ScheduleMode::kRandomized,
+          .periods = 2,
+          .threads = threads,
+          .shard_slots = forced_shard(),
+          .seed = 20210613};
 }
 
 /// Both periods' CsvSink rows, plus each period's (slots in period, slots
@@ -326,15 +326,15 @@ TEST(GoldenDeterminism, CampaignCsvBytesMatchRecordedBaseline) {
   }
 }
 
-TEST(GoldenDeterminism, ScenarioFileMatchesBuilderSpecAndGoldenBytes) {
+TEST(GoldenDeterminism, ScenarioFileMatchesProgramSpecAndGoldenBytes) {
   const int forced = forced_threads();
   const int threads = forced > 0 ? forced : 1;
 
-  // The checked-in file and the builder program describe the same
+  // The checked-in file and the C++ program describe the same
   // experiment, field for field...
   const scenario::ScenarioSpec from_file = scenario_file_spec(threads);
-  EXPECT_EQ(from_file, golden_builder_spec(threads))
-      << "scenarios/golden_smoke.yaml drifted from the builder program";
+  EXPECT_EQ(from_file, golden_program_spec(threads))
+      << "scenarios/golden_smoke.yaml drifted from the C++ program";
 
   // ...and running the file-loaded spec produces the same pinned bytes,
   // so `flashflow run scenarios/golden_smoke.yaml` is covered by the
@@ -397,11 +397,11 @@ TEST(GoldenDeterminism, ScenarioJsonlBytesMatchRecordedBaseline) {
   SCOPED_TRACE("threads=" + std::to_string(forced > 0 ? forced : 1) +
                " shard=" + std::to_string(forced_shard()));
   const std::string jsonl = spec_stream<campaign::JsonlSink>(
-      golden_builder_spec(forced > 0 ? forced : 1));
+      golden_program_spec(forced > 0 ? forced : 1));
   expect_hash(jsonl, kScenarioJsonlHash, "scenario JSONL");
   if (forced <= 0) {
     EXPECT_EQ(jsonl,
-              spec_stream<campaign::JsonlSink>(golden_builder_spec(8)));
+              spec_stream<campaign::JsonlSink>(golden_program_spec(8)));
   }
 }
 

@@ -73,10 +73,10 @@ TEST(ErrorMetrics, NetworkWeightErrorBounds) {
   EXPECT_DOUBLE_EQ(network_weight_error(w, c), 1.0);
 }
 
-TEST(ErrorMetrics, RawVariantNormalizesFirst) {
+TEST(ErrorMetrics, NetworkWeightErrorOfNormalizedRawValues) {
   const std::vector<double> w = {5.0, 5.0};
   const std::vector<double> c = {90.0, 10.0};
-  EXPECT_DOUBLE_EQ(network_weight_error_raw(w, c), 0.4);
+  EXPECT_DOUBLE_EQ(network_weight_error(normalize(w), normalize(c)), 0.4);
 }
 
 }  // namespace

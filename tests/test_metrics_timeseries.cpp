@@ -12,11 +12,11 @@ TEST(PerSecondSeries, BinsBySecond) {
   s.add(0, 100.0);
   s.add(sim::kSecond / 2, 50.0);
   s.add(2 * sim::kSecond, 10.0);
-  const auto bins = s.bins();
+  const auto bins = s.bins_bits_per_second();
   ASSERT_EQ(bins.size(), 3u);
-  EXPECT_DOUBLE_EQ(bins[0], 150.0);
+  EXPECT_DOUBLE_EQ(bins[0], 8 * 150.0);
   EXPECT_DOUBLE_EQ(bins[1], 0.0);
-  EXPECT_DOUBLE_EQ(bins[2], 10.0);
+  EXPECT_DOUBLE_EQ(bins[2], 8 * 10.0);
 }
 
 TEST(PerSecondSeries, BitsConversion) {
@@ -29,7 +29,7 @@ TEST(PerSecondSeries, FirstSecondOffset) {
   PerSecondSeries s;
   s.add(10 * sim::kSecond, 5.0);
   EXPECT_EQ(s.first_second(), 10);
-  EXPECT_EQ(s.bins().size(), 1u);
+  EXPECT_EQ(s.bins_bits_per_second().size(), 1u);
 }
 
 TEST(PerSecondSeries, RejectsTimeTravel) {

@@ -80,7 +80,8 @@ TEST(PathModel, TieredMatchesDenseBuiltFromSameTable) {
       // EXPECT_EQ, not NEAR: the equivalence must be bit-exact.
       EXPECT_EQ(tiered.rtt(a, b), dense.rtt(a, b)) << a << "," << b;
       EXPECT_EQ(tiered.loss(a, b), dense.loss(a, b));
-      EXPECT_EQ(tiered.loaded_loss(a, b), dense.loaded_loss(a, b));
+      EXPECT_EQ(tiered.path_model().loaded_loss(a, b),
+                dense.path_model().loaded_loss(a, b));
     }
 }
 
@@ -92,7 +93,7 @@ TEST(PathModel, SelfPathsAreZeroInBothModels) {
   for (const Topology* t : models) {
     EXPECT_EQ(t->rtt(0, 0), 0.0);
     EXPECT_EQ(t->loss(0, 0), 0.0);
-    EXPECT_EQ(t->loaded_loss(0, 0), 0.0);
+    EXPECT_EQ(t->path_model().loaded_loss(0, 0), 0.0);
   }
 }
 
@@ -108,7 +109,7 @@ TEST(PathModel, EmptyTierTableMeansFlatFiftyMillisecondMesh) {
       if (a == b) continue;
       EXPECT_EQ(topo.rtt(a, b), 0.05);
       EXPECT_EQ(topo.loss(a, b), 1.0e-6);
-      EXPECT_EQ(topo.loaded_loss(a, b), 5.0e-5);
+      EXPECT_EQ(topo.path_model().loaded_loss(a, b), 5.0e-5);
     }
 }
 
@@ -177,7 +178,7 @@ TEST(PathModel, FillPathsMatchesScalarGetters) {
     for (std::size_t i = 0; i < to.size(); ++i) {
       EXPECT_EQ(out[i].rtt_s, t->rtt(0, to[i]));
       EXPECT_EQ(out[i].loss, t->loss(0, to[i]));
-      EXPECT_EQ(out[i].loaded_loss, t->loaded_loss(0, to[i]));
+      EXPECT_EQ(out[i].loaded_loss, t->path_model().loaded_loss(0, to[i]));
     }
   }
 }
@@ -185,11 +186,8 @@ TEST(PathModel, FillPathsMatchesScalarGetters) {
 TEST(PathModel, HostTierOverridesAndDefaults) {
   TieredPathParams params = three_tier_params();
   Topology topo = tiered_topology(5, params);
-  const auto* model = dynamic_cast<const TieredPathModel*>(&topo.path_model());
-  ASSERT_NE(model, nullptr);
-  EXPECT_EQ(model->host_tier(4), 1);  // 4 % 3, the round-robin default
+  EXPECT_EQ(topo.rtt(1, 4), 0.020);  // 4 % 3: the round-robin default tier 1
   topo.set_host_tier(4, 2);
-  EXPECT_EQ(model->host_tier(4), 2);
   EXPECT_EQ(topo.rtt(1, 4), 0.150);  // tier 1 <-> 2 now
   EXPECT_THROW(topo.set_host_tier(4, 3), std::invalid_argument);
   EXPECT_THROW(topo.set_host_tier(99, 0), std::out_of_range);
@@ -221,29 +219,6 @@ TEST(PathModel, RejectsBadParams) {
   EXPECT_THROW(TieredPathModel{params}, std::invalid_argument);
 }
 
-TEST(PathModel, CopiedTopologyOwnsAnIndependentModel) {
-  // Topology is a value type; copying must deep-clone the model so
-  // mutating one side never shows through the other.
-  Topology dense;
-  Host a;
-  a.name = "a";
-  Host b;
-  b.name = "b";
-  dense.add_host(std::move(a));
-  dense.add_host(std::move(b));
-  dense.set_path(0, 1, 0.1, 1e-6);
-  Topology copy = dense;
-  dense.set_path(0, 1, 0.9, 1e-6);
-  EXPECT_EQ(copy.rtt(0, 1), 0.1);
-  EXPECT_EQ(dense.rtt(0, 1), 0.9);
-
-  Topology tiered = tiered_topology(4, three_tier_params());
-  Topology tiered_copy = tiered;
-  tiered.set_host_tier(0, 2);
-  EXPECT_EQ(tiered_copy.rtt(0, 3), 0.010);  // still tier 0 <-> 0
-  EXPECT_EQ(tiered.rtt(0, 3), 0.090);       // tier 2 <-> 0
-}
-
 TEST(PathModel, ScenarioBytesAreIdenticalUnderDenseAndOneTierTiered) {
   // End-to-end over the campaign engine: the golden 40-relay synthetic
   // scenario must stream byte-identical CSV whichever model resolves the
@@ -254,12 +229,14 @@ TEST(PathModel, ScenarioBytesAreIdenticalUnderDenseAndOneTierTiered) {
   pop.lognormal_sigma = 1.2;
   pop.max_capacity_bits = 900e6;
   const auto run = [&](bool tiered) {
-    scenario::ScenarioBuilder builder("seam");
-    builder.synthetic(pop, 40, /*prior_fraction=*/0.8)
-        .measurer_capacities({mbit(800), mbit(800), mbit(800)})
-        .seed(20210613);
-    if (tiered) builder.tiered_topology();
-    scenario::Experiment experiment(builder.build());
+    scenario::ScenarioSpec spec{
+        .name = "seam",
+        .population = scenario::SyntheticPopulationSpec{pop, 40, 0.8},
+        .team = {.capacity_bits = {mbit(800), mbit(800), mbit(800)}},
+        .seed = 20210613};
+    if (tiered)
+      spec.topology.path_model = scenario::TopologySpec::PathModelKind::kTiered;
+    scenario::Experiment experiment(spec);
     std::ostringstream out;
     campaign::CsvSink sink(out);
     experiment.run(&sink);

@@ -57,7 +57,7 @@ TEST(Topology, PathIsSymmetric) {
   EXPECT_DOUBLE_EQ(t.rtt(a, b), 0.05);
   EXPECT_DOUBLE_EQ(t.rtt(b, a), 0.05);
   EXPECT_DOUBLE_EQ(t.loss(a, b), 1e-5);
-  EXPECT_DOUBLE_EQ(t.loaded_loss(b, a), 2e-4);
+  EXPECT_DOUBLE_EQ(t.path_model().loaded_loss(b, a), 2e-4);
 }
 
 TEST(Topology, LoadedLossDefaultsToCleanLoss) {
@@ -65,7 +65,7 @@ TEST(Topology, LoadedLossDefaultsToCleanLoss) {
   const HostId a = t.add_host(make_host("a"));
   const HostId b = t.add_host(make_host("b"));
   t.set_path(a, b, 0.05, 3e-5);
-  EXPECT_DOUBLE_EQ(t.loaded_loss(a, b), 3e-5);
+  EXPECT_DOUBLE_EQ(t.path_model().loaded_loss(a, b), 3e-5);
 }
 
 TEST(Topology, GrowingPreservesPaths) {
@@ -99,7 +99,8 @@ TEST(Topology, ReserveHostsMatchesIncrementalGrowth) {
     for (HostId y = 0; y < reserved.host_count(); ++y) {
       EXPECT_DOUBLE_EQ(reserved.rtt(x, y), grown.rtt(x, y));
       EXPECT_DOUBLE_EQ(reserved.loss(x, y), grown.loss(x, y));
-      EXPECT_DOUBLE_EQ(reserved.loaded_loss(x, y), grown.loaded_loss(x, y));
+      EXPECT_DOUBLE_EQ(reserved.path_model().loaded_loss(x, y),
+                       grown.path_model().loaded_loss(x, y));
     }
   EXPECT_THROW(reserved.rtt(0, 5), std::out_of_range);
 }
@@ -139,16 +140,8 @@ TEST(Table1Hosts, LoadedLossExceedsCleanLoss) {
   const HostId us_sw = t.find("US-SW");
   for (const auto& name : {"US-NW", "US-E", "IN", "NL"}) {
     const HostId h = t.find(name);
-    EXPECT_GT(t.loaded_loss(us_sw, h), t.loss(us_sw, h));
+    EXPECT_GT(t.path_model().loaded_loss(us_sw, h), t.loss(us_sw, h));
   }
-}
-
-TEST(LabPair, TenGigLowLatency) {
-  const Topology t = make_lab_pair();
-  ASSERT_EQ(t.host_count(), 2u);
-  EXPECT_DOUBLE_EQ(t.host(0).nic_up_bits, gbit(10));
-  EXPECT_DOUBLE_EQ(t.rtt(0, 1), 0.00013);
-  EXPECT_DOUBLE_EQ(t.loss(0, 1), 0.0);
 }
 
 TEST(Units, Conversions) {

@@ -80,37 +80,5 @@ TEST(PeerFlow, SmallerTauMoreAdvantage) {
             inflation_advantage(many_trusted, tight, 8));
 }
 
-TEST(PeerFlow, GrowthCapLimitsPeriodJump) {
-  PeerFlowParams params;  // 4.5x
-  const std::vector<double> old_w = {10.0, 10.0};
-  const std::vector<double> new_w = {100.0, 20.0};
-  const auto capped = apply_growth_cap(new_w, old_w, params);
-  EXPECT_DOUBLE_EQ(capped[0], 45.0);  // clipped
-  EXPECT_DOUBLE_EQ(capped[1], 20.0);  // within bound
-}
-
-TEST(PeerFlow, GrowthCapSkipsNewRelays) {
-  PeerFlowParams params;
-  const std::vector<double> old_w = {0.0};
-  const std::vector<double> new_w = {100.0};
-  EXPECT_DOUBLE_EQ(apply_growth_cap(new_w, old_w, params)[0], 100.0);
-}
-
-TEST(PeerFlow, BandwidthFileHasCapacities) {
-  const auto relays = make_network(5, 1, 0, 9);
-  const std::vector<double> weights = {1, 2, 3, 4, 5};
-  const auto file = to_bandwidth_file(relays, weights);
-  ASSERT_EQ(file.size(), 5u);
-  // Table 2: PeerFlow yields inferable capacity values.
-  EXPECT_DOUBLE_EQ(file[2].capacity_bits, 3.0);
-}
-
-TEST(PeerFlow, SizeMismatchesThrow) {
-  const auto relays = make_network(5, 1, 0, 10);
-  const std::vector<double> wrong = {1.0};
-  EXPECT_THROW(to_bandwidth_file(relays, wrong), std::invalid_argument);
-  EXPECT_THROW(apply_growth_cap(wrong, {}, {}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace flashflow::peerflow

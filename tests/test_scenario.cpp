@@ -20,79 +20,76 @@ namespace {
 
 ScenarioSpec lab_spec(std::vector<double> limits_mbit,
                       std::uint64_t seed = 20210613) {
-  return ScenarioBuilder("lab")
-      .table1_relays(std::move(limits_mbit))
-      .measurers({"US-E", "NL"})
-      .measurer_capacities({net::mbit(900), net::mbit(900)})
-      .seed(seed)
-      .build();
+  return {.name = "lab",
+          .population =
+              Table1PopulationSpec{.rate_limit_mbit = std::move(limits_mbit)},
+          .team = {.measurer_names = {"US-E", "NL"},
+                   .capacity_bits = {net::mbit(900), net::mbit(900)}},
+          .seed = seed};
 }
 
-TEST(ScenarioBuilder, RejectsInvalidSpecs) {
+TEST(ScenarioSpec, RejectsInvalidSpecs) {
+  const ScenarioSpec one_relay{
+      .population = Table1PopulationSpec{.rate_limit_mbit = {100}}};
+  EXPECT_NO_THROW(one_relay.validate());
   // Empty table1 population.
-  EXPECT_THROW(ScenarioBuilder().table1_relays({}).build(),
-               std::invalid_argument);
+  EXPECT_THROW(ScenarioSpec{}.validate(), std::invalid_argument);
   // Adversary fractions outside [0, 1] or summing above 1.
-  EXPECT_THROW(ScenarioBuilder().table1_relays({100}).liars(-0.1).build(),
-               std::invalid_argument);
-  EXPECT_THROW(
-      ScenarioBuilder().table1_relays({100}).liars(0.6).forgers(0.6).build(),
-      std::invalid_argument);
+  ScenarioSpec spec = one_relay;
+  spec.adversaries.liar_fraction = -0.1;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.adversaries = {.liar_fraction = 0.6, .forger_fraction = 0.6};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
   // Bad protocol params propagate through Params::validate.
-  core::Params bad;
-  bad.epsilon1 = 1.0;
-  EXPECT_THROW(ScenarioBuilder().table1_relays({100}).params(bad).build(),
-               std::invalid_argument);
+  spec = one_relay;
+  spec.params.epsilon1 = 1.0;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
   // Synthetic population with no relays.
-  EXPECT_THROW(ScenarioBuilder().synthetic({}, 0).build(),
-               std::invalid_argument);
+  const ScenarioSpec no_relays{.population = SyntheticPopulationSpec{}};
+  EXPECT_THROW(no_relays.validate(), std::invalid_argument);
   // Team capacity overrides misaligned with named measurers.
-  EXPECT_THROW(ScenarioBuilder()
-                   .table1_relays({100})
-                   .measurers({"US-E", "NL"})
-                   .measurer_capacities({net::mbit(900)})
-                   .build(),
-               std::invalid_argument);
+  spec = one_relay;
+  spec.team = {.measurer_names = {"US-E", "NL"},
+               .capacity_bits = {net::mbit(900)}};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
   // ...and with the population's *default* team (table1: 4 hosts).
-  EXPECT_THROW(ScenarioBuilder()
-                   .table1_relays({100})
-                   .measurer_capacities({net::mbit(900)})
-                   .build(),
-               std::invalid_argument);
-  EXPECT_THROW(ScenarioBuilder()
-                   .shadow_net({}, 1)
-                   .measurer_capacities({net::gbit(1)})
-                   .build(),
-               std::invalid_argument);
+  spec.team.measurer_names.clear();
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  const ScenarioSpec shadow_team{
+      .population = ShadowPopulationSpec{.seed = 1},
+      .team = {.capacity_bits = {net::gbit(1)}}};
+  EXPECT_THROW(shadow_team.validate(), std::invalid_argument);
   // Periods below 1.
-  EXPECT_THROW(ScenarioBuilder().table1_relays({100}).periods(0).build(),
-               std::invalid_argument);
+  spec = one_relay;
+  spec.periods = 0;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
   // Capacity clamps with a maximum <= 0 (below an even lower minimum, so
   // only that rule applies) or a minimum above the maximum, for both
   // sampled populations.
   analysis::PopulationParams no_max;
   no_max.min_capacity_bits = -10;
   no_max.max_capacity_bits = -5;
-  EXPECT_THROW(ScenarioBuilder().synthetic(no_max, 10).build(),
-               std::invalid_argument);
+  spec = {.population = SyntheticPopulationSpec{no_max, 10}};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
   analysis::PopulationParams inverted;
   inverted.min_capacity_bits = 5e8;
   inverted.max_capacity_bits = 1e6;
-  EXPECT_THROW(ScenarioBuilder().synthetic(inverted, 10).build(),
-               std::invalid_argument);
+  spec = {.population = SyntheticPopulationSpec{inverted, 10}};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
   shadowsim::ShadowNetParams shadow_no_max;
   shadow_no_max.min_capacity_bits = 0;
   shadow_no_max.max_capacity_bits = 0;
-  EXPECT_THROW(ScenarioBuilder().shadow_net(shadow_no_max, 1).build(),
-               std::invalid_argument);
+  spec = {.population = ShadowPopulationSpec{shadow_no_max, 1}};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
   shadowsim::ShadowNetParams shadow_inverted;
   shadow_inverted.min_capacity_bits = 5e8;
   shadow_inverted.max_capacity_bits = 1e6;
-  EXPECT_THROW(ScenarioBuilder().shadow_net(shadow_inverted, 1).build(),
-               std::invalid_argument);
+  spec = {.population = ShadowPopulationSpec{shadow_inverted, 1}};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
   // Synthetic populations need capacity overrides at materialization time
   // (no real topology to mesh-measure).
-  auto spec = ScenarioBuilder().synthetic({}, 10).build();
+  spec = {.population = SyntheticPopulationSpec{.relays = 10}};
+  EXPECT_NO_THROW(spec.validate());
   EXPECT_THROW(materialize(spec), std::invalid_argument);
 }
 
@@ -113,7 +110,8 @@ TEST(Experiment, Table1RunTracksGroundTruth) {
 }
 
 TEST(Materialize, DefaultTeamIsEveryOtherTable1Host) {
-  const auto spec = ScenarioBuilder().table1_relays({100}).build();
+  const ScenarioSpec spec{
+      .population = Table1PopulationSpec{.rate_limit_mbit = {100}}};
   const auto mat = materialize(spec);
   // US-SW hosts the relay; the other four Table 1 hosts measure.
   EXPECT_EQ(mat.measurer_hosts.size(), 4u);
@@ -140,13 +138,11 @@ TEST(Plan, SyntheticCoversWholePopulationOnImplicitPaths) {
   // §7 scale: thousands of relays on the default dense path model. plan()
   // lays them out on the implicit model instead (dense path matrices
   // would dwarf the schedule itself).
-  const auto plan = scenario::plan(ScenarioBuilder("sec7")
-                                       .synthetic(pop, 6419)
-                                       .measurer_capacities({net::gbit(1),
-                                                             net::gbit(1),
-                                                             net::gbit(1)})
-                                       .seed(20210613)
-                                       .build());
+  const auto plan = scenario::plan(
+      {.name = "sec7",
+       .population = SyntheticPopulationSpec{pop, 6419},
+       .team = {.capacity_bits = {net::gbit(1), net::gbit(1), net::gbit(1)}},
+       .seed = 20210613});
   EXPECT_EQ(plan.relays, 6419);
   EXPECT_EQ(plan.team_capacity_bits, net::gbit(3));
   // The paper needs ~599 slots (~5 h) for the July 2019 network.
@@ -179,17 +175,16 @@ TEST(Plan, AgreesWithRunPeriodZero) {
       {file("/bench/e2e/workloads/crowded_slots.yaml"), 7},
       {file("/scenarios/fig07.yaml"), 1},
       {file("/scenarios/quickstart.yaml"), 1},
-      {ScenarioBuilder("syn")
-           .synthetic(pop, 40)
-           .measurer_capacities({net::mbit(900), net::mbit(900)})
-           .seed(13)
-           .build(),
+      {{.name = "syn",
+        .population = SyntheticPopulationSpec{pop, 40},
+        .team = {.capacity_bits = {net::mbit(900), net::mbit(900)}},
+        .seed = 13},
        2},
-      {ScenarioBuilder("shadow-plan")
-           .shadow_net(net_params, 3)
-           .measurer_capacities({net::gbit(1), net::gbit(1), net::gbit(1)})
-           .seed(17)
-           .build(),
+      {{.name = "shadow-plan",
+        .population = ShadowPopulationSpec{net_params, 3},
+        .team = {.capacity_bits = {net::gbit(1), net::gbit(1),
+                                   net::gbit(1)}},
+        .seed = 17},
        1},
       {file("/scenarios/golden_smoke.yaml"), 40},
       {file("/scenarios/measure_network.yaml"), 313},
@@ -226,25 +221,28 @@ TEST(Plan, PriorsAreTheRunsSchedulingPriors) {
             0);
 }
 
-TEST(ScenarioBuilder, RejectsNegativeTable1Fields) {
-  EXPECT_THROW(ScenarioBuilder().table1_relays({-100}).build(),
-               std::invalid_argument);
-  EXPECT_THROW(ScenarioBuilder().table1_relays({100}, -50).build(),
-               std::invalid_argument);
+TEST(ScenarioSpec, RejectsNegativeTable1Fields) {
+  ScenarioSpec spec{
+      .population = Table1PopulationSpec{.rate_limit_mbit = {-100}}};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.population = Table1PopulationSpec{.rate_limit_mbit = {100},
+                                         .background_mbit = -50};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
   // 0 stays valid: the §6 "unlimited" configuration.
-  EXPECT_NO_THROW(ScenarioBuilder().table1_relays({0}).build());
+  spec.population = Table1PopulationSpec{.rate_limit_mbit = {0}};
+  EXPECT_NO_THROW(spec.validate());
 }
 
 TEST(Experiment, RecordOutcomesStreamsPerSecondTimeline) {
-  auto spec = ScenarioBuilder("fig7-like")
-                  .table1_relays({250}, /*background_mbit=*/50,
-                                 /*prior_mbit=*/250)
-                  .measurers({"NL"})
-                  .measurer_capacities({net::mbit(1600)})
-                  .record_outcomes()
-                  .seed(20210607)
-                  .build();
-  Experiment experiment(std::move(spec));
+  Experiment experiment({.name = "fig7-like",
+                         .population =
+                             Table1PopulationSpec{.rate_limit_mbit = {250},
+                                                  .background_mbit = 50,
+                                                  .prior_mbit = 250},
+                         .team = {.measurer_names = {"NL"},
+                                  .capacity_bits = {net::mbit(1600)}},
+                         .seed = 20210607,
+                         .record_outcomes = true});
 
   struct TimelineSink : campaign::SlotSink {
     std::vector<core::SlotOutcome> outcomes;
@@ -264,17 +262,13 @@ TEST(Experiment, StreamedSinkOutputIdenticalAcrossThreadCounts) {
   // Acceptance criterion: a >= 3 period randomized-schedule experiment is
   // bit-identical between 1 and 8 threads at the sink level.
   const auto stream = [&](int threads) {
-    auto spec = ScenarioBuilder("determinism")
-                    .table1_relays({10, 25, 50, 75, 100, 150, 200, 250},
-                                   /*background_mbit=*/0,
-                                   /*prior_mbit=*/40)
-                    .measurers({"US-E", "NL"})
-                    .measurer_capacities({net::mbit(900), net::mbit(900)})
-                    .schedule(campaign::ScheduleMode::kRandomized)
-                    .periods(3)
-                    .threads(threads)
-                    .seed(77)
-                    .build();
+    ScenarioSpec spec = lab_spec({10, 25, 50, 75, 100, 150, 200, 250}, 77);
+    spec.population = Table1PopulationSpec{
+        .rate_limit_mbit = {10, 25, 50, 75, 100, 150, 200, 250},
+        .prior_mbit = 40};
+    spec.schedule = campaign::ScheduleMode::kRandomized;
+    spec.periods = 3;
+    spec.threads = threads;
     Experiment experiment(std::move(spec));
     std::ostringstream out;
     campaign::CsvSink sink(out);
@@ -294,15 +288,10 @@ TEST(Experiment, PriorFeedbackConvergesOnHonestPopulation) {
   // Priors start at 10 Mbit for relays up to 25x larger; the f ~ 2.95
   // allocation lets estimates grow geometrically, so the period-over-
   // period error must shrink (or hold once converged).
-  auto spec = ScenarioBuilder("feedback")
-                  .table1_relays({50, 100, 150, 250},
-                                 /*background_mbit=*/0,
-                                 /*prior_mbit=*/10)
-                  .measurers({"US-E", "NL"})
-                  .measurer_capacities({net::mbit(900), net::mbit(900)})
-                  .periods(5)
-                  .seed(20210618)
-                  .build();
+  ScenarioSpec spec = lab_spec({}, 20210618);
+  spec.population = Table1PopulationSpec{
+      .rate_limit_mbit = {50, 100, 150, 250}, .prior_mbit = 10};
+  spec.periods = 5;
   Experiment experiment(std::move(spec));
   const auto result = experiment.run();
 
@@ -323,13 +312,8 @@ TEST(Experiment, PriorFeedbackConvergesOnHonestPopulation) {
 TEST(Experiment, LiarInflationBoundedByMaxInflation) {
   const std::vector<double> limits(10, 100.0);
   auto honest_spec = lab_spec(limits, 31);
-  auto liar_spec = ScenarioBuilder("liars")
-                       .table1_relays(limits)
-                       .measurers({"US-E", "NL"})
-                       .measurer_capacities({net::mbit(900), net::mbit(900)})
-                       .liars(0.5)
-                       .seed(31)
-                       .build();
+  auto liar_spec = lab_spec(limits, 31);
+  liar_spec.adversaries.liar_fraction = 0.5;
 
   Experiment honest(std::move(honest_spec));
   Experiment lying(std::move(liar_spec));
@@ -362,13 +346,8 @@ TEST(Experiment, LiarInflationBoundedByMaxInflation) {
 }
 
 TEST(Experiment, ForgersFailVerification) {
-  auto spec = ScenarioBuilder("forgers")
-                  .table1_relays(std::vector<double>(8, 100.0))
-                  .measurers({"US-E", "NL"})
-                  .measurer_capacities({net::mbit(900), net::mbit(900)})
-                  .forgers(0.4)
-                  .seed(7)
-                  .build();
+  ScenarioSpec spec = lab_spec(std::vector<double>(8, 100.0), 7);
+  spec.adversaries.forger_fraction = 0.4;
   Experiment experiment(std::move(spec));
   const auto result = experiment.run().final_period;
 
@@ -388,14 +367,12 @@ TEST(Experiment, ForgersFailVerification) {
 TEST(Experiment, EmitsParsableBandwidthFile) {
   shadowsim::ShadowNetParams net_params;
   net_params.relays = 30;
-  auto spec = ScenarioBuilder("shadow")
-                  .shadow_net(net_params, 11)
-                  .measurer_capacities(
-                      {net::gbit(1), net::gbit(1), net::gbit(1)})
-                  .periods(2)
-                  .seed(5)
-                  .build();
-  Experiment experiment(std::move(spec));
+  Experiment experiment(
+      {.name = "shadow",
+       .population = ShadowPopulationSpec{net_params, 11},
+       .team = {.capacity_bits = {net::gbit(1), net::gbit(1), net::gbit(1)}},
+       .periods = 2,
+       .seed = 5});
   const auto result = experiment.run();
 
   ASSERT_EQ(result.periods.size(), 2u);
@@ -413,11 +390,11 @@ TEST(Experiment, EmitsParsableBandwidthFile) {
 TEST(Experiment, RefusesSpeedTestWindow) {
   // The window drives run_speed_test only; a slot-based run must refuse
   // it rather than silently measure slots without it.
-  const auto spec = ScenarioBuilder("window")
-                        .synthetic({}, 10)
-                        .measurer_capacities({net::gbit(1)})
-                        .speedtest(SpeedTestWindow{})
-                        .build();
+  const ScenarioSpec spec{.name = "window",
+                          .population = SyntheticPopulationSpec{.relays = 10},
+                          .team = {.capacity_bits = {net::gbit(1)}},
+                          .speedtest = SpeedTestWindow{}};
+  EXPECT_NO_THROW(spec.validate());
   EXPECT_THROW(Experiment{spec}, std::invalid_argument);
   EXPECT_THROW(scenario::plan(spec), std::invalid_argument);
 }
@@ -425,29 +402,27 @@ TEST(Experiment, RefusesSpeedTestWindow) {
 TEST(SpeedTest, RejectsSpecsItCannotHonor) {
   const analysis::PopulationParams pop;
   // Non-synthetic population.
-  EXPECT_THROW(run_speed_test(ScenarioBuilder().table1_relays({100}).build()),
-               std::invalid_argument);
+  const ScenarioSpec table1{
+      .population = Table1PopulationSpec{.rate_limit_mbit = {100}}};
+  EXPECT_THROW(run_speed_test(table1), std::invalid_argument);
   // Fields the archive experiment cannot apply are rejected, not dropped.
-  EXPECT_THROW(
-      run_speed_test(ScenarioBuilder().synthetic(pop, 10).liars(0.5).build()),
-      std::invalid_argument);
-  EXPECT_THROW(run_speed_test(
-                   ScenarioBuilder().synthetic(pop, 10).periods(3).build()),
-               std::invalid_argument);
+  const ScenarioSpec ten{.population = SyntheticPopulationSpec{pop, 10}};
+  ScenarioSpec spec = ten;
+  spec.adversaries.liar_fraction = 0.5;
+  EXPECT_THROW(run_speed_test(spec), std::invalid_argument);
+  spec = ten;
+  spec.periods = 3;
+  EXPECT_THROW(run_speed_test(spec), std::invalid_argument);
   // Tiered topologies do not apply to the archive experiment either.
-  EXPECT_THROW(run_speed_test(ScenarioBuilder()
-                                  .synthetic(pop, 10)
-                                  .tiered_topology()
-                                  .build()),
-               std::invalid_argument);
+  spec = ten;
+  spec.topology.path_model = TopologySpec::PathModelKind::kTiered;
+  EXPECT_THROW(run_speed_test(spec), std::invalid_argument);
   EXPECT_NO_THROW(run_speed_test(
-      ScenarioBuilder()
-          .synthetic(pop, pop.initial_relays)
-          .seed(20210605)
-          .speedtest(SpeedTestWindow{/*warmup_days=*/2,
-                                     /*test_duration_hours=*/6,
-                                     /*cooldown_days=*/1})
-          .build()));
+      {.population = SyntheticPopulationSpec{pop, pop.initial_relays},
+       .seed = 20210605,
+       .speedtest = SpeedTestWindow{.warmup_days = 2,
+                                    .test_duration_hours = 6,
+                                    .cooldown_days = 1}}));
 }
 
 TEST(Experiment, PeriodHookObservesEveryPeriod) {

@@ -43,19 +43,19 @@ ScenarioSpec synthetic_spec() {
   pop.lognormal_mu = 17.42;
   pop.lognormal_sigma = 1.45;
   pop.max_capacity_bits = 998e6;
-  return ScenarioBuilder("synthetic-rt")
-      .synthetic(pop, 6419, /*prior_fraction=*/0.37)
-      .measurer_capacities({net::gbit(1), net::gbit(1.5)})
-      .liars(0.03)
-      .forgers(0.07)
-      .background_utilization(0.21, 0.092)
-      .schedule(campaign::ScheduleMode::kRandomized)
-      .periods(4)
-      .threads(8)
-      .shard_slots(16)
-      .seed(0xDEADBEEFCAFEF00DULL)
-      .record_outcomes()
-      .build();
+  return {.name = "synthetic-rt",
+          .population = SyntheticPopulationSpec{pop, 6419, 0.37},
+          .team = {.capacity_bits = {net::gbit(1), net::gbit(1.5)}},
+          .adversaries = {.liar_fraction = 0.03, .forger_fraction = 0.07},
+          .background = {.enabled = true,
+                         .utilization_mean = 0.21,
+                         .utilization_sd = 0.092},
+          .schedule = campaign::ScheduleMode::kRandomized,
+          .periods = 4,
+          .threads = 8,
+          .shard_slots = 16,
+          .seed = 0xDEADBEEFCAFEF00DULL,
+          .record_outcomes = true};
 }
 
 TEST(ScenarioSerialize, SyntheticRoundTripsExactly) {
@@ -68,15 +68,15 @@ TEST(ScenarioSerialize, Table1RoundTripsExactly) {
   core::Params params;
   params.ratio = 0.1;
   params.check_probability = 0.85;
-  const ScenarioSpec spec =
-      ScenarioBuilder("table1-rt")
-          .table1_relays({250, 0, 33.5}, /*background_mbit=*/50,
-                         /*prior_mbit=*/250)
-          .measurers({"NL", "US-E"})
-          .measurer_capacities({net::mbit(1611), net::mbit(900)})
-          .params(params)
-          .seed(20210607)
-          .build();
+  const ScenarioSpec spec{
+      .name = "table1-rt",
+      .population = Table1PopulationSpec{.rate_limit_mbit = {250, 0, 33.5},
+                                         .background_mbit = 50,
+                                         .prior_mbit = 250},
+      .team = {.measurer_names = {"NL", "US-E"},
+               .capacity_bits = {net::mbit(1611), net::mbit(900)}},
+      .params = params,
+      .seed = 20210607};
   const ScenarioSpec back = parse_scenario(serialize_scenario(spec));
   EXPECT_EQ(spec, back);
 }
@@ -85,13 +85,12 @@ TEST(ScenarioSerialize, ShadowRoundTripsExactly) {
   shadowsim::ShadowNetParams net_params;
   net_params.relays = 123;
   net_params.capacity_mu = 16.9;
-  const ScenarioSpec spec =
-      ScenarioBuilder("shadow-rt")
-          .shadow_net(net_params, /*seed=*/17)
-          .measurer_capacities({net::gbit(1), net::gbit(1), net::gbit(1)})
-          .periods(2)
-          .seed(0x5EED)
-          .build();
+  const ScenarioSpec spec{
+      .name = "shadow-rt",
+      .population = ShadowPopulationSpec{net_params, 17},
+      .team = {.capacity_bits = {net::gbit(1), net::gbit(1), net::gbit(1)}},
+      .periods = 2,
+      .seed = 0x5EED};
   const ScenarioSpec back = parse_scenario(serialize_scenario(spec));
   EXPECT_EQ(spec, back);
 }
@@ -113,11 +112,10 @@ TEST(ScenarioSerialize, TieredTopologyRoundTripsExactly) {
 
 TEST(ScenarioSerialize, SpeedTestWindowRoundTripsExactly) {
   analysis::PopulationParams pop;
-  const ScenarioSpec spec = ScenarioBuilder("fig5-rt")
-                                .synthetic(pop, 220)
-                                .speedtest(SpeedTestWindow{30, 51, 10})
-                                .seed(20210605)
-                                .build();
+  const ScenarioSpec spec{.name = "fig5-rt",
+                          .population = SyntheticPopulationSpec{pop, 220},
+                          .seed = 20210605,
+                          .speedtest = SpeedTestWindow{30, 51, 10}};
   const ScenarioSpec back = parse_scenario(serialize_scenario(spec));
   EXPECT_EQ(spec, back);
   ASSERT_TRUE(back.speedtest.has_value());
@@ -170,7 +168,8 @@ TEST(ScenarioSerialize, AbsentKeysKeepDefaults) {
   const ScenarioSpec spec = parse_scenario(
       "population: table1\n"
       "table1.rate_limits_mbit: [250]\n");
-  EXPECT_EQ(spec, ScenarioBuilder().table1_relays({250}).build());
+  EXPECT_EQ(spec, (ScenarioSpec{.population = Table1PopulationSpec{
+                                     .rate_limit_mbit = {250}}}));
 }
 
 TEST(ScenarioSerialize, CommentsAndBlankLinesAreIgnored) {

@@ -12,7 +12,7 @@ TEST(Simulator, ClockAdvancesToEventTimes) {
   std::vector<SimTime> seen;
   s.schedule_at(5 * kSecond, [&] { seen.push_back(s.now()); });
   s.schedule_at(2 * kSecond, [&] { seen.push_back(s.now()); });
-  s.run();
+  s.run_until(5 * kSecond);
   EXPECT_EQ(seen, (std::vector<SimTime>{2 * kSecond, 5 * kSecond}));
   EXPECT_EQ(s.now(), 5 * kSecond);
 }
@@ -23,14 +23,14 @@ TEST(Simulator, ScheduleInIsRelative) {
   s.schedule_in(3 * kSecond, [&] {
     s.schedule_in(2 * kSecond, [&] { fired_at = s.now(); });
   });
-  s.run();
+  s.run_until(kDay);
   EXPECT_EQ(fired_at, 5 * kSecond);
 }
 
 TEST(Simulator, SchedulePastThrows) {
   Simulator s;
   s.schedule_at(10, [] {});
-  s.run();
+  s.run_until(10);
   EXPECT_THROW(s.schedule_at(5, [] {}), std::invalid_argument);
   EXPECT_THROW(s.schedule_in(-1, [] {}), std::invalid_argument);
 }
@@ -54,9 +54,10 @@ TEST(Simulator, PeriodicTaskRunsUntilFalse) {
     ++count;
     return count < 5;
   });
-  s.run();
+  s.run_until(5 * kSecond);
   EXPECT_EQ(count, 5);
-  EXPECT_EQ(s.now(), 5 * kSecond);
+  s.run_until(kDay);  // the task returned false: nothing is rescheduled
+  EXPECT_EQ(count, 5);
 }
 
 TEST(Simulator, PeriodicRejectsNonPositiveInterval) {
@@ -73,7 +74,7 @@ TEST(Simulator, StopHaltsRun) {
     s.stop();
   });
   s.schedule_at(2, [&] { ++fired; });
-  s.run();
+  s.run_until(kDay);
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(s.stopped());
 }
@@ -83,14 +84,14 @@ TEST(Simulator, CancelScheduledEvent) {
   bool fired = false;
   const EventId id = s.schedule_at(5, [&] { fired = true; });
   EXPECT_TRUE(s.cancel(id));
-  s.run();
+  s.run_until(kDay);
   EXPECT_FALSE(fired);
 }
 
 TEST(Simulator, EventsDispatchedCounter) {
   Simulator s;
   for (int i = 0; i < 7; ++i) s.schedule_at(i, [] {});
-  s.run();
+  s.run_until(kDay);
   EXPECT_EQ(s.events_dispatched(), 7u);
 }
 

@@ -215,6 +215,10 @@ scenario::Experiment::Result run_into_dir(
     const scenario::ScenarioSpec& spec, const fs::path& dir, bool quiet,
     telemetry::Recorder* recorder = nullptr,
     const std::string* trace_dir = nullptr) {
+  // Materializes (and validates) the spec before anything touches the
+  // disk, so a refused spec leaves no directory behind.
+  scenario::Experiment experiment(spec);
+  if (recorder) experiment.set_telemetry(recorder);
   fs::create_directories(dir);
 
   // The normalized spec first: the directory documents what produced it
@@ -249,8 +253,6 @@ scenario::Experiment::Result run_into_dir(
   campaign::FanoutSink fanout{&csv, &jsonl, faults ? &*faults : nullptr,
                               trace ? &*trace : nullptr};
 
-  scenario::Experiment experiment(spec);
-  if (recorder) experiment.set_telemetry(recorder);
   const auto result = experiment.run(
       &fanout, [&](const scenario::Experiment::PeriodRecord& record,
                    const campaign::CampaignResult&) {
