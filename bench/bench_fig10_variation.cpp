@@ -21,7 +21,7 @@ int main() {
   analysis::PopulationParams pop;
   analysis::SyntheticArchive archive(
       analysis::generate_population(pop, 2 * 365, 20210619), 11);
-  analysis::VariationAnalysis variation(6);
+  analysis::VariationAnalysis variation;
   while (!archive.done()) variation.observe(archive.step_hour());
 
   metrics::Table adv_table(

@@ -34,7 +34,7 @@ void BM_SimulatorEventChurn(benchmark::State& state) {
     for (int i = 0; i < 1000; ++i)
       simu.schedule_at(i, [] {});
     simu.run_until(1000);
-    benchmark::DoNotOptimize(simu.events_dispatched());
+    benchmark::DoNotOptimize(simu.now());
   }
 }
 BENCHMARK(BM_SimulatorEventChurn);

@@ -11,6 +11,11 @@ namespace {
 // relay's capacity (scanner/helper bottlenecks); compresses the TorFlow
 // speed ratio on fast relays.
 constexpr double kTorFlowSpeedCeilingBits = 50e6;
+// TorFlow measurement staleness: consensus weights use the advertised
+// bandwidth from this many hours ago. This is why Fig 5's weight error
+// *rises* during the speed test: capacity estimates improve before the
+// weights catch up.
+constexpr std::int64_t kWeightLagHours = 120;
 }  // namespace
 
 SyntheticArchive::SyntheticArchive(std::vector<RelaySpec> population,
@@ -128,7 +133,7 @@ Snapshot SyntheticArchive::step_hour() {
     // to re-measure the network).
     lr.advertised_history.push_back(lr.advertised_bits);
     if (static_cast<std::int64_t>(lr.advertised_history.size()) >
-        weight_lag_hours_ + 1)
+        kWeightLagHours + 1)
       lr.advertised_history.pop_front();
     const double lagged_advertised = lr.advertised_history.front();
 

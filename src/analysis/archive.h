@@ -37,7 +37,6 @@ class SyntheticArchive {
   SyntheticArchive(std::vector<RelaySpec> population, std::uint64_t seed);
 
   std::int64_t horizon_hours() const { return horizon_hours_; }
-  std::int64_t current_hour() const { return hour_; }
   bool done() const { return hour_ >= horizon_hours_; }
 
   /// Advances one hour and returns that hour's consensus snapshot.
@@ -46,12 +45,6 @@ class SyntheticArchive {
   /// Schedules the §3.4 speed test: every live relay is flooded to
   /// capacity during [start_hour, end_hour).
   void set_speed_test(std::int64_t start_hour, std::int64_t end_hour);
-
-  /// TorFlow measurement staleness: consensus weights use the advertised
-  /// bandwidth from `hours` ago (default 72). This is why Fig 5's weight
-  /// error *rises* during the speed test — capacity estimates improve
-  /// before the weights catch up.
-  void set_weight_lag_hours(std::int64_t hours) { weight_lag_hours_ = hours; }
 
  private:
   struct LiveRelay {
@@ -81,7 +74,6 @@ class SyntheticArchive {
   std::int64_t horizon_hours_ = 0;
   std::int64_t speed_test_start_ = -1;
   std::int64_t speed_test_end_ = -1;
-  std::int64_t weight_lag_hours_ = 120;
 };
 
 }  // namespace flashflow::analysis

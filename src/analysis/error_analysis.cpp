@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 
 #include "metrics/error_metrics.h"
 
@@ -21,13 +20,8 @@ typename TrackMap::mapped_type& track_for(TrackMap& tracks, std::size_t id,
 
 // ---------------------------------------------------------------- capacity
 
-CapacityErrorAnalysis::CapacityErrorAnalysis(int sample_stride_hours)
-    : stride_(sample_stride_hours) {
-  if (stride_ <= 0) throw std::invalid_argument("stride must be positive");
-}
-
 void CapacityErrorAnalysis::observe(const Snapshot& snapshot) {
-  const bool sample = observed_hours_ % stride_ == 0;
+  const bool sample = observed_hours_ % kSampleStrideHours == 0;
   double sum_adv = 0.0;
   std::array<double, 4> sum_max{};
 
@@ -79,13 +73,8 @@ const std::vector<double>& CapacityErrorAnalysis::nce_series(Window w) const {
 
 // ------------------------------------------------------------------ weight
 
-WeightErrorAnalysis::WeightErrorAnalysis(int sample_stride_hours)
-    : stride_(sample_stride_hours) {
-  if (stride_ <= 0) throw std::invalid_argument("stride must be positive");
-}
-
 void WeightErrorAnalysis::observe(const Snapshot& snapshot) {
-  const bool sample = observed_hours_ % stride_ == 0;
+  const bool sample = observed_hours_ % kSampleStrideHours == 0;
 
   double total_weight = 0.0;
   for (const auto& relay : snapshot.relays)
@@ -153,13 +142,8 @@ const std::vector<double>& WeightErrorAnalysis::nwe_series(Window w) const {
 
 // --------------------------------------------------------------- variation
 
-VariationAnalysis::VariationAnalysis(int sample_stride_hours)
-    : stride_(sample_stride_hours) {
-  if (stride_ <= 0) throw std::invalid_argument("stride must be positive");
-}
-
 void VariationAnalysis::observe(const Snapshot& snapshot) {
-  const bool sample = observed_hours_ % stride_ == 0;
+  const bool sample = observed_hours_ % kSampleStrideHours == 0;
 
   double total_weight = 0.0;
   for (const auto& relay : snapshot.relays)

@@ -31,13 +31,13 @@ inline constexpr std::array<std::int64_t, 4> kWindowHours = {24, 168, 720,
 inline constexpr std::array<const char*, 4> kWindowNames = {"day", "week",
                                                             "month", "year"};
 
+/// The analyses accumulate their errors every sixth observed hour; the
+/// trailing maxima and rolling windows still see every hour.
+inline constexpr std::int64_t kSampleStrideHours = 6;
+
 /// Figs 1 & 2: relay and network capacity error.
 class CapacityErrorAnalysis {
  public:
-  /// `sample_stride_hours` subsamples the error accumulation (the trailing
-  /// maxima still see every hour). 1 = paper-exact hourly sampling.
-  explicit CapacityErrorAnalysis(int sample_stride_hours = 1);
-
   void observe(const Snapshot& snapshot);
 
   /// Fig 1: per-relay mean RCE (fractions in [0,1]) for a window; one
@@ -53,7 +53,6 @@ class CapacityErrorAnalysis {
     std::array<double, 4> rce_sum{};
     std::array<std::int64_t, 4> rce_count{};
   };
-  int stride_;
   std::int64_t observed_hours_ = 0;
   std::map<std::size_t, Track> tracks_;
   std::array<std::vector<double>, 4> nce_;
@@ -63,8 +62,6 @@ class CapacityErrorAnalysis {
 /// capacity proxy.
 class WeightErrorAnalysis {
  public:
-  explicit WeightErrorAnalysis(int sample_stride_hours = 1);
-
   void observe(const Snapshot& snapshot);
 
   /// Fig 3: per-relay mean RWE (ratios; plot log10).
@@ -79,7 +76,6 @@ class WeightErrorAnalysis {
     std::array<double, 4> rwe_sum{};
     std::array<std::int64_t, 4> rwe_count{};
   };
-  int stride_;
   std::int64_t observed_hours_ = 0;
   std::map<std::size_t, Track> tracks_;
   std::array<std::vector<double>, 4> nwe_;
@@ -89,8 +85,6 @@ class WeightErrorAnalysis {
 /// normalized consensus weights, per relay and window.
 class VariationAnalysis {
  public:
-  explicit VariationAnalysis(int sample_stride_hours = 1);
-
   void observe(const Snapshot& snapshot);
 
   std::vector<double> mean_advertised_rsd_per_relay(Window w) const;
@@ -104,7 +98,6 @@ class VariationAnalysis {
     std::array<double, 4> weight_rsd_sum{};
     std::array<std::int64_t, 4> count{};
   };
-  int stride_;
   std::int64_t observed_hours_ = 0;
   std::map<std::size_t, Track> tracks_;
 };

@@ -10,7 +10,6 @@
 #include "campaign/thread_pool.h"
 #include "core/allocation.h"
 #include "core/schedule.h"
-#include "core/team.h"
 
 namespace flashflow::campaign {
 
@@ -21,24 +20,16 @@ CampaignRunner::CampaignRunner(const net::Topology& topo,
   config_.faults.validate(config_.params.slot_seconds);
   if (config_.measurer_hosts.empty())
     throw std::invalid_argument("CampaignRunner: no measurers");
-  if (!config_.measurer_capacity_bits.empty() &&
-      config_.measurer_capacity_bits.size() != config_.measurer_hosts.size())
+  if (config_.measurer_capacity_bits.size() != config_.measurer_hosts.size())
     throw std::invalid_argument(
-        "CampaignRunner: capacity overrides misaligned with measurers");
-
-  core::Team team(topo_, config_.measurer_hosts);
-  if (config_.measurer_capacity_bits.empty()) {
-    team.measure_measurers(config_.seed);
-  } else {
-    for (std::size_t i = 0; i < config_.measurer_capacity_bits.size(); ++i)
-      team.set_capacity(i, config_.measurer_capacity_bits[i]);
-  }
-  measurer_caps_ = team.capacities();
-  measurer_cores_ = team.cores();
+        "CampaignRunner: measurer capacities misaligned with measurers");
+  for (const net::HostId host : config_.measurer_hosts)
+    measurer_cores_.push_back(topo_.host(host).cpu_cores);
 }
 
 double CampaignRunner::team_capacity_bits() const {
-  return std::accumulate(measurer_caps_.begin(), measurer_caps_.end(), 0.0);
+  return std::accumulate(config_.measurer_capacity_bits.begin(),
+                         config_.measurer_capacity_bits.end(), 0.0);
 }
 
 std::vector<double> scheduling_priors(std::span<const CampaignRelay> relays,
@@ -234,7 +225,7 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
 
     // §4.2 allocation: each relay in the slot claims f * z0 from the
     // measurers' remaining capacity, largest-residual first.
-    ws.residual = measurer_caps_;
+    ws.residual = config_.measurer_capacity_bits;
     const std::span<const std::size_t> slot_members(
         members.data() + work[w].begin, work[w].end - work[w].begin);
     const std::size_t n_targets = slot_members.size();

@@ -58,8 +58,8 @@ struct CampaignConfig {
   core::Params params;
   /// Measurer team (hosts must exist in the topology).
   std::vector<net::HostId> measurer_hosts;
-  /// Per-measurer capacity overrides aligned with `measurer_hosts` (lab
-  /// configs with known limits). Empty: run the §4.2 iPerf mesh.
+  /// Each measurer's capacity, aligned with `measurer_hosts`: an override,
+  /// or the §4.2 iPerf mesh's estimate (scenario::resolve_team_capacities).
   std::vector<double> measurer_capacity_bits;
   ScheduleMode schedule = ScheduleMode::kGreedyPack;
   /// Worker threads for slot execution; <= 0 selects hardware concurrency.
@@ -255,9 +255,9 @@ class SlotSink {
 
 class CampaignRunner {
  public:
-  /// Resolves the team's capacities up front (override or iPerf mesh), so
-  /// repeated runs reuse the same measurer estimates. Validates
-  /// `config.params` and `config.faults` against the slot length.
+  /// Validates the team (one capacity per measurer host), `config.params`
+  /// and `config.faults` against the slot length, and reads each
+  /// measurer's core count from the topology.
   CampaignRunner(const net::Topology& topo, CampaignConfig config);
 
   /// Streams the whole population through `sink`, one delivery per
@@ -266,15 +266,11 @@ class CampaignRunner {
   /// nondeterministic outputs of a run.
   RunStats run(std::span<const CampaignRelay> relays, SlotSink& sink) const;
 
-  const std::vector<double>& measurer_capacities() const {
-    return measurer_caps_;
-  }
   double team_capacity_bits() const;
 
  private:
   const net::Topology& topo_;
   CampaignConfig config_;
-  std::vector<double> measurer_caps_;
   std::vector<int> measurer_cores_;
 };
 

@@ -4,17 +4,14 @@
 // order, every sink here produces byte-identical output regardless of the
 // worker thread count:
 //
-//   - AggregatingSink rebuilds the batch CampaignResult in memory (the
-//     batch run() overload is implemented on top of it),
+//   - AggregatingSink rebuilds a CampaignResult in memory,
 //   - RowSink streams one CSV or JSONL row per relay estimate as the slots
 //     finish, from a RowSchema: one column table per file (results, fault
 //     ledger, trace) that both formats read, so each field of each file
 //     is declared once. CsvSink, JsonlSink, FaultLedgerSink and
 //     TraceJsonlSink name the four files `flashflow run` writes;
 //     tests/test_docs.cpp walks the schemas against docs/result-files.md,
-//   - FanoutSink forwards one stream to several sinks,
-//   - ProgressSink adapts a callback into the progress/cancellation hook
-//     and forwards everything else to an optional inner sink.
+//   - FanoutSink forwards one stream to several sinks.
 //
 // SlotReorderBuffer is the delivery mechanism behind that ordering
 // guarantee: workers park completed slots in arbitrary order, the buffer
@@ -212,30 +209,6 @@ class FanoutSink : public SlotSink {
 
  private:
   std::vector<SlotSink*> sinks_;
-};
-
-/// Wraps a progress/cancellation callback, optionally forwarding results
-/// to an inner sink. The callback returns false to cancel the run.
-class ProgressSink : public SlotSink {
- public:
-  using Callback = std::function<bool(int slots_done, int slots_total)>;
-  explicit ProgressSink(Callback on_progress, SlotSink* inner = nullptr)
-      : callback_(std::move(on_progress)), inner_(inner) {}
-
-  void begin(const RunPlan& plan) override {
-    if (inner_) inner_->begin(plan);
-  }
-  void slot_done(const SlotResult& slot) override {
-    if (inner_) inner_->slot_done(slot);
-  }
-  bool on_progress(int slots_done, int slots_total) override {
-    if (inner_ && !inner_->on_progress(slots_done, slots_total)) return false;
-    return !callback_ || callback_(slots_done, slots_total);
-  }
-
- private:
-  Callback callback_;
-  SlotSink* inner_;
 };
 
 }  // namespace flashflow::campaign

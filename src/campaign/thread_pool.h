@@ -70,28 +70,16 @@ class ThreadPool {
     idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
   }
 
-  /// Runs fn(i) for every i in [0, n). Blocks until all indices complete.
-  /// Work is claimed in contiguous shards through an atomic counter, so
-  /// results must not depend on which worker runs which index. If any
-  /// invocation throws, the first captured exception is rethrown here
+  /// Runs fn(lane, i) for every i in [0, n) and blocks until all indices
+  /// complete. `lane` in [0, lanes(n)) identifies the claiming task slot;
+  /// each lane runs on one worker for the duration of the loop, so callers
+  /// can keep per-lane scratch (e.g. a reusable slot workspace) without
+  /// locking. Results must not depend on the lane→index assignment. If
+  /// any invocation throws, the first captured exception is rethrown here
   /// after the loop drains.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-    parallel_for(n, [&fn](std::size_t, std::size_t i) { fn(i); });
-  }
-
-  /// Lane-aware variant: fn(lane, i) with lane in [0, lanes()) identifying
-  /// the claiming task slot. Each lane runs on one worker for the duration
-  /// of the loop, so callers can keep per-lane scratch (e.g. a reusable
-  /// slot workspace) without locking. Results must still not depend on the
-  /// lane→index assignment.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& fn) {
-    parallel_for(n, /*shard_size=*/0, fn);
-  }
-
-  /// Sharded lane-aware dispatch: each lane claims `shard_size` contiguous
-  /// indices per trip to the shared counter (0 picks default_shard). A
-  /// shard size of 1 degenerates to the previous index-at-a-time claiming.
+  ///
+  /// Each lane claims `shard_size` contiguous indices per trip to a shared
+  /// atomic counter (0 picks default_shard; 1 claims one index at a time).
   /// Two guarantees callers may rely on, independent of the shard size:
   ///   - every index in [0, n) runs exactly once (unless a prior index
   ///     threw, which stops further claims), and

@@ -48,9 +48,6 @@ class BWAuth {
   tor::BandwidthFile measure_network(std::span<const RelayTarget> targets,
                                      int max_rounds = 8);
 
-  const Team& team() const { return team_; }
-  const Params& params() const { return params_; }
-
  private:
   const net::Topology& topo_;
   Params params_;

@@ -20,7 +20,6 @@ class Cdf {
   void finalize();
 
   std::size_t size() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
 
   /// Fraction of samples <= x, in [0, 1].
   double fraction_at_most(double x);

@@ -25,12 +25,8 @@ class PerSecondSeries {
   /// last.
   std::vector<double> bins_bits_per_second() const;
 
-  /// First bin index (in whole seconds since sim start); 0 when empty.
-  std::int64_t first_second() const { return first_second_; }
-
-  bool empty() const { return bins_.empty(); }
-
  private:
+  /// First bin index, in whole seconds since sim start.
   std::int64_t first_second_ = 0;
   std::vector<double> bins_;
 };
@@ -45,7 +41,6 @@ class TrailingMax {
   void push(double sample);
   /// Max over the last min(window, pushes) samples; requires >= 1 push.
   double max() const;
-  std::size_t count() const { return pushed_; }
 
  private:
   std::size_t window_;

@@ -7,9 +7,10 @@
 // their volume drains; rates are recomputed whenever the flow set or a
 // capacity changes.
 //
-// This is the substrate under every throughput experiment in the repo: the
-// iPerf meshes (Tables 1/3), the FlashFlow measurement slots (Figs 6/7,
-// 14-16, Table 4), and the Shadow-style load-balancing simulations (Fig 9).
+// It runs the iPerf meshes (Tables 1/3 and the §4.2 team mesh) and the
+// clients of the Shadow-style load-balancing simulation (Fig 9). The
+// measurement slots solve their flows with FairShareSolver directly (see
+// core/measurement.h).
 #pragma once
 
 #include <cstdint>
@@ -63,8 +64,6 @@ class FlowNet {
   /// Brings accrual up to the simulator's current time. Called implicitly
   /// by every mutation and query; exposed for tests.
   void sync();
-
-  std::size_t live_flow_count() const { return flows_.size(); }
 
  private:
   struct FlowState {

@@ -8,15 +8,6 @@
 
 namespace flashflow::net {
 
-void PathModel::fill_paths(HostId from, std::span<const HostId> to,
-                           std::span<PathCharacteristics> out) const {
-  for (std::size_t i = 0; i < to.size(); ++i) {
-    out[i].rtt_s = rtt(from, to[i]);
-    out[i].loss = loss(from, to[i]);
-    out[i].loaded_loss = loaded_loss(from, to[i]);
-  }
-}
-
 // --------------------------------------------------------- DensePathModel ---
 
 void DensePathModel::resize_hosts(std::size_t count) {
@@ -56,21 +47,8 @@ void DensePathModel::set_path(HostId a, HostId b, double rtt_s,
   loaded_loss_[index(b, a)] = loaded_loss_rate;
 }
 
-double DensePathModel::rtt(HostId a, HostId b) const {
-  return rtt_[index(a, b)];
-}
-
-double DensePathModel::loss(HostId a, HostId b) const {
-  return loss_[index(a, b)];
-}
-
-double DensePathModel::loaded_loss(HostId a, HostId b) const {
-  return loaded_loss_[index(a, b)];
-}
-
 void DensePathModel::fill_paths(HostId from, std::span<const HostId> to,
                                 std::span<PathCharacteristics> out) const {
-  // Row pointers instead of three virtual reads per pair.
   const double* rtt_row = rtt_.data() + from * dim_;
   const double* loss_row = loss_.data() + from * dim_;
   const double* loaded_row = loaded_loss_.data() + from * dim_;
@@ -159,21 +137,6 @@ double TieredPathModel::pair_factor(HostId a, HostId b) const {
   return 1.0 + params_.rtt_jitter * u;
 }
 
-double TieredPathModel::rtt(HostId a, HostId b) const {
-  if (a == b) return 0.0;  // co-located, like an unset dense diagonal
-  const double base = tier_rtt(host_tier_[a], host_tier_[b]);
-  if (params_.rtt_jitter <= 0.0) return base;  // exact table value
-  return base * pair_factor(a, b);
-}
-
-double TieredPathModel::loss(HostId a, HostId b) const {
-  return a == b ? 0.0 : params_.loss;
-}
-
-double TieredPathModel::loaded_loss(HostId a, HostId b) const {
-  return a == b ? 0.0 : params_.loaded_loss;
-}
-
 // FF_HOT_BEGIN: bulk path resolution — one call per (target, slot) from
 // the slot hot path; must stay pure table reads plus the stateless
 // per-pair jitter hash (ffcheck guards the region).
@@ -183,7 +146,7 @@ void TieredPathModel::fill_paths(HostId from, std::span<const HostId> to,
   for (std::size_t i = 0; i < to.size(); ++i) {
     const HostId b = to[i];
     if (b == from) {
-      out[i] = PathCharacteristics{};
+      out[i] = PathCharacteristics{};  // co-located, like a dense diagonal
       continue;
     }
     const double base = tier_rtt(from_tier, host_tier_[b]);

@@ -19,9 +19,9 @@
 //                    seed. O(N + T^2) memory, so a 50k-relay topology
 //                    costs kilobytes instead of tens of gigabytes.
 //
-// Both models resolve a pair in O(1) and are queried through the same
-// virtual interface; the slot hot path amortizes the virtual dispatch
-// with the bulk fill_paths() hook (one call per target per slot).
+// Both models resolve a pair in O(1) and answer one bulk query,
+// fill_paths(): one virtual call per target per slot on the hot path, and
+// a one-entry call for Topology's scalar rtt()/loss().
 #pragma once
 
 #include <cstddef>
@@ -54,17 +54,11 @@ class PathModel {
   /// Presizes for `count` hosts (dense: lays the matrices out once).
   virtual void reserve_hosts(std::size_t /*count*/) {}
 
-  virtual double rtt(HostId a, HostId b) const = 0;
-  virtual double loss(HostId a, HostId b) const = 0;
-  virtual double loaded_loss(HostId a, HostId b) const = 0;
-
-  /// Bulk hook for the slot hot path: resolves the paths from `from` to
-  /// every host in `to` into `out` (out.size() must equal to.size()).
-  /// One virtual call per (target, slot) instead of three per pair; the
-  /// default loops over the scalar getters, implementations can do
-  /// better (DensePathModel walks its rows directly).
+  /// Resolves the paths from `from` to every host in `to` into `out`
+  /// (out.size() must equal to.size()): one virtual call per (target,
+  /// slot) on the slot hot path instead of one per pair.
   virtual void fill_paths(HostId from, std::span<const HostId> to,
-                          std::span<PathCharacteristics> out) const;
+                          std::span<PathCharacteristics> out) const = 0;
 };
 
 /// Today's storage: three dense n x n matrices, row-major over an
@@ -79,9 +73,6 @@ class DensePathModel final : public PathModel {
   void set_path(HostId a, HostId b, double rtt_s, double loss_rate,
                 double loaded_loss_rate);
 
-  double rtt(HostId a, HostId b) const override;
-  double loss(HostId a, HostId b) const override;
-  double loaded_loss(HostId a, HostId b) const override;
   void fill_paths(HostId from, std::span<const HostId> to,
                   std::span<PathCharacteristics> out) const override;
 
@@ -143,11 +134,6 @@ class TieredPathModel final : public PathModel {
   /// Overrides a host's tier assignment (shadow regions).
   void set_host_tier(HostId host, int tier);
 
-  const TieredPathParams& params() const { return params_; }
-
-  double rtt(HostId a, HostId b) const override;
-  double loss(HostId a, HostId b) const override;
-  double loaded_loss(HostId a, HostId b) const override;
   void fill_paths(HostId from, std::span<const HostId> to,
                   std::span<PathCharacteristics> out) const override;
 

@@ -67,19 +67,16 @@ HostId Topology::find(const std::string& name) const {
   return it->second;
 }
 
-double Topology::rtt(HostId a, HostId b) const {
-  check_ids(a, b);
-  return model_->rtt(a, b);
-}
-
-double Topology::loss(HostId a, HostId b) const {
-  check_ids(a, b);
-  return model_->loss(a, b);
-}
-
 void Topology::fill_paths(HostId from, std::span<const HostId> to,
                           std::span<PathCharacteristics> out) const {
   model_->fill_paths(from, to, out);
+}
+
+PathCharacteristics Topology::path(HostId a, HostId b) const {
+  check_ids(a, b);
+  PathCharacteristics out;
+  model_->fill_paths(a, {&b, 1}, {&out, 1});
+  return out;
 }
 
 void Topology::check_ids(HostId a, HostId b) const {

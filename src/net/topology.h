@@ -46,7 +46,6 @@ class Topology {
   /// matrices; any hosts already added are carried over (tier defaults
   /// apply, previously set dense paths are not).
   void use_path_model(std::unique_ptr<PathModel> model);
-  const PathModel& path_model() const { return *model_; }
 
   /// Adds a host; returns its id.
   HostId add_host(Host host);
@@ -81,17 +80,20 @@ class Topology {
   /// absent.
   HostId find(const std::string& name) const;
 
-  double rtt(HostId a, HostId b) const;
-  double loss(HostId a, HostId b) const;
+  /// One path's RTT and clean loss (a one-entry fill_paths); throws
+  /// std::out_of_range on a bad id.
+  double rtt(HostId a, HostId b) const { return path(a, b).rtt_s; }
+  double loss(HostId a, HostId b) const { return path(a, b).loss; }
 
   /// Bulk path resolution for the slot hot path: one virtual call for all
-  /// of `from`'s paths to `to` instead of three scalar reads per pair.
-  /// out.size() must equal to.size(); ids must be valid.
+  /// of `from`'s paths to `to`. out.size() must equal to.size(); ids must
+  /// be valid.
   void fill_paths(HostId from, std::span<const HostId> to,
                   std::span<PathCharacteristics> out) const;
 
  private:
   void check_ids(HostId a, HostId b) const;
+  PathCharacteristics path(HostId a, HostId b) const;
 
   std::vector<Host> hosts_;
   std::unique_ptr<PathModel> model_;

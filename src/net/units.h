@@ -12,7 +12,6 @@ namespace flashflow::net {
 inline constexpr double kBitsPerByte = 8.0;
 
 // --- rates (bits/second) ---
-constexpr double kbit(double v) { return v * 1e3; }
 constexpr double mbit(double v) { return v * 1e6; }
 constexpr double gbit(double v) { return v * 1e9; }
 
@@ -21,8 +20,6 @@ constexpr double to_gbit(double bits_per_sec) { return bits_per_sec / 1e9; }
 
 // --- volumes (bytes) ---
 constexpr double kib(double v) { return v * 1024.0; }
-constexpr double mib(double v) { return v * 1024.0 * 1024.0; }
-constexpr double gib(double v) { return v * 1024.0 * 1024.0 * 1024.0; }
 
 constexpr double bytes_from_bits(double bits) { return bits / kBitsPerByte; }
 constexpr double bits_from_bytes(double bytes) { return bytes * kBitsPerByte; }

@@ -33,9 +33,6 @@ class EventQueue {
   /// True if no live events remain.
   bool empty() const { return live_count_ == 0; }
 
-  /// Number of live (non-cancelled, non-fired) events.
-  std::size_t size() const { return live_count_; }
-
   /// Timestamp of the earliest live event. Requires !empty().
   SimTime next_time() const;
 

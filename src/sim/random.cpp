@@ -38,7 +38,7 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& word : state_) word = splitmix64(s);
 }
 
-Rng::result_type Rng::operator()() {
+std::uint64_t Rng::operator()() {
   const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
   const std::uint64_t t = state_[1] << 17;
   state_[2] ^= state_[0];

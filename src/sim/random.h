@@ -17,21 +17,16 @@ namespace flashflow::sim {
 
 /// xoshiro256** pseudo-random generator with distribution helpers.
 ///
-/// Satisfies UniformRandomBitGenerator so it can also be used with <random>
-/// distributions, though the built-in helpers below are preferred for
-/// reproducibility across standard-library implementations.
+/// Deliberately not a <random> UniformRandomBitGenerator: the helpers below
+/// are the only distributions, so draws replay identically across
+/// standard-library implementations.
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
   /// Seeds the generator deterministically from a 64-bit seed.
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~0ULL; }
-
   /// Next raw 64 random bits.
-  result_type operator()();
+  std::uint64_t operator()();
 
   /// Creates an independent substream; deterministic in (parent seed, tag).
   /// Use to give each simulated component its own stream so that adding a
@@ -73,16 +68,6 @@ class Rng {
   /// Picks an index in [0, weights.size()) proportionally to weights.
   /// Requires a non-empty vector with non-negative entries and positive sum.
   std::size_t weighted_index(const std::vector<double>& weights);
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      const auto j = static_cast<std::size_t>(
-          uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
 
  private:
   /// One Box-Muller pair from two fresh uniforms (no cache interaction).

@@ -42,11 +42,9 @@ EventId Simulator::schedule_every(SimDuration interval,
 }
 
 void Simulator::run_until(SimTime deadline) {
-  stopped_ = false;
-  while (!queue_.empty() && !stopped_ && queue_.next_time() <= deadline) {
+  while (!queue_.empty() && queue_.next_time() <= deadline) {
     auto ev = queue_.pop();
     now_ = ev.time;
-    ++dispatched_;
     ev.fn();
   }
   if (now_ < deadline) now_ = deadline;

@@ -24,30 +24,19 @@ class Simulator {
   EventId schedule_in(SimDuration delay, std::function<void()> fn);
 
   /// Schedules `fn` every `interval`, starting at now() + interval, until it
-  /// returns false or stop() is called. Returns the id of the first firing.
+  /// returns false. Returns the id of the first firing.
   EventId schedule_every(SimDuration interval, std::function<bool()> fn);
 
   /// Cancels a pending event.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
-  /// Runs until the queue drains, stop() is called, or the clock would pass
-  /// `deadline`; the clock finishes exactly at `deadline` if events remain.
+  /// Runs until the queue drains or the clock would pass `deadline`; the
+  /// clock finishes exactly at `deadline` if events remain.
   void run_until(SimTime deadline);
-
-  /// Stops the run loop after the current event completes.
-  void stop() { stopped_ = true; }
-
-  /// True if a stop was requested during the last run.
-  bool stopped() const { return stopped_; }
-
-  /// Number of events dispatched so far (diagnostics/tests).
-  std::uint64_t events_dispatched() const { return dispatched_; }
 
  private:
   EventQueue queue_;
   SimTime now_ = 0;
-  bool stopped_ = false;
-  std::uint64_t dispatched_ = 0;
 };
 
 }  // namespace flashflow::sim

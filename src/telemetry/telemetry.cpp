@@ -21,30 +21,6 @@ std::string_view stage_name(Stage stage) {
   return "unknown";
 }
 
-MetricId Registry::intern(std::vector<std::string>& names,
-                          std::string_view name) {
-  for (std::size_t i = 0; i < names.size(); ++i)
-    if (names[i] == name) return i;
-  names.emplace_back(name);
-  return names.size() - 1;
-}
-
-MetricId Registry::counter(std::string_view name) {
-  return intern(counters_, name);
-}
-MetricId Registry::gauge(std::string_view name) {
-  return intern(gauges_, name);
-}
-MetricId Registry::histogram(std::string_view name) {
-  return intern(hists_, name);
-}
-
-void LaneShard::resize_for(const Registry& registry) {
-  counters_.assign(registry.counter_names().size(), 0);
-  gauges_.assign(registry.gauge_names().size(), 0.0);
-  hists_.assign(registry.histogram_names().size(), HistogramData{});
-}
-
 void LaneShard::merge_into(LaneShard& into) const {
   for (std::size_t i = 0; i < counters_.size(); ++i)
     into.counters_[i] += counters_[i];
@@ -58,26 +34,6 @@ void LaneShard::merge_into(LaneShard& into) const {
     h.count += from.count;
     h.sum += from.sum;
   }
-}
-
-EngineMetrics EngineMetrics::register_in(Registry& registry) {
-  EngineMetrics m;
-  m.slots = registry.counter("campaign/slots");
-  m.relays = registry.counter("campaign/relays");
-  m.retry_rounds = registry.counter("campaign/retry_rounds");
-  m.trace_rows = registry.counter("campaign/trace_slots");
-  m.prepare_calls = registry.counter("solver/prepare_calls");
-  m.solve_seconds = registry.counter("solver/solve_seconds");
-  m.fill_steps = registry.counter("solver/fill_steps");
-  m.exact_quotients = registry.counter("solver/exact_quotients");
-  m.fill_calls = registry.counter("paths/fill_calls");
-  m.active_flows = registry.gauge("solver/active_flows");
-  m.segments_hist = registry.histogram("slot/segments");
-  m.slot_relays_hist = registry.histogram("slot/relays");
-  for (int s = 0; s < kStageCount; ++s)
-    m.stage_hist[static_cast<std::size_t>(s)] = registry.histogram(
-        "stage/" + std::string(stage_name(static_cast<Stage>(s))));
-  return m;
 }
 
 void SlotProbe::finish_slot(std::size_t slot_relays) {
@@ -100,43 +56,29 @@ void SlotProbe::finish_slot(std::size_t slot_relays) {
 }
 
 Recorder::Recorder(const Clock* clock)
-    : clock_(clock != nullptr ? clock : &monotonic_clock()),
-      engine_(EngineMetrics::register_in(registry_)) {
-  merged_.resize_for(registry_);
-}
+    : clock_(clock != nullptr ? clock : &monotonic_clock()) {}
 
 void Recorder::begin_run(std::size_t lanes) {
-  lanes_.resize(lanes);
-  for (LaneShard& shard : lanes_) shard.resize_for(registry_);
-  serial_.resize_for(registry_);
-  // Metrics registered since construction (or the previous run) get their
-  // zeroed slots in the accumulator too, so merge widths always agree.
-  if (merged_.counters_.size() != registry_.counter_names().size() ||
-      merged_.gauges_.size() != registry_.gauge_names().size() ||
-      merged_.hists_.size() != registry_.histogram_names().size()) {
-    LaneShard grown;
-    grown.resize_for(registry_);
-    merged_.merge_into(grown);
-    merged_ = std::move(grown);
-  }
+  lanes_.assign(lanes, LaneShard{});
+  serial_ = LaneShard{};
 }
 
 void Recorder::end_run() {
   for (const LaneShard& shard : lanes_) shard.merge_into(merged_);
   serial_.merge_into(merged_);
   lanes_.clear();
-  serial_.resize_for(registry_);
+  serial_ = LaneShard{};
 }
 
 namespace {
 
-template <typename T>
+template <typename Name, typename T, std::size_t N>
 std::vector<std::pair<std::string, T>> sorted_by_name(
-    const std::vector<std::string>& names, const std::vector<T>& values) {
+    const std::array<Name, N>& names, const std::array<T, N>& values) {
   std::vector<std::pair<std::string, T>> out;
-  out.reserve(names.size());
-  for (std::size_t i = 0; i < names.size() && i < values.size(); ++i)
-    out.emplace_back(names[i], values[i]);
+  out.reserve(N);
+  for (std::size_t i = 0; i < N; ++i)
+    out.emplace_back(std::string(names[i]), values[i]);
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
@@ -145,12 +87,29 @@ std::vector<std::pair<std::string, T>> sorted_by_name(
 }  // namespace
 
 Snapshot Recorder::snapshot() const {
+  // Names in EngineMetrics id order.
+  static constexpr std::array<std::string_view, EngineMetrics::kCounters>
+      kCounterNames = {"campaign/slots",        "campaign/relays",
+                       "campaign/retry_rounds", "campaign/trace_slots",
+                       "solver/prepare_calls",  "solver/solve_seconds",
+                       "solver/fill_steps",     "solver/exact_quotients",
+                       "paths/fill_calls"};
+  static constexpr std::array<std::string_view, EngineMetrics::kGauges>
+      kGaugeNames = {"solver/active_flows"};
+  std::array<std::string, EngineMetrics::kHistograms> histogram_names;
+  histogram_names[engine_.segments_hist] = "slot/segments";
+  histogram_names[engine_.slot_relays_hist] = "slot/relays";
+  for (int s = 0; s < kStageCount; ++s) {
+    std::string& name =
+        histogram_names[engine_.stage_hist[static_cast<std::size_t>(s)]];
+    name = "stage/";
+    name += stage_name(static_cast<Stage>(s));
+  }
+
   Snapshot snap;
-  snap.counters =
-      sorted_by_name(registry_.counter_names(), merged_.counters_);
-  snap.gauges = sorted_by_name(registry_.gauge_names(), merged_.gauges_);
-  snap.histograms =
-      sorted_by_name(registry_.histogram_names(), merged_.hists_);
+  snap.counters = sorted_by_name(kCounterNames, merged_.counters_);
+  snap.gauges = sorted_by_name(kGaugeNames, merged_.gauges_);
+  snap.histograms = sorted_by_name(histogram_names, merged_.hists_);
   return snap;
 }
 

@@ -1,6 +1,7 @@
-// Deterministic engine telemetry: named counters/gauges/histograms with
-// per-lane shards, stage timers behind a Clock seam, and per-slot trace
-// data (campaign::TraceJsonlSink in campaign/sink.h serializes it).
+// Deterministic engine telemetry: the engine's fixed set of named
+// counters/gauges/histograms with per-lane shards, stage timers behind a
+// Clock seam, and per-slot trace data (campaign::TraceJsonlSink in
+// campaign/sink.h serializes it).
 //
 // Design constraints, in force everywhere this header is used:
 //
@@ -12,9 +13,10 @@
 //     LaneShard — plain arrays it alone writes — and the Recorder merges
 //     the shards in lane-index order after the pool has drained, so the
 //     merged totals are identical for every thread count and shard size.
-//   - No allocation inside FF_HOT regions. Shards are sized at
-//     begin_run(); add()/observe() are array writes. Wall-clock reads go
-//     through the Clock seam and happen only outside hot regions.
+//   - No allocation inside FF_HOT regions. Shards are fixed-size arrays
+//     allocated at begin_run(); add()/observe() are array writes.
+//     Wall-clock reads go through the Clock seam and happen only outside
+//     hot regions.
 //   - Timing never reaches results. Stage micros flow into histograms and
 //     trace files only; campaign estimates, CSV/JSONL result streams and
 //     the golden hashes never see a clock value. ffcheck's ND03 rule
@@ -117,26 +119,33 @@ inline std::size_t histogram_bucket(std::uint64_t value) {
 
 using MetricId = std::size_t;
 
-/// Name table for counters, gauges and histograms. Registration is
-/// idempotent (same name returns the same id) and happens at setup time
-/// only: Recorder::begin_run sizes the lane shards from the registry, so
-/// metrics registered mid-run would have no slots until the next run.
-class Registry {
- public:
-  MetricId counter(std::string_view name);
-  MetricId gauge(std::string_view name);
-  MetricId histogram(std::string_view name);
+/// The metrics the campaign engine writes: 9 counters, 1 gauge and 12
+/// histograms, fixed at compile time. Each id indexes its kind's name
+/// table (telemetry.cpp) and every shard's arrays, so instrumentation
+/// sites write arrays directly.
+struct EngineMetrics {
+  static constexpr std::size_t kCounters = 9;
+  static constexpr std::size_t kGauges = 1;
+  static constexpr std::size_t kHistograms = 2 + kStageCount;
 
-  const std::vector<std::string>& counter_names() const { return counters_; }
-  const std::vector<std::string>& gauge_names() const { return gauges_; }
-  const std::vector<std::string>& histogram_names() const { return hists_; }
-
- private:
-  static MetricId intern(std::vector<std::string>& names,
-                         std::string_view name);
-  std::vector<std::string> counters_;
-  std::vector<std::string> gauges_;
-  std::vector<std::string> hists_;
+  // Counters.
+  MetricId slots = 0;            // campaign/slots delivered to workers
+  MetricId relays = 1;           // campaign/relays measured
+  MetricId retry_rounds = 2;     // campaign/retry_rounds executed
+  MetricId trace_rows = 3;       // campaign/trace_slots emitted
+  MetricId prepare_calls = 4;    // solver/prepare_calls
+  MetricId solve_seconds = 5;    // solver/solve_seconds (solve_prepared calls)
+  MetricId fill_steps = 6;       // solver/fill_steps (filling iterations)
+  MetricId exact_quotients = 7;  // solver/exact_quotients (step divisions)
+  MetricId fill_calls = 8;       // paths/fill_calls (one per target per slot)
+  // Gauges.
+  MetricId active_flows = 0;  // solver/active_flows (max over slots)
+  // Deterministic histograms.
+  MetricId segments_hist = 0;     // slot/segments
+  MetricId slot_relays_hist = 1;  // slot/relays
+  // Stage timing histograms, indexed by Stage: stage/<stage_name>.
+  std::array<MetricId, kStageCount> stage_hist{2, 3, 4, 5, 6,
+                                               7, 8, 9, 10, 11};
 };
 
 /// One lane's private metric storage: plain arrays indexed by MetricId,
@@ -157,36 +166,11 @@ class LaneShard {
 
  private:
   friend class Recorder;
-  void resize_for(const Registry& registry);
   void merge_into(LaneShard& into) const;
 
-  std::vector<std::uint64_t> counters_;
-  std::vector<double> gauges_;
-  std::vector<HistogramData> hists_;
-};
-
-/// The MetricIds the campaign engine writes, pre-registered by Recorder so
-/// instrumentation sites index arrays instead of interning names.
-struct EngineMetrics {
-  // Counters.
-  MetricId slots = 0;          // campaign/slots delivered to workers
-  MetricId relays = 0;         // campaign/relays measured
-  MetricId retry_rounds = 0;   // campaign/retry_rounds executed
-  MetricId trace_rows = 0;     // campaign/trace_slots emitted
-  MetricId prepare_calls = 0;  // solver/prepare_calls
-  MetricId solve_seconds = 0;  // solver/solve_seconds (solve_prepared calls)
-  MetricId fill_steps = 0;     // solver/fill_steps (filling iterations)
-  MetricId exact_quotients = 0;  // solver/exact_quotients (step divisions)
-  MetricId fill_calls = 0;     // paths/fill_calls (one per target per slot)
-  // Gauges.
-  MetricId active_flows = 0;   // solver/active_flows (max over slots)
-  // Deterministic histograms.
-  MetricId segments_hist = 0;      // slot/segments
-  MetricId slot_relays_hist = 0;   // slot/relays
-  // Stage timing histograms, indexed by Stage.
-  std::array<MetricId, kStageCount> stage_hist{};
-
-  static EngineMetrics register_in(Registry& registry);
+  std::array<std::uint64_t, EngineMetrics::kCounters> counters_{};
+  std::array<double, EngineMetrics::kGauges> gauges_{};
+  std::array<HistogramData, EngineMetrics::kHistograms> hists_{};
 };
 
 /// Merged, name-sorted view of everything a Recorder accumulated.
@@ -269,7 +253,6 @@ class Recorder {
   /// process monotonic clock.
   explicit Recorder(const Clock* clock = nullptr);
 
-  Registry& registry() { return registry_; }
   /// The recorder's time source (not named clock(): ffcheck's ND03 flags
   /// that bare identifier wherever it appears).
   const Clock& time_source() const { return *clock_; }
@@ -280,8 +263,7 @@ class Recorder {
   void enable_trace(bool on = true) { trace_ = on; }
   bool trace_enabled() const { return trace_; }
 
-  /// Sizes one shard per lane (plus the serial shard) for a run. Metrics
-  /// registered since the last run get fresh zero slots everywhere.
+  /// Zeroes one shard per lane, and the serial shard, for a run.
   void begin_run(std::size_t lanes);
   LaneShard& lane(std::size_t i) { return lanes_[i]; }
   /// Shard for the campaign loop's serialized sections.
@@ -301,7 +283,6 @@ class Recorder {
   void write_metrics(std::ostream& out) const;
 
  private:
-  Registry registry_;
   const Clock* clock_;
   EngineMetrics engine_;
   bool trace_ = false;

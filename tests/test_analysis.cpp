@@ -103,7 +103,7 @@ TEST(Archive, SpeedTestRaisesAdvertised) {
 
 TEST(ErrorAnalysis, LongerWindowsLargerCapacityError) {
   SyntheticArchive archive(generate_population(small_params(), 90, 9), 10);
-  CapacityErrorAnalysis analysis(/*stride=*/6);
+  CapacityErrorAnalysis analysis;
   for (int h = 0; h < 90 * 24; ++h) analysis.observe(archive.step_hour());
   const auto day = analysis.mean_rce_per_relay(Window::kDay);
   const auto month = analysis.mean_rce_per_relay(Window::kMonth);
@@ -121,7 +121,7 @@ TEST(ErrorAnalysis, LongerWindowsLargerCapacityError) {
 
 TEST(ErrorAnalysis, NceSeriesBounded) {
   SyntheticArchive archive(generate_population(small_params(), 40, 11), 12);
-  CapacityErrorAnalysis analysis(6);
+  CapacityErrorAnalysis analysis;
   for (int h = 0; h < 40 * 24; ++h) analysis.observe(archive.step_hour());
   const auto& series = analysis.nce_series(Window::kWeek);
   ASSERT_EQ(series.size(), 40u * 24u);
@@ -133,7 +133,7 @@ TEST(ErrorAnalysis, NceSeriesBounded) {
 
 TEST(ErrorAnalysis, WeightErrorsMostlyUnderweighted) {
   SyntheticArchive archive(generate_population(small_params(), 60, 13), 14);
-  WeightErrorAnalysis analysis(6);
+  WeightErrorAnalysis analysis;
   for (int h = 0; h < 60 * 24; ++h) analysis.observe(archive.step_hour());
   const auto rwe = analysis.mean_rwe_per_relay(Window::kMonth);
   ASSERT_FALSE(rwe.empty());
@@ -151,7 +151,7 @@ TEST(ErrorAnalysis, WeightErrorsMostlyUnderweighted) {
 
 TEST(ErrorAnalysis, VariationGrowsWithWindow) {
   SyntheticArchive archive(generate_population(small_params(), 60, 15), 16);
-  VariationAnalysis analysis(6);
+  VariationAnalysis analysis;
   for (int h = 0; h < 60 * 24; ++h) analysis.observe(archive.step_hour());
   const auto day = analysis.mean_advertised_rsd_per_relay(Window::kDay);
   const auto month = analysis.mean_advertised_rsd_per_relay(Window::kMonth);
@@ -175,12 +175,6 @@ TEST(SpeedTest, CapacityRisesAndWeightErrorSpikes) {
   EXPECT_GT(result.peak_weight_error, result.baseline_weight_error);
   EXPECT_EQ(result.capacity_series_bits.size(),
             result.weight_error_series.size());
-}
-
-TEST(ErrorAnalysis, RejectsBadStride) {
-  EXPECT_THROW(CapacityErrorAnalysis(0), std::invalid_argument);
-  EXPECT_THROW(WeightErrorAnalysis(-1), std::invalid_argument);
-  EXPECT_THROW(VariationAnalysis(0), std::invalid_argument);
 }
 
 }  // namespace

@@ -57,14 +57,15 @@ CampaignResult run_batch(const CampaignRunner& runner,
 TEST(ThreadPool, ParallelForCoversEveryIndex) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] += 1; });
+  pool.parallel_for(hits.size(), /*shard_size=*/0,
+                    [&](std::size_t, std::size_t i) { hits[i] += 1; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, PropagatesFirstException) {
   ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(64,
-                                 [](std::size_t i) {
+  EXPECT_THROW(pool.parallel_for(64, /*shard_size=*/0,
+                                 [](std::size_t, std::size_t i) {
                                    if (i % 7 == 3)
                                      throw std::runtime_error("boom");
                                  }),
@@ -209,9 +210,12 @@ TEST(Campaign, ProgressHookCancelsRemainingSlots) {
   const auto topo = net::make_table1_hosts();
   const auto relays = small_population(topo);
 
+  struct CancelAfterFirst : SlotSink {
+    void slot_done(const SlotResult&) override {}
+    bool on_progress(int done, int) override { return done < 1; }
+  } cancel;
   AggregatingSink aggregate;
-  ProgressSink cancel_after_first([](int done, int) { return done < 1; },
-                                  &aggregate);
+  FanoutSink cancel_after_first{&aggregate, &cancel};
   auto config = lab_config(topo);
   config.threads = 2;
   const auto stats = CampaignRunner(topo, config).run(relays, cancel_after_first);
@@ -347,6 +351,11 @@ TEST(Campaign, RejectsBadConfig) {
   auto misaligned = lab_config(topo);
   misaligned.measurer_capacity_bits = {net::mbit(900)};
   EXPECT_THROW(CampaignRunner(topo, misaligned), std::invalid_argument);
+
+  // Every measurer needs a capacity: the runner measures no team itself.
+  auto no_capacities = lab_config(topo);
+  no_capacities.measurer_capacity_bits.clear();
+  EXPECT_THROW(CampaignRunner(topo, no_capacities), std::invalid_argument);
 
   // Params are validated up front (core::Params::validate).
   auto bad_params = lab_config(topo);

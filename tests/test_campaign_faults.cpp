@@ -277,15 +277,17 @@ TEST(CampaignFaults, CancellationInvariantsAcrossThreadsAndShards) {
 
   for (const int threads : {1, 8}) {
     for (const int shard : {1, 4}) {
+      struct CancelAfterThree : SlotSink {
+        int deliveries = 0;
+        void slot_done(const SlotResult&) override {}
+        bool on_progress(int done, int total) override {
+          EXPECT_LE(done, total);
+          deliveries = done;
+          return done < 3;
+        }
+      } cancel;
       AggregatingSink aggregate;
-      int deliveries = 0;
-      ProgressSink cancel_after_three(
-          [&deliveries](int done, int total) {
-            EXPECT_LE(done, total);
-            deliveries = done;
-            return done < 3;
-          },
-          &aggregate);
+      FanoutSink cancel_after_three{&aggregate, &cancel};
 
       auto config = lab_config(topo);
       config.threads = threads;
@@ -299,7 +301,7 @@ TEST(CampaignFaults, CancellationInvariantsAcrossThreadsAndShards) {
 
       EXPECT_TRUE(stats.cancelled) << "threads=" << threads;
       EXPECT_EQ(stats.slots_executed, 3) << "threads=" << threads;
-      EXPECT_EQ(stats.slots_executed, deliveries);
+      EXPECT_EQ(stats.slots_executed, cancel.deliveries);
       EXPECT_GT(stats.slots_skipped, 0) << "threads=" << threads;
 
       const auto partial = std::move(aggregate).result(stats);

@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "net/units.h"
 
@@ -205,7 +207,7 @@ TEST(GreedyPackProperty, RandomPopulationsPlaceEveryRelayWithinCapacity) {
     std::vector<double> caps;
     caps.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-      caps.push_back(rng.uniform(net::kbit(100), max_cap));
+      caps.push_back(rng.uniform(net::mbit(0.1), max_cap));
 
     const auto r = greedy_pack(caps, team, p);
     ASSERT_EQ(r.relay_slot.size(), n);
@@ -237,7 +239,10 @@ TEST(GreedyPackProperty, ThrowsWheneverAnyRelayExceedsTeam) {
       caps.push_back(rng.uniform(net::mbit(1), team / p.excess_factor()));
     // One relay strictly over the single-slot budget poisons the packing.
     caps.push_back(team / p.excess_factor() * rng.uniform(1.01, 3.0));
-    rng.shuffle(caps);
+    for (std::size_t n = caps.size(); n > 1; --n) {  // Fisher-Yates
+      const auto j = rng.uniform_int(0, static_cast<std::int64_t>(n) - 1);
+      std::swap(caps[n - 1], caps[static_cast<std::size_t>(j)]);
+    }
     EXPECT_THROW(greedy_pack(caps, team, p), std::runtime_error);
   }
 }

@@ -18,6 +18,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.h"
@@ -175,7 +176,10 @@ struct Fixture {
                                    relay_hosts[k].size() - 1)))];
         const auto team = static_cast<std::size_t>(rng.uniform_int(1, 3));
         std::vector<net::HostId> hosts = measurers[k];
-        rng.shuffle(hosts);
+        for (std::size_t n = hosts.size(); n > 1; --n) {  // Fisher-Yates
+          const auto j = rng.uniform_int(0, static_cast<std::int64_t>(n) - 1);
+          std::swap(hosts[n - 1], hosts[static_cast<std::size_t>(j)]);
+        }
         for (std::size_t i = 0; i < team; ++i)
           target.team.push_back({hosts[i], net::mbit(rng.uniform(20, 300)),
                                  static_cast<int>(rng.uniform_int(10, 160))});

@@ -6,7 +6,7 @@
 // (plus every optional section) and fails if any emitted key is missing
 // from the page — so adding a key without documenting it breaks the
 // build, not a user. docs/result-files.md gets the same treatment from
-// the result sinks' column tables and the engine's metric registry.
+// the result sinks' column tables and the engine's metric names.
 // Further tests keep the relative links inside docs/ and README.md
 // pointing at files that exist, and hold src/ to docs/ARCHITECTURE.md's
 // rules that dependencies point downward and that every header has a
@@ -149,25 +149,21 @@ TEST(DocsStaleness, ScenarioReferenceDocumentsEverySerializedKey) {
 }
 
 TEST(DocsStaleness, ResultReferenceNamesEveryEngineMetric) {
-  // `flashflow run --metrics` writes every metric the engine registers;
-  // the page names each one.
+  // `flashflow run --metrics` writes every engine metric, zeros
+  // included; the page names each one.
   const std::string doc = read_file(repo_dir() / "docs" / "result-files.md");
   ASSERT_FALSE(doc.empty());
-  telemetry::Recorder recorder;
-  const telemetry::Registry& registry = recorder.registry();
-  int checked = 0;
-  for (const auto* names :
-       {&registry.counter_names(), &registry.gauge_names(),
-        &registry.histogram_names()}) {
-    for (const std::string& name : *names) {
-      EXPECT_NE(doc.find("`" + name + "`"), std::string::npos)
-          << "engine metric '" << name
-          << "' is written by --metrics but not named in "
-             "docs/result-files.md";
-      ++checked;
-    }
-  }
-  EXPECT_GE(checked, 20);
+  const telemetry::Snapshot snap = telemetry::Recorder().snapshot();
+  std::vector<std::string> names;
+  for (const auto& entry : snap.counters) names.push_back(entry.first);
+  for (const auto& entry : snap.gauges) names.push_back(entry.first);
+  for (const auto& entry : snap.histograms) names.push_back(entry.first);
+  for (const std::string& name : names)
+    EXPECT_NE(doc.find("`" + name + "`"), std::string::npos)
+        << "engine metric '" << name
+        << "' is written by --metrics but not named in "
+           "docs/result-files.md";
+  EXPECT_GE(names.size(), 20u);
 }
 
 TEST(DocsStaleness, ResultReferenceDocumentsEveryColumn) {

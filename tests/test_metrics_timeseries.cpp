@@ -28,8 +28,9 @@ TEST(PerSecondSeries, BitsConversion) {
 TEST(PerSecondSeries, FirstSecondOffset) {
   PerSecondSeries s;
   s.add(10 * sim::kSecond, 5.0);
-  EXPECT_EQ(s.first_second(), 10);
-  EXPECT_EQ(s.bins_bits_per_second().size(), 1u);
+  s.add(12 * sim::kSecond, 1.0);
+  // Bins run from the first second touched, not from time zero.
+  EXPECT_EQ(s.bins_bits_per_second(), (std::vector<double>{40.0, 0.0, 8.0}));
 }
 
 TEST(PerSecondSeries, RejectsTimeTravel) {

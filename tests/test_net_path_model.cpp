@@ -49,6 +49,13 @@ Topology tiered_topology(int hosts, TieredPathParams params) {
   return topo;
 }
 
+/// One path, through the bulk query the slot pipeline uses.
+PathCharacteristics path(const Topology& topo, HostId a, HostId b) {
+  PathCharacteristics out;
+  topo.fill_paths(a, {&b, 1}, {&out, 1});
+  return out;
+}
+
 TEST(PathModel, TieredMatchesDenseBuiltFromSameTable) {
   const TieredPathParams params = three_tier_params();
   const int kHosts = 9;  // three hosts per tier
@@ -80,8 +87,7 @@ TEST(PathModel, TieredMatchesDenseBuiltFromSameTable) {
       // EXPECT_EQ, not NEAR: the equivalence must be bit-exact.
       EXPECT_EQ(tiered.rtt(a, b), dense.rtt(a, b)) << a << "," << b;
       EXPECT_EQ(tiered.loss(a, b), dense.loss(a, b));
-      EXPECT_EQ(tiered.path_model().loaded_loss(a, b),
-                dense.path_model().loaded_loss(a, b));
+      EXPECT_EQ(path(tiered, a, b).loaded_loss, path(dense, a, b).loaded_loss);
     }
 }
 
@@ -93,7 +99,7 @@ TEST(PathModel, SelfPathsAreZeroInBothModels) {
   for (const Topology* t : models) {
     EXPECT_EQ(t->rtt(0, 0), 0.0);
     EXPECT_EQ(t->loss(0, 0), 0.0);
-    EXPECT_EQ(t->path_model().loaded_loss(0, 0), 0.0);
+    EXPECT_EQ(path(*t, 0, 0).loaded_loss, 0.0);
   }
 }
 
@@ -109,7 +115,7 @@ TEST(PathModel, EmptyTierTableMeansFlatFiftyMillisecondMesh) {
       if (a == b) continue;
       EXPECT_EQ(topo.rtt(a, b), 0.05);
       EXPECT_EQ(topo.loss(a, b), 1.0e-6);
-      EXPECT_EQ(topo.path_model().loaded_loss(a, b), 5.0e-5);
+      EXPECT_EQ(path(topo, a, b).loaded_loss, 5.0e-5);
     }
 }
 
@@ -178,7 +184,7 @@ TEST(PathModel, FillPathsMatchesScalarGetters) {
     for (std::size_t i = 0; i < to.size(); ++i) {
       EXPECT_EQ(out[i].rtt_s, t->rtt(0, to[i]));
       EXPECT_EQ(out[i].loss, t->loss(0, to[i]));
-      EXPECT_EQ(out[i].loaded_loss, t->path_model().loaded_loss(0, to[i]));
+      EXPECT_EQ(out[i].loaded_loss, path(*t, 0, to[i]).loaded_loss);
     }
   }
 }

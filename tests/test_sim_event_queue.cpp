@@ -46,15 +46,14 @@ TEST(EventQueue, CancelTwiceIsFalse) {
   EXPECT_FALSE(q.cancel(id));
 }
 
-TEST(EventQueue, SizeTracksLiveEvents) {
+TEST(EventQueue, EmptyTracksLiveEvents) {
   EventQueue q;
   const EventId a = q.schedule(1, [] {});
   q.schedule(2, [] {});
-  EXPECT_EQ(q.size(), 2u);
   q.cancel(a);
-  EXPECT_EQ(q.size(), 1u);
-  q.pop();
-  EXPECT_EQ(q.size(), 0u);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.pop().time, 2);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, NextTimeSkipsCancelled) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -206,15 +205,6 @@ TEST(Rng, ForkDeterministic) {
   Rng a1 = p1.fork("x");
   Rng a2 = p2.fork("x");
   for (int i = 0; i < 32; ++i) EXPECT_EQ(a1(), a2());
-}
-
-TEST(Rng, ShufflePreservesElements) {
-  Rng r(53);
-  std::vector<int> v = {1, 2, 3, 4, 5, 6, 7};
-  auto shuffled = v;
-  r.shuffle(shuffled);
-  std::sort(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(shuffled, v);
 }
 
 TEST(Rng, HashForkMatchesStringFork) {

@@ -66,19 +66,6 @@ TEST(Simulator, PeriodicRejectsNonPositiveInterval) {
                std::invalid_argument);
 }
 
-TEST(Simulator, StopHaltsRun) {
-  Simulator s;
-  int fired = 0;
-  s.schedule_at(1, [&] {
-    ++fired;
-    s.stop();
-  });
-  s.schedule_at(2, [&] { ++fired; });
-  s.run_until(kDay);
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(s.stopped());
-}
-
 TEST(Simulator, CancelScheduledEvent) {
   Simulator s;
   bool fired = false;
@@ -86,13 +73,6 @@ TEST(Simulator, CancelScheduledEvent) {
   EXPECT_TRUE(s.cancel(id));
   s.run_until(kDay);
   EXPECT_FALSE(fired);
-}
-
-TEST(Simulator, EventsDispatchedCounter) {
-  Simulator s;
-  for (int i = 0; i < 7; ++i) s.schedule_at(i, [] {});
-  s.run_until(kDay);
-  EXPECT_EQ(s.events_dispatched(), 7u);
 }
 
 TEST(TimeHelpers, SecondsRoundTrip) {

@@ -120,17 +120,6 @@ TEST(TelemetryUnit, HistogramBucketsAreBitWidths) {
             telemetry::kHistogramBuckets - 1);
 }
 
-TEST(TelemetryUnit, RegistryInternIsIdempotent) {
-  telemetry::Registry registry;
-  const telemetry::MetricId a = registry.counter("campaign/slots");
-  const telemetry::MetricId b = registry.counter("campaign/slots");
-  EXPECT_EQ(a, b);
-  EXPECT_NE(registry.counter("campaign/relays"), a);
-  // Counters, gauges and histograms are separate namespaces.
-  EXPECT_EQ(registry.gauge("campaign/slots"), 0u);
-  EXPECT_EQ(registry.counter_names().size(), 2u);
-}
-
 TEST(TelemetryDeterminism, GoldenBytesUnchangedWithRecorderAttached) {
   // Clause T1, half one: telemetry observes the golden campaign without
   // moving a single byte — same pinned hash as the no-recorder suite.
