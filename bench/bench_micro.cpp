@@ -60,10 +60,12 @@ BENCHMARK(BM_MaxMinFair)->Arg(16)->Arg(64)->Arg(256);
 // One slot's per-second solves, core::SlotRunner's shape: three shared
 // measurer NICs, then per target a NIC and a relay crossed by the same
 // flows (twins). Each target is measured by p of the measurers, each flow
-// weighted 160/p and capped near 2.25 z / p, with z drawn like the
-// crowded_slots workload's relays. One prepare, then 30 solve_prepared
-// calls while the relay capacities move. The target counts straddle
-// FairShareSolver::kIndexCutoff live resources (targets + 3).
+// weighted 160 / p sockets (integer division, as core::make_shares
+// splits them) and capped near 2.25 z / p, with z drawn like the
+// crowded_slots workload's relays. The caps on a measurer NIC sum below
+// its capacity, so the NICs are slack and never live. One prepare, then 30
+// solve_prepared calls while the relay capacities move. The target counts
+// straddle FairShareSolver::kIndexCutoff live resources (one per target).
 void BM_SlotSolvePrepared(benchmark::State& state) {
   constexpr int kSeconds = 30;
   const auto targets = static_cast<std::size_t>(state.range(0));
@@ -81,7 +83,7 @@ void BM_SlotSolvePrepared(benchmark::State& state) {
       net::FairShareFlow f;
       f.resources = {static_cast<std::size_t>((first + i) % 3), 3 + 2 * t,
                      4 + 2 * t};
-      f.weight = 160.0 / static_cast<double>(participants);
+      f.weight = static_cast<double>(160 / participants);
       f.cap = 2.25 * z[t] * rng.uniform(0.6, 1.0) /
               static_cast<double>(participants);
       flows.push_back(std::move(f));
@@ -113,6 +115,7 @@ BENCHMARK(BM_SlotSolvePrepared)
     ->Arg(3)
     ->Arg(8)
     ->Arg(16)
+    ->Arg(24)
     ->Arg(32)
     ->Arg(48)
     ->Arg(64)

@@ -19,6 +19,11 @@ namespace flashflow::net {
 //     weights are equal) have equal active weights throughout, so the one
 //     with the least capacity always has the least remaining: only it is
 //     live.
+//   - A twin group whose least capacity exceeds the sum of its active
+//     flows' caps by kSlackRelative and kSlackAbsolute, and whose weights
+//     add exactly, is not live either: its quotient always exceeds the cap
+//     candidate of one of its own active flows, so it never sets a step,
+//     and it never saturates (a measurer NIC its allocations do not fill).
 //   - Flows of equal weight form a class. Every active flow has received
 //     the same `step * weight` additions from 0.0, so one level per class
 //     is, bit for bit, each member's rate.
@@ -40,7 +45,28 @@ namespace flashflow::net {
 namespace {
 constexpr double kEps = 1e-9;
 constexpr std::size_t kNotLive = std::numeric_limits<std::size_t>::max();
+/// A twin group is slack when its least capacity exceeds
+/// cap_sum * (1 + kSlackRelative) + kSlackAbsolute. The relative part
+/// covers the rounding of the cap sum, the drains and the class levels over
+/// a flow set of fewer than kSlackMaxSize flows and incidences; the
+/// absolute part keeps the remaining capacity above kEps.
+constexpr double kSlackRelative = 1e-6;
+constexpr double kSlackAbsolute = 2 * kEps;
+constexpr std::size_t kSlackMaxSize = std::size_t{1} << 28;
 }  // namespace
+
+// The AVX2 clone of SaturationIndex::drain runs four lanes where the
+// baseline x86-64 one runs two. Every lane rounds the same product and the
+// same difference on its own, so the clones agree bit for bit unless the
+// compiler fuses the two into a multiply-add, which CMakeLists.txt rules
+// out with -ffp-contract=off. A ThreadSanitizer build keeps one drain: the
+// loader calls the clones' resolver before the sanitizer's runtime has
+// started, and the instrumented resolver crashes the program.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
+#define FLASHFLOW_DRAIN_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define FLASHFLOW_DRAIN_CLONES
+#endif
 
 // ---- SaturationIndex ------------------------------------------------------
 
@@ -193,6 +219,7 @@ double FairShareSolver::SaturationIndex::scan_min(
   return least;
 }
 
+FLASHFLOW_DRAIN_CLONES
 void FairShareSolver::SaturationIndex::drain(double step) {
   double* const remaining = remaining_.data();
   const double* const weight = weight_.data();
@@ -267,6 +294,11 @@ void FairShareSolver::prepare(std::span<const FairShareFlow> flows,
   // index order (zero-cap flows are subtracted back out below, not
   // skipped): floating-point addition order is part of the contract.
   resources_.assign(num_resources, ResourceInfo{});
+  // Whole-number weights whose sum over every incidence is below 2^53 add
+  // and subtract exactly at every resource, which pruning slack groups
+  // needs. The running sum only grows, so its last value decides.
+  bool whole_weights = true;
+  double weight_total = 0.0;
   for (std::size_t f = 0; f < flows.size(); ++f) {
     const double weight = flows[f].weight;
     // NaN fails every comparison, so test for finiteness before the sign.
@@ -279,14 +311,18 @@ void FairShareSolver::prepare(std::span<const FairShareFlow> flows,
     FlowInfo& info = flows_[f];
     info.weight = weight;
     info.res_begin = res_index_.size();
+    whole_weights = whole_weights && weight == std::floor(weight);
     for (const std::size_t r : flows[f].resources) {
       if (r >= num_resources)
         throw std::out_of_range("max_min_fair_rates: bad resource index");
       res_index_.push_back(r);
       resources_[r].base_weight += weight;
+      weight_total += weight;
     }
     info.res_end = res_index_.size();
   }
+  whole_weights = whole_weights && weight_total < 0x1p53 &&
+                  flows.size() + res_index_.size() < kSlackMaxSize;
   // Flows with an immediate zero cap freeze straight away; fold both their
   // exclusion and their weight removal into the prepared baseline. Each
   // active flow is counted at its resources (in inc_end) for the
@@ -377,11 +413,22 @@ void FairShareSolver::prepare(std::span<const FairShareFlow> flows,
   }
   twin_begin_.push_back(twins_.size());
 
+  // Twins are crossed by the same active flows in the same order, so they
+  // share one cap sum, and the slack bound is set once per group.
+  const std::size_t groups = twin_begin_.size() - 1;
+  slack_above_.assign(groups, std::numeric_limits<double>::infinity());
+  for (std::size_t g = 0; whole_weights && g < groups; ++g) {
+    const ResourceInfo& lead = resources_[twins_[twin_begin_[g]]];
+    double cap_sum = 0.0;
+    for (std::size_t k = lead.inc_begin; k < lead.inc_end; ++k)
+      cap_sum += flows[inc_flow_[k]].cap;
+    slack_above_[g] = cap_sum * (1.0 + kSlackRelative) + kSlackAbsolute;
+  }
+
   // Size the per-solve scratch once, so solve_prepared only writes through
   // indices.
   state_.resize(num_resources);
   work_.resize(2 * num_resources + active_init_.size() + classes_.size());
-  const std::size_t groups = twin_begin_.size() - 1;
   if (groups >= kIndexCutoff) index_.size_for(groups, num_resources);
   prepared_ = true;
 }
@@ -412,7 +459,7 @@ std::span<const double> FairShareSolver::solve_prepared(
   // so it is never live. Of a twin group only the member with the least
   // capacity is: every member is drained by the same amounts and rounding
   // is monotone, so no other member can offer a smaller step or saturate
-  // without it.
+  // without it. Nor is it live when that capacity is slack.
   std::size_t n_live = 0;
   for (std::size_t g = 0; g + 1 < twin_begin_.size(); ++g) {
     std::size_t best = num_resources_;
@@ -425,7 +472,7 @@ std::span<const double> FairShareSolver::solve_prepared(
         least = capacity;
       }
     }
-    if (best != num_resources_) {
+    if (best != num_resources_ && !(least > slack_above_[g])) {
       state_[best].remaining = least;
       live[n_live++] = best;
     }

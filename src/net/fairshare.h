@@ -14,13 +14,15 @@
 //     per-second simulation loops (core::SlotRunner) allocate nothing after
 //     warm-up. The filling is event-driven: each iteration touches only the
 //     resources that can still bind, one level per weight class, and the
-//     flows that freeze. A solve with at least kIndexCutoff live resources
-//     (a crowded slot) also stops dividing every one of them per iteration:
-//     a min-heap keyed on each resource's approximate saturation level
-//     names the few that can bind, and only those get the exact quotient
-//     and the saturation test. See fairshare.cpp and docs/determinism.md
-//     for why the rates are bit-identical to a scan over every flow and
-//     resource.
+//     flows that freeze. A resource whose capacity exceeds the caps of its
+//     flows by a margin (a measurer NIC its allocations do not fill) can
+//     never bind, and stays out. A solve with at least kIndexCutoff live
+//     resources (a crowded slot) also stops dividing every one of them per
+//     iteration: a min-heap keyed on each resource's approximate saturation
+//     level names the few that can bind, and only those get the exact
+//     quotient and the saturation test. See fairshare.cpp and
+//     docs/determinism.md for why the rates are bit-identical to a scan
+//     over every flow and resource.
 //   - max_min_fair_rates(): one-shot convenience wrapper over a fresh
 //     solver, returning an owned vector.
 #pragma once
@@ -60,11 +62,11 @@ struct FairShareCounters {
 /// one solver instance can serve a whole simulation loop.
 class FairShareSolver {
  public:
-  /// Solves with at least this many live resources (one per twin group)
-  /// find each step's binding resources through the saturation index;
-  /// smaller ones scan the live list, which is cheaper there (the
-  /// BM_SlotSolvePrepared sweep in bench/bench_micro.cpp).
-  static constexpr std::size_t kIndexCutoff = 48;
+  /// Solves with at least this many live resources (one per twin group
+  /// that is not slack) find each step's binding resources through the
+  /// saturation index; smaller ones scan the live list, which is cheaper
+  /// there (the BM_SlotSolvePrepared sweep in bench/bench_micro.cpp).
+  static constexpr std::size_t kIndexCutoff = 32;
 
   /// Returns per-flow rates in bits/s. Guarantees:
   ///   - no resource's total allocated rate exceeds its capacity (within
@@ -171,6 +173,8 @@ class FairShareSolver {
     /// The least exact quotient over every live resource.
     double scan_min(std::uint64_t& quotients) const;
     /// Drains every live resource by step * weight and advances the level.
+    /// Cloned for AVX2 (fairshare.cpp says why the clones agree bit for
+    /// bit).
     void drain(double step);
     /// Writes the resources that the last drain saturated (remaining at or
     /// below eps) to `out`: those in the window, or, after a scanned step,
@@ -239,17 +243,22 @@ class FairShareSolver {
   /// solve. Group g is twins_[twin_begin_[g] .. twin_begin_[g + 1]).
   std::vector<std::size_t> twins_;
   std::vector<std::size_t> twin_begin_;
+  /// Per twin group: a least capacity above this can never bind, so the
+  /// group is not live. It is the sum of the group's active caps plus the
+  /// margin, or +inf unless every weight of the flow set is whole
+  /// (docs/determinism.md, "Why pruning slack resources is exact").
+  std::vector<double> slack_above_;
 
   // ---- per-solve working state (capacity persists across solves) -------
   std::vector<double> rates_;
   std::vector<unsigned char> frozen_;  // per flow: 1 once frozen
   std::vector<ResourceState> state_;
   /// Index scratch, sized by prepare(): the live resources (per twin
-  /// group, the member with the least finite capacity, while its active
-  /// weight is above eps; the list only shrinks, since active weights only
-  /// decrease), the resources saturated in the current step (then, in an
-  /// indexed solve, those whose weight it lowered), the flows frozen in
-  /// it, and the classes with active members.
+  /// group, the member with the least finite capacity unless that capacity
+  /// is slack, while its active weight is above eps; the list only
+  /// shrinks, since active weights only decrease), the resources saturated
+  /// in the current step (then, in an indexed solve, those whose weight it
+  /// lowered), the flows frozen in it, and the classes with active members.
   std::vector<std::size_t> work_;
   /// Sized by prepare() only for flow sets with kIndexCutoff or more twin
   /// groups, the most live resources a solve can start with.

@@ -1,7 +1,7 @@
 #include "tor/bandwidth_file.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
@@ -25,25 +25,44 @@ std::pair<std::string, std::string> split_kv(const std::string& token) {
 
 std::string serialize_bandwidth_file(const BandwidthFileHeader& header,
                                      const BandwidthFile& entries) {
-  std::ostringstream out;
-  out << header.timestamp << "\n";
-  out << "version=" << header.version << "\n";
-  out << "software=" << header.software << "\n";
-  out << "software_version=" << header.software_version << "\n";
-  out << "=====\n";  // header terminator (spec: "=====")
+  // A relay line is its fingerprint plus at most 56 bytes for capacities
+  // up to 10 Gbit/s.
+  std::string out;
+  std::size_t size = 64 + header.version.size() + header.software.size() +
+                     header.software_version.size();
+  for (const auto& e : entries) size += 64 + e.fingerprint.size();
+  out.reserve(size);
+  // Wide enough for any double in fixed notation with three decimals
+  // (DBL_MAX has 309 integer digits).
+  char buf[320];
+  const auto append = [&](std::to_chars_result written) {
+    out.append(buf, written.ptr);
+  };
+  append(std::to_chars(buf, buf + sizeof buf, header.timestamp));
+  out += "\nversion=";
+  out += header.version;
+  out += "\nsoftware=";
+  out += header.software;
+  out += "\nsoftware_version=";
+  out += header.software_version;
+  out += "\n=====\n";  // header terminator (spec: "=====")
   for (const auto& e : entries) {
     const auto bw_kb = static_cast<long long>(
         std::max(1.0, std::round(e.weight / kBitsPerKByte)));
-    out << "node_id=$" << e.fingerprint << " bw=" << bw_kb;
+    out += "node_id=$";
+    out += e.fingerprint;
+    out += " bw=";
+    append(std::to_chars(buf, buf + sizeof buf, bw_kb));
     if (e.capacity_bits > 0.0) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.3f",
-                    net::to_mbit(e.capacity_bits));
-      out << " flashflow_capacity_mbits=" << buf;
+      // Fixed with precision 3 rounds exactly as printf's "%.3f" does.
+      out += " flashflow_capacity_mbits=";
+      append(std::to_chars(buf, buf + sizeof buf,
+                           net::to_mbit(e.capacity_bits),
+                           std::chars_format::fixed, 3));
     }
-    out << "\n";
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 ParsedBandwidthFile parse_bandwidth_file(const std::string& text) {

@@ -715,6 +715,14 @@ TEST(FairShareDifferential, PreparedReSolvesMatchReference) {
 /// solver that averages at most `per_step` exact quotients per filling
 /// step over a family of such solves found its steps through the heap
 /// window.
+///
+/// The index's drain has an AVX2 clone and a baseline x86-64 one, and the
+/// CPU picks between them at load time. GitHub's x86-64 runners have AVX2,
+/// so every CI job runs the AVX2 clone, except the TSan job, whose build
+/// has a single drain (baseline x86-64); the determinism job's
+/// -march=x86-64-v3 build compiles both clones for AVX2 and FMA, which
+/// -ffp-contract=off keeps from fusing. Only a CPU without AVX2 runs the
+/// two-lane clone.
 void expect_indexed(FairShareSolver& solver, double per_step) {
   const FairShareCounters work = solver.take_counters();
   ASSERT_GT(work.fill_steps, 0u);
@@ -907,6 +915,217 @@ TEST(FairShareDifferential, CrowdedPreparedReSolvesMatchReference) {
     }
   }
   expect_indexed(solver, 2.0);
+}
+
+// ------------- slack resources: out of the filling loop --------------------
+
+// A resource whose capacity exceeds the caps of the flows crossing it by
+// the solver's margin can never bind, and the solver leaves it out of the
+// live set. Each family below pits that against the reference, which
+// divides and drains every finite resource.
+
+/// The sum of the caps of the flows crossing resource `r`, in flow order
+/// (the order prepare() adds them in), or +inf.
+double cap_sum(const std::vector<FairShareFlow>& flows, std::size_t r) {
+  double sum = 0.0;
+  for (const auto& f : flows)
+    for (const std::size_t used : f.resources)
+      if (used == r && f.cap > 0.0) sum += f.cap;
+  return sum;
+}
+
+/// `x` moved by a random number of ulps in [lo, hi].
+double ulps_away(sim::Rng& rng, double x, std::int64_t lo, std::int64_t hi) {
+  for (auto k = rng.uniform_int(lo, hi); k != 0; k += k > 0 ? -1 : 1)
+    x = std::nextafter(x, k > 0 ? 1e300 : 0.0);
+  return x;
+}
+
+/// A capacity for a shared resource whose flows' caps sum to `sum`: far
+/// above it (slack), within a few ulps or a millionth of it (within the
+/// margin), just past the margin, below it (binding), unconstrained or
+/// infinite.
+double shared_capacity(sim::Rng& rng, double sum) {
+  const double u = rng.uniform();
+  if (u < 0.30) return sum * rng.uniform(1.01, 3.0);
+  if (u < 0.40) return ulps_away(rng, sum, -2, 4);
+  if (u < 0.50) return sum * (1.0 + rng.uniform(0.0, 1e-6));
+  if (u < 0.60) return ulps_away(rng, sum * (1.0 + 1e-6) + 2e-9, -4, 4);
+  if (u < 0.85) return sum * rng.uniform(0.2, 0.99);
+  if (u < 0.90) return rng.chance(0.5) ? 0.0 : -1.0;
+  return std::numeric_limits<double>::infinity();
+}
+
+/// random_slot's shape with the engine's weights: whole socket counts,
+/// 160 / p in integer division, as core::make_shares splits them. A
+/// few flows have no cap, and each measurer NIC's capacity is set from
+/// the caps of its flows by shared_capacity().
+SlotInstance whole_weight_slot(sim::Rng& rng, int min_targets,
+                               int max_targets) {
+  SlotInstance slot = random_slot(rng, min_targets, max_targets);
+  for (auto& f : slot.flows) {
+    const auto participants = static_cast<std::int64_t>(160.0 / f.weight +
+                                                        0.5);
+    f.weight = static_cast<double>(160 / participants);
+    if (rng.chance(0.01)) f.cap = std::numeric_limits<double>::infinity();
+  }
+  for (std::size_t m = 0; m < 3; ++m)
+    slot.res[m].capacity = shared_capacity(rng, cap_sum(slot.flows, m));
+  return slot;
+}
+
+TEST(FairShareSlack, SharedResourcesMatchReference) {
+  // Slot-shaped instances of 1 to 60 targets, so both the scan and the
+  // index run, with measurer NICs slack, within the margin, just past it,
+  // binding, unconstrained or infinite, and flows with +inf caps.
+  sim::Rng rng(0x5eed000a);
+  FairShareSolver reused;
+  ReferenceStats stats;
+  for (int i = 0; i < 1500; ++i) {
+    const SlotInstance slot = whole_weight_slot(rng, 1, 60);
+    if (!matches_reference(reused, slot.res, slot.flows, stats, "slack", i))
+      break;
+  }
+  EXPECT_GT(stats.safety_freezes, 0u);
+}
+
+TEST(FairShareSlack, CrowdedPreparedReSolvesMatchReference) {
+  // The per-second pattern on crowded slots with the engine's weights:
+  // relay capacities move and sometimes drop to zero, then a measurer
+  // crash is re-prepared with its flows at cap 0, which lowers the other
+  // resources' cap sums. With the NICs out, the relays alone keep these
+  // solves above the cutoff.
+  sim::Rng rng(0x5eed000b);
+  FairShareSolver solver;
+  ReferenceStats stats;
+  bool ok = true;
+  for (int i = 0; i < 6 && ok; ++i) {
+    SlotInstance slot = whole_weight_slot(rng, 300, 600);
+    for (int segment = 0; segment < 2 && ok; ++segment) {
+      if (segment == 1) {
+        const auto crashed = rng.uniform_int(0, 2);
+        for (auto& f : slot.flows)
+          if (f.resources[0] == static_cast<std::size_t>(crashed))
+            f.cap = 0.0;
+      }
+      solver.prepare(slot.flows, slot.res.size());
+      for (int second = 0; second < 8 && ok; ++second) {
+        for (std::size_t t = 0; t < slot.relay_z.size(); ++t)
+          slot.res[4 + 2 * t].capacity =
+              rng.chance(0.05) ? 0.0
+                               : slot.relay_z[t] * rng.uniform(0.7, 1.3);
+        const std::vector<double> want =
+            reference_rates(slot.res, slot.flows, stats);
+        ok = same_bits(solver.solve_prepared(slot.res), want);
+        EXPECT_TRUE(ok) << "slot " << i << " segment " << segment
+                        << " second " << second;
+      }
+    }
+  }
+  expect_indexed(solver, 2.0);
+}
+
+/// A twin-free instance: `n` flows of whole weights share resource 0 and
+/// each also crosses a resource of its own, at or below its cap, so that
+/// only resource 0 can be slack.
+struct SharedInstance {
+  std::vector<FairShareResource> res;
+  std::vector<FairShareFlow> flows;
+};
+
+SharedInstance shared_instance(sim::Rng& rng, std::size_t n,
+                               double max_private = 1.0) {
+  SharedInstance in;
+  in.res.resize(1 + n);
+  for (std::size_t i = 0; i < n; ++i) {
+    FairShareFlow f;
+    f.resources = {0, 1 + i};
+    f.weight = static_cast<double>(rng.uniform_int(1, 160));
+    f.cap = log_uniform(rng, 1e5, 1e9);
+    in.res[1 + i].capacity = f.cap * rng.uniform(0.5, max_private);
+    in.flows.push_back(std::move(f));
+  }
+  return in;
+}
+
+TEST(FairShareSlack, SharedCapacityAtTheCapSumMatchesReference) {
+  // Most flows reach their caps (their own resources are often wider, or
+  // unconstrained), so a shared capacity a few ulps from the caps' sum
+  // ends with a remaining of a few ulps: the drains' rounding decides
+  // whether it sets the last step or saturates. Inside the margin it must
+  // stay live.
+  sim::Rng rng(0x5eed000d);
+  FairShareSolver reused;
+  ReferenceStats stats;
+  for (int i = 0; i < 3000; ++i) {
+    SharedInstance in = shared_instance(
+        rng, static_cast<std::size_t>(rng.uniform_int(2, 80)), 4.0);
+    if (i % 2 == 1)
+      for (std::size_t r = 1; r < in.res.size(); ++r) in.res[r].capacity = 0;
+    in.res[0].capacity = ulps_away(rng, cap_sum(in.flows, 0), -3, 6);
+    if (!matches_reference(reused, in.res, in.flows, stats, "cap-sum", i))
+      break;
+  }
+}
+
+TEST(FairShareSlack, OnlyCapacityPastTheMarginLeavesTheLiveSet) {
+  // Without twins a solve that divides fewer quotients than the reference
+  // left a resource out. A shared capacity a ten-millionth above the caps'
+  // sum is inside the margin and stays live; a hundred-thousandth above
+  // is slack. Both solve exactly as the reference does, below the cutoff
+  // and above it.
+  sim::Rng rng(0x5eed000c);
+  for (const std::size_t n :
+       {std::size_t{5}, std::size_t{2} * FairShareSolver::kIndexCutoff}) {
+    for (int i = 0; i < 50; ++i) {
+      SharedInstance in = shared_instance(rng, n);
+      const double sum = cap_sum(in.flows, 0);
+      for (const double above : {1e-7, 1e-5}) {
+        in.res[0].capacity = sum * (1.0 + above);
+        ReferenceStats stats;
+        const std::vector<double> want =
+            reference_rates(in.res, in.flows, stats);
+        FairShareSolver solver;
+        ASSERT_TRUE(same_bits(solver.solve(in.res, in.flows), want))
+            << n << " flows, instance " << i << ", " << above << " above";
+        const std::uint64_t quotients = solver.take_counters().exact_quotients;
+        if (n < FairShareSolver::kIndexCutoff) {
+          if (above < 1e-6)
+            EXPECT_EQ(quotients, stats.divisions) << "instance " << i;
+          else
+            EXPECT_LT(quotients, stats.divisions) << "instance " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(FairShareSlack, InexactWeightsKeepASlackResourceLive) {
+  // Resource 0's capacity dwarfs its flows' caps, but their weights do not
+  // add exactly: 3e8 + 0.7 and 0.1 (not whole), or 2^53 - 1 and 4 (whole,
+  // but their sum rounds up to 2^53 + 4). Once both flows froze, the weight left is a
+  // residue above eps, so the reference still divides by it, and the
+  // quotient is the only finite candidate: flow 2, crossing nothing
+  // constrained, gets a finite rate instead of +inf. Pruning resource 0
+  // would give +inf.
+  for (const auto& [a, b] : {std::pair(3e8 + 0.7, 0.1),
+                             std::pair(0x1p53 - 1.0, 4.0)}) {
+    std::vector<FairShareFlow> flows(3);
+    flows[0].resources = {0};
+    flows[0].weight = a;
+    flows[0].cap = 1.0;
+    flows[1].resources = {0};
+    flows[1].weight = b;
+    flows[1].cap = 1.0;
+    flows[2].resources = {1};
+    const std::vector<FairShareResource> res = {{1e12}, {0.0}};
+    ReferenceStats stats;
+    const std::vector<double> want = reference_rates(res, flows, stats);
+    ASSERT_TRUE(std::isfinite(want[2])) << "weights " << a << ", " << b;
+    FairShareSolver solver;
+    EXPECT_TRUE(same_bits(solver.solve(res, flows), want))
+        << "weights " << a << ", " << b;
+  }
 }
 
 }  // namespace

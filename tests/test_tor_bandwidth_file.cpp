@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "net/units.h"
 
 namespace flashflow::tor {
@@ -38,6 +45,42 @@ TEST(BandwidthFileFormat, SerializedShape) {
   EXPECT_NE(text.find("node_id=$AAAA bw=10000"), std::string::npos);
   EXPECT_NE(text.find("flashflow_capacity_mbits=100.000"),
             std::string::npos);
+}
+
+TEST(BandwidthFileFormat, CapacitiesPrintAsPrintfFixedThree) {
+  // The writer formats capacities with std::to_chars; every value must
+  // read exactly as printf's "%.3f" prints it. Mbit values exactly half-way
+  // between two thousandths (1/16, 3/16, ... are exact in binary, so
+  // printf rounds them to even), values a rounding away from half-way,
+  // and the extremes of the double range.
+  std::vector<double> mbits;
+  for (int k = 1; k < 32; k += 2) mbits.push_back(k / 16.0);
+  for (const double x : {0.0005, 1.0005, 2.0015, 2.6745, 999.9995, 0.00049,
+                         123456789012.3455, 0x1p53 + 2.0, 1e22, 1e300})
+    mbits.push_back(x);
+  mbits.push_back(std::nextafter(0.0625, 0.0));
+  mbits.push_back(std::nextafter(0.0625, 1.0));
+  BandwidthFile entries;
+  for (const double mbit : mbits) entries.push_back({"R", 8000.0, mbit * 1e6});
+  for (const double bits :
+       {DBL_MAX, DBL_MIN, std::numeric_limits<double>::denorm_min(), 1e-300,
+        std::numeric_limits<double>::infinity()})
+    entries.push_back({"R", 8000.0, bits});
+
+  const std::string text = serialize_bandwidth_file({}, entries);
+  std::string want = "0\nversion=1.4.0\nsoftware=flashflow\n"
+                     "software_version=1.0\n=====\n";
+  std::vector<char> buf(400);
+  for (const auto& e : entries) {
+    std::snprintf(buf.data(), buf.size(), "%.3f",
+                  net::to_mbit(e.capacity_bits));
+    want += "node_id=$R bw=1 flashflow_capacity_mbits=";
+    want += buf.data();
+    want += '\n';
+  }
+  EXPECT_EQ(text, want);
+  EXPECT_NE(text.find("=0.062\n"), std::string::npos);  // 1/16, to even
+  EXPECT_NE(text.find("=0.188\n"), std::string::npos);  // 3/16, to even
 }
 
 TEST(BandwidthFileFormat, TinyWeightsGetFloorOfOne) {

@@ -19,7 +19,10 @@
 # Three kinds of symbol are not compared: template instantiations (their
 # demangled name starts with a return type, not flashflow::), constructors,
 # destructors and assignment operators (the compiler emits its implicit
-# ones too), and lambda bodies.
+# ones too), and lambda bodies. A function built with target_clones is one
+# function: its clones ("[clone .avx2]", "[clone .default]") are local
+# symbols, and its resolver ("[clone .resolver]", type W) loses the suffix
+# with the parameter list, so it stands for the function on both sides.
 #
 # Still unseen: virtual functions (every vtable a program builds keeps all
 # of its entries), templates that are never instantiated, and implicit
