@@ -4,34 +4,30 @@
 // network capacity by ~200 Gbit/s (~50%), and network weight error rose by
 // 5-10 percentage points (to a max of 23%) before recovering.
 //
-// The experiment is the checked-in scenarios/fig05.yaml scenario file
-// (`--scenario FILE` substitutes another), run through
-// scenario::run_speed_test — the speedtest.* window keys carry the
-// §3.4 warmup/flood/cooldown timing.
+// Like Figs 1-4 and 10, this analyses the synthetic Tor-metrics archive,
+// not measurement slots: analysis::run_speed_test_experiment with
+// SpeedTestConfig's defaults, the paper's 30-day warmup, 51-hour flood and
+// 10-day cooldown over the default 5%-scale population (220 initial
+// relays).
 #include <iostream>
 
+#include "analysis/speedtest.h"
 #include "bench_util.h"
 #include "net/units.h"
-#include "scenario/scenario.h"
-#include "scenario/serialize.h"
 
 using namespace flashflow;
 
 int main(int argc, char** argv) {
-  const std::string path = bench::take_scenario_flag(
-      argc, argv, scenario::default_scenario_dir() + "/fig05.yaml");
-  scenario::ScenarioSpec spec = scenario::load_scenario_file(path);
-  // The archive experiment is single-threaded; no --threads flag. The
-  // file's seed is the default; --seed overrides.
-  const auto cli = bench::parse_cli(argc, argv, /*default_seed=*/spec.seed,
+  // The archive experiment is single-threaded; no --threads flag.
+  const auto cli = bench::parse_cli(argc, argv, /*default_seed=*/20210605,
                                     /*default_threads=*/1,
                                     /*accepts_threads=*/false);
-  spec.seed = cli.seed;
   bench::header("Figure 5 - relay speed test experiment (§3.4)",
                 "network capacity estimate +~50% during test; weight error "
                 "+5-10 points, then recovery");
 
-  const auto result = scenario::run_speed_test(spec);
+  const auto result = analysis::run_speed_test_experiment(
+      analysis::SpeedTestConfig{}, cli.seed);
 
   const double rise = result.peak_capacity_bits /
                           result.baseline_capacity_bits -

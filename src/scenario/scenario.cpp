@@ -106,8 +106,9 @@ void ScenarioSpec::validate() const {
       bad_fraction(adversaries.forger_fraction) ||
       adversaries.liar_fraction + adversaries.forger_fraction > 1.0)
     reject("adversary fractions must be in [0, 1] and sum to <= 1");
-  if (background.enabled &&
-      (background.utilization_mean < 0.0 || background.utilization_sd < 0.0))
+  if (!background.enabled && background != BackgroundModel{})
+    reject("background utilization applies only with background.enabled");
+  if (background.utilization_mean < 0.0 || background.utilization_sd < 0.0)
     reject("background utilization mean/sd must be non-negative");
   if (!team.capacity_bits.empty()) {
     // Align overrides with the team — the explicit names, or the
@@ -151,14 +152,6 @@ void ScenarioSpec::validate() const {
     if (topology.rtt_jitter < 0.0 || topology.rtt_jitter >= 1.0)
       reject("topology rtt_jitter must be in [0, 1)");
   }
-  if (speedtest) {
-    if (speedtest->warmup_days < 0 || speedtest->test_duration_hours <= 0 ||
-        speedtest->cooldown_days < 0)
-      reject("speedtest window must have warmup/cooldown >= 0 and a "
-             "positive test duration");
-    if (!std::holds_alternative<SyntheticPopulationSpec>(population))
-      reject("speedtest window requires a synthetic population");
-  }
   faults.validate(params.slot_seconds);
   if (const auto* t1 = std::get_if<Table1PopulationSpec>(&population)) {
     if (t1->rate_limit_mbit.empty()) reject("table1 population is empty");
@@ -170,6 +163,9 @@ void ScenarioSpec::validate() const {
   } else if (const auto* syn =
                  std::get_if<SyntheticPopulationSpec>(&population)) {
     if (syn->relays <= 0) reject("synthetic population needs relays > 0");
+    if (team.capacity_bits.empty())
+      reject("synthetic population needs team capacity overrides "
+             "(there is no real topology to run the iPerf mesh on)");
     if (!team.measurer_names.empty())
       reject("synthetic populations create their own measurer hosts from "
              "the capacity overrides; named measurers do not apply");
@@ -189,9 +185,6 @@ std::uint64_t period_seed(const ScenarioSpec& spec, int period) {
 
 MaterializedScenario materialize(const ScenarioSpec& spec) {
   spec.validate();
-  if (spec.speedtest)
-    reject("the speedtest window applies only to run_speed_test, not to "
-           "slot-based scenario runs");
   MaterializedScenario mat;
 
   if (const auto* t1 = std::get_if<Table1PopulationSpec>(&spec.population)) {
@@ -235,9 +228,6 @@ MaterializedScenario materialize(const ScenarioSpec& spec) {
       mat.measurer_hosts.push_back(mat.topology.find(name));
   } else {
     const auto& syn = std::get<SyntheticPopulationSpec>(spec.population);
-    if (spec.team.capacity_bits.empty())
-      reject("synthetic population needs team capacity overrides "
-             "(there is no real topology to run the iPerf mesh on)");
     const auto capacities = analysis::sample_capacities(
         syn.params, syn.relays, spec.seed ^ sim::hash_tag("scenario/synthetic"));
     // Measurer hosts first (ids 0..m-1), then one host per relay, all on a
@@ -339,37 +329,6 @@ PlanResult plan(const ScenarioSpec& spec) {
   plan.simulated_seconds = static_cast<double>(plan.slots_in_period) *
                            spec.params.slot_seconds;
   return plan;
-}
-
-analysis::SpeedTestResult run_speed_test(const ScenarioSpec& spec) {
-  spec.validate();
-  const auto* syn = std::get_if<SyntheticPopulationSpec>(&spec.population);
-  if (!syn)
-    throw std::invalid_argument(
-        "run_speed_test: requires a synthetic population source");
-  // The §3.4 experiment runs on the archive machinery, not on measurement
-  // slots: reject spec fields it cannot honor rather than drop them.
-  if (spec.adversaries.any() || spec.background.enabled ||
-      !spec.team.measurer_names.empty() || !spec.team.capacity_bits.empty() ||
-      spec.periods != 1 || spec.record_outcomes ||
-      spec.schedule != campaign::ScheduleMode::kGreedyPack ||
-      spec.threads != 1 || spec.shard_slots != 0 ||
-      spec.topology != TopologySpec{} || syn->prior_fraction > 0.0 ||
-      spec.faults.enabled())
-    throw std::invalid_argument(
-        "run_speed_test: adversary mix, background model, team, topology, "
-        "periods, schedule, threads, record_outcomes, prior_fraction and "
-        "faults do not apply to the §3.4 archive experiment");
-  const SpeedTestWindow window = spec.speedtest.value_or(SpeedTestWindow{});
-  analysis::SpeedTestConfig config;
-  config.population = syn->params;
-  // The archive machinery grows and churns the population itself; the
-  // spec's relay count seeds the initial live-relay population.
-  config.population.initial_relays = syn->relays;
-  config.warmup_days = window.warmup_days;
-  config.test_duration_hours = window.test_duration_hours;
-  config.cooldown_days = window.cooldown_days;
-  return analysis::run_speed_test_experiment(config, spec.seed);
 }
 
 }  // namespace flashflow::scenario

@@ -1,12 +1,13 @@
 // Declarative experiment scenarios over the streaming campaign engine.
 //
-// A ScenarioSpec says *what* to measure — a relay population source, an
-// adversary mix, a background-traffic model, a measurer team, a schedule
-// mode and a period count — without any of the topology/allocation wiring
-// the bench binaries used to hand-roll. A spec is a plain aggregate, written
-// with designated initializers or parsed from a scenario file
-// (serialize.h); materialize() turns one into a topology + campaign
-// population.
+// A ScenarioSpec describes one slot-based measurement run: a relay
+// population source, an adversary mix, a background-traffic model, a
+// measurer team, a schedule mode and a period count — without any of the
+// topology/allocation wiring the bench binaries used to hand-roll. A spec
+// is a plain aggregate, written with designated initializers or parsed
+// from a scenario file (serialize.h); materialize() turns one into a
+// topology + campaign population. The §3 archive analyses (Figs 1–5, 10)
+// are not slot runs and call analysis/ directly.
 // scenario::Experiment (experiment.h) runs a spec: every period through
 // campaign::CampaignRunner, with the §4.3 prior feedback between them.
 // plan() is its dry run: period 0's priors and slot layout, computed by
@@ -28,13 +29,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "analysis/population.h"
-#include "analysis/speedtest.h"
 #include "campaign/campaign.h"
 #include "core/params.h"
 #include "fault/fault.h"
@@ -51,7 +50,7 @@ struct Table1PopulationSpec {
   std::string relay_host = "US-SW";
   /// Offered client (background) traffic per relay.
   double background_mbit = 0.0;
-  /// Scheduling prior z0 per relay; <= 0 means oracle prior.
+  /// Scheduling prior z0 per relay; 0 means oracle prior.
   double prior_mbit = 0.0;
 
   friend bool operator==(const Table1PopulationSpec&,
@@ -68,10 +67,11 @@ struct ShadowPopulationSpec {
                          const ShadowPopulationSpec&) = default;
 };
 
-/// Capacities sampled from the §3 population mixture; relays are placed on
-/// synthetic hosts in a flat topology. Used for scale and scheduling
-/// studies (e.g. the §7 efficiency numbers), which plan() lays out on the
-/// implicit path model, so no n x n path matrix is built.
+/// Capacities sampled from the §3 population mixture (analysis::
+/// sample_capacities reads only its μ, σ and the two clamps); relays are
+/// placed on synthetic hosts in a flat topology. Used for scale and
+/// scheduling studies (e.g. the §7 efficiency numbers), which plan() lays
+/// out on the implicit path model, so no n x n path matrix is built.
 struct SyntheticPopulationSpec {
   analysis::PopulationParams params{};
   int relays = 0;
@@ -101,7 +101,8 @@ struct AdversaryMix {
 /// Background-traffic model: per-relay utilization (background demand as a
 /// fraction of capacity) drawn from a clamped normal. Disabled by default,
 /// keeping the population source's own background (shadow utilizations,
-/// table1 background_mbit).
+/// table1 background_mbit); validate() rejects utilization values while
+/// it is disabled.
 struct BackgroundModel {
   bool enabled = false;
   double utilization_mean = 0.0;
@@ -148,16 +149,6 @@ struct TopologySpec {
   friend bool operator==(const TopologySpec&, const TopologySpec&) = default;
 };
 
-/// Timing window of the §3.4 live-network speed test (run_speed_test).
-struct SpeedTestWindow {
-  int warmup_days = 30;
-  int test_duration_hours = 51;
-  int cooldown_days = 10;
-
-  friend bool operator==(const SpeedTestWindow&,
-                         const SpeedTestWindow&) = default;
-};
-
 struct ScenarioSpec {
   std::string name = "scenario";
   PopulationSpec population{};
@@ -182,10 +173,6 @@ struct ScenarioSpec {
   /// default (all rates zero) is inert: no slot fails and every output
   /// byte is identical to a pre-fault build.
   fault::FaultSpec faults{};
-  /// Engages the §3.4 archive speed-test experiment (run_speed_test);
-  /// materialize() — and with it Experiment and plan() — rejects specs
-  /// carrying it.
-  std::optional<SpeedTestWindow> speedtest{};
 
   /// Validates the spec (params + fractions + population/team coherence);
   /// throws std::invalid_argument.
@@ -228,9 +215,7 @@ struct PlanResult {
 };
 
 /// Materializes a spec into topology + population (exposed for callers
-/// that drive the campaign engine directly). Validates the spec, and
-/// rejects a speedtest window: that belongs to run_speed_test, not to a
-/// slot-based run.
+/// that drive the campaign engine directly). Validates the spec first.
 MaterializedScenario materialize(const ScenarioSpec& spec);
 
 /// Lays out period 0 of the spec's run without measuring anything: the
@@ -253,18 +238,5 @@ std::vector<double> resolve_team_capacities(const ScenarioSpec& spec,
 /// Deterministic, and distinct across periods so every period draws a
 /// fresh secret schedule (§4.3).
 std::uint64_t period_seed(const ScenarioSpec& spec, int period);
-
-/// The §3.4 relay speed-test experiment (Fig 5) over a scenario's
-/// synthetic population: floods every live relay to capacity for the test
-/// window and tracks the observed-bandwidth capacity proxy and TorFlow
-/// weight error around it. The window comes from spec.speedtest
-/// (defaults apply when absent). Requires a SyntheticPopulationSpec (the
-/// experiment runs on the §3 archive machinery, not on measurement
-/// slots); the spec's relay count seeds the initial live population.
-/// Spec fields the archive experiment cannot honor (adversary mix,
-/// background model, team, topology, periods, record_outcomes,
-/// prior_fraction) are rejected with std::invalid_argument rather than
-/// silently dropped.
-analysis::SpeedTestResult run_speed_test(const ScenarioSpec& spec);
 
 }  // namespace flashflow::scenario

@@ -66,8 +66,6 @@ const Key<ShadowNetParams> kShadowNetKeys[] = {
     {"shadow.min_capacity_bits", &ShadowNetParams::min_capacity_bits},
     {"shadow.advertised_mean", &ShadowNetParams::advertised_mean},
     {"shadow.advertised_sd", &ShadowNetParams::advertised_sd},
-    {"shadow.contention_mean", &ShadowNetParams::contention_mean},
-    {"shadow.contention_sd", &ShadowNetParams::contention_sd},
 };
 
 const Key<SyntheticPopulationSpec> kSyntheticKeys[] = {
@@ -75,15 +73,10 @@ const Key<SyntheticPopulationSpec> kSyntheticKeys[] = {
     {"synthetic.prior_fraction", &SyntheticPopulationSpec::prior_fraction},
 };
 const Key<PopulationParams> kSyntheticPopulationKeys[] = {
-    {"synthetic.initial_relays", &PopulationParams::initial_relays},
-    {"synthetic.growth_per_year", &PopulationParams::growth_per_year},
-    {"synthetic.churn_per_day", &PopulationParams::churn_per_day},
     {"synthetic.lognormal_mu", &PopulationParams::lognormal_mu},
     {"synthetic.lognormal_sigma", &PopulationParams::lognormal_sigma},
     {"synthetic.max_capacity_bits", &PopulationParams::max_capacity_bits},
     {"synthetic.min_capacity_bits", &PopulationParams::min_capacity_bits},
-    {"synthetic.rate_limited_fraction",
-     &PopulationParams::rate_limited_fraction},
 };
 
 // `topology.path_model` (dense | tiered) comes first, by hand.
@@ -93,13 +86,6 @@ const Key<TopologySpec> kTopologyKeys[] = {
     {"topology.loss", &TopologySpec::loss},
     {"topology.loaded_loss", &TopologySpec::loaded_loss},
     {"topology.rtt_jitter", &TopologySpec::rtt_jitter},
-};
-
-// Any of these keys turns the optional speedtest window on.
-const Key<SpeedTestWindow> kSpeedTestKeys[] = {
-    {"speedtest.warmup_days", &SpeedTestWindow::warmup_days},
-    {"speedtest.test_duration_hours", &SpeedTestWindow::test_duration_hours},
-    {"speedtest.cooldown_days", &SpeedTestWindow::cooldown_days},
 };
 
 const Key<fault::FaultSpec> kFaultKeys[] = {
@@ -262,15 +248,12 @@ class ScenarioText {
     return true;
   }
 
-  /// Reads every key of a table into `section`; returns whether any was
-  /// present.
+  /// Reads every key of a table into `section`.
   template <typename S, std::size_t N>
-  bool read_keys(S& section, const Key<S> (&keys)[N]) {
-    bool any = false;
+  void read_keys(S& section, const Key<S> (&keys)[N]) {
     for (const Key<S>& key : keys)
-      std::visit([&](auto member) { any |= read(key.name, section.*member); },
+      std::visit([&](auto member) { read(key.name, section.*member); },
                  key.member);
-    return any;
   }
 
   /// The line an already-consumed key was set on (diagnostics).
@@ -420,10 +403,6 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
                    : "dense");
     write_keys(out, spec.topology, kTopologyKeys);
   }
-  if (spec.speedtest) {
-    out += '\n';
-    write_keys(out, *spec.speedtest, kSpeedTestKeys);
-  }
   if (spec.faults != fault::FaultSpec{}) {
     out += '\n';
     write_keys(out, spec.faults, kFaultKeys);
@@ -506,10 +485,6 @@ ScenarioSpec parse_scenario(const std::string& text,
   // without 'topology.path_model: tiered' fails spec validation instead
   // of being silently dropped.
   in.read_keys(spec.topology, kTopologyKeys);
-
-  SpeedTestWindow window;
-  if (in.read_keys(window, kSpeedTestKeys))
-    spec.speedtest = window;
 
   in.read_keys(spec.faults, kFaultKeys);
   in.read_keys(spec.team, kTeamKeys);

@@ -24,10 +24,13 @@
 // apply to the declared population source are all errors, never warnings.
 //
 // Round-trip fidelity: parse(serialize(spec)) == spec for every valid
-// spec. serialize() emits every field explicitly (doubles in shortest
-// round-trip form, util::format_double), so the emitted file doubles as a
-// normalized archival record of an experiment; parsing accepts any subset
-// of keys, with absent keys keeping their ScenarioSpec defaults.
+// spec that leaves the fields no slot run reads at their defaults: the
+// population-growth fields of analysis::PopulationParams and
+// ShadowNetParams' contention factor have no key. serialize() emits every
+// other field explicitly (doubles in shortest round-trip form,
+// util::format_double), so the emitted file doubles as a normalized
+// archival record of an experiment; parsing accepts any subset of keys,
+// with absent keys keeping their ScenarioSpec defaults.
 //
 // Each key is named once, in one {name, member pointer} table per spec
 // section (serialize.cpp) that drives both directions in file order. The

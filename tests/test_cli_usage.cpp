@@ -18,7 +18,7 @@
 // scenario is loaded or directory created. The CliOutputs tests run real
 // scenarios into a scratch directory under the system temp dir and check
 // that a result file which cannot be written in full fails the run, and
-// that a spec no slot campaign can honor is refused without writing
+// that a spec which cannot be materialized is refused without writing
 // anything.
 #include <gtest/gtest.h>
 
@@ -243,43 +243,23 @@ TEST(CliOutputs, RunFailsWhenBandwidthFileCannotBeCreated) {
       << result.output;
 }
 
-TEST(CliOutputs, RunAndPlanRefuseSpeedTestWindow) {
-  // A speedtest window drives the §3.4 archive experiment only. A spec
-  // that would otherwise run as a slot campaign must be refused by both
-  // commands, naming the window, rather than run without it.
-  const ScratchDir scratch;
-  const fs::path spec = scratch.path() / "window.yaml";
-  {
-    std::ofstream out(spec);
-    out << "flashflow_scenario: 1\n"
-           "population: synthetic\n"
-           "synthetic.relays: 10\n"
-           "team.capacity_bits: [1e9]\n"
-           "speedtest.warmup_days: 30\n";
-  }
-  const std::vector<std::string> commands = {
-      "run " + quoted(spec) + " --out " + quoted(scratch.path() / "out") +
-          " --quiet",
-      "plan " + quoted(spec)};
-  for (const std::string& command : commands) {
-    SCOPED_TRACE(command);
-    const RunResult result = run_cli(command);
-    EXPECT_EQ(result.exit_code, 1) << result.output;
-    EXPECT_NE(result.output.find("speedtest window"), std::string::npos)
-        << result.output;
-  }
-}
-
 TEST(CliOutputs, RefusedRunLeavesNoDirectory) {
-  // The refusal comes before anything is written: no scenario.yaml or
-  // empty result files are left behind, so a second run into the same
-  // directory needs no --force.
+  // A spec that validates but names a measurer host the topology lacks:
+  // materialization refuses it before anything is written, so no
+  // scenario.yaml or empty result files are left behind, and a second run
+  // into the same directory needs no --force.
   const ScratchDir scratch;
+  const fs::path spec = scratch.path() / "mars.yaml";
+  std::ofstream(spec) << "flashflow_scenario: 1\n"
+                         "population: table1\n"
+                         "table1.rate_limits_mbit: [100]\n"
+                         "team.measurers: [Mars]\n";
+  EXPECT_EQ(run_cli("validate " + quoted(spec)).exit_code, 0);
   const fs::path out = scratch.path() / "out";
-  const RunResult result = run_cli("run " + scenario_file("fig05.yaml") +
-                                   " --out " + quoted(out) + " --quiet");
+  const RunResult result =
+      run_cli("run " + quoted(spec) + " --out " + quoted(out) + " --quiet");
   EXPECT_EQ(result.exit_code, 1) << result.output;
-  EXPECT_NE(result.output.find("speedtest window"), std::string::npos)
+  EXPECT_NE(result.output.find("no host named Mars"), std::string::npos)
       << result.output;
   EXPECT_FALSE(fs::exists(out));
 }

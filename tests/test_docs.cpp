@@ -60,8 +60,8 @@ std::vector<std::string> quoted_includes(const fs::path& path) {
 }
 
 /// Specs that together exercise every branch of serialize_scenario():
-/// all three populations, topology, speedtest, faults, team,
-/// adversaries, background and params sections.
+/// all three populations, topology, faults, team, adversaries,
+/// background and params sections.
 std::vector<scenario::ScenarioSpec> fully_populated_specs() {
   std::vector<scenario::ScenarioSpec> specs;
 
@@ -92,7 +92,6 @@ std::vector<scenario::ScenarioSpec> fully_populated_specs() {
     spec.topology.tiers = 2;
     spec.topology.tier_rtt_s = {0.02, 0.065, 0.02};
     spec.topology.rtt_jitter = 0.1;
-    spec.speedtest = scenario::SpeedTestWindow{};
     spec.faults.measurer_crash = 0.01;
     spec.faults.relay_disconnect = 0.01;
     spec.faults.report_drop = 0.01;

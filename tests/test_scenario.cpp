@@ -45,7 +45,8 @@ TEST(ScenarioSpec, RejectsInvalidSpecs) {
   spec.params.epsilon1 = 1.0;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   // Synthetic population with no relays.
-  const ScenarioSpec no_relays{.population = SyntheticPopulationSpec{}};
+  const ScenarioSpec no_relays{.population = SyntheticPopulationSpec{},
+                               .team = {.capacity_bits = {net::gbit(1)}}};
   EXPECT_THROW(no_relays.validate(), std::invalid_argument);
   // Team capacity overrides misaligned with named measurers.
   spec = one_relay;
@@ -69,12 +70,14 @@ TEST(ScenarioSpec, RejectsInvalidSpecs) {
   analysis::PopulationParams no_max;
   no_max.min_capacity_bits = -10;
   no_max.max_capacity_bits = -5;
-  spec = {.population = SyntheticPopulationSpec{no_max, 10}};
+  spec = no_relays;
+  spec.population = SyntheticPopulationSpec{no_max, 10};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   analysis::PopulationParams inverted;
   inverted.min_capacity_bits = 5e8;
   inverted.max_capacity_bits = 1e6;
-  spec = {.population = SyntheticPopulationSpec{inverted, 10}};
+  spec = no_relays;
+  spec.population = SyntheticPopulationSpec{inverted, 10};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   shadowsim::ShadowNetParams shadow_no_max;
   shadow_no_max.min_capacity_bits = 0;
@@ -86,11 +89,14 @@ TEST(ScenarioSpec, RejectsInvalidSpecs) {
   shadow_inverted.max_capacity_bits = 1e6;
   spec = {.population = ShadowPopulationSpec{shadow_inverted, 1}};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
-  // Synthetic populations need capacity overrides at materialization time
-  // (no real topology to mesh-measure).
+  // Background utilization without the model would be dropped silently.
+  spec = one_relay;
+  spec.background.utilization_mean = 0.5;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  // Synthetic populations need capacity overrides (no real topology to
+  // mesh-measure).
   spec = {.population = SyntheticPopulationSpec{.relays = 10}};
-  EXPECT_NO_THROW(spec.validate());
-  EXPECT_THROW(materialize(spec), std::invalid_argument);
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
 TEST(Experiment, Table1RunTracksGroundTruth) {
@@ -385,44 +391,6 @@ TEST(Experiment, EmitsParsableBandwidthFile) {
                 static_cast<std::size_t>(
                     result.final_period.summary.verification_failures));
   for (const auto& entry : parsed.entries) EXPECT_GT(entry.weight, 0.0);
-}
-
-TEST(Experiment, RefusesSpeedTestWindow) {
-  // The window drives run_speed_test only; a slot-based run must refuse
-  // it rather than silently measure slots without it.
-  const ScenarioSpec spec{.name = "window",
-                          .population = SyntheticPopulationSpec{.relays = 10},
-                          .team = {.capacity_bits = {net::gbit(1)}},
-                          .speedtest = SpeedTestWindow{}};
-  EXPECT_NO_THROW(spec.validate());
-  EXPECT_THROW(Experiment{spec}, std::invalid_argument);
-  EXPECT_THROW(scenario::plan(spec), std::invalid_argument);
-}
-
-TEST(SpeedTest, RejectsSpecsItCannotHonor) {
-  const analysis::PopulationParams pop;
-  // Non-synthetic population.
-  const ScenarioSpec table1{
-      .population = Table1PopulationSpec{.rate_limit_mbit = {100}}};
-  EXPECT_THROW(run_speed_test(table1), std::invalid_argument);
-  // Fields the archive experiment cannot apply are rejected, not dropped.
-  const ScenarioSpec ten{.population = SyntheticPopulationSpec{pop, 10}};
-  ScenarioSpec spec = ten;
-  spec.adversaries.liar_fraction = 0.5;
-  EXPECT_THROW(run_speed_test(spec), std::invalid_argument);
-  spec = ten;
-  spec.periods = 3;
-  EXPECT_THROW(run_speed_test(spec), std::invalid_argument);
-  // Tiered topologies do not apply to the archive experiment either.
-  spec = ten;
-  spec.topology.path_model = TopologySpec::PathModelKind::kTiered;
-  EXPECT_THROW(run_speed_test(spec), std::invalid_argument);
-  EXPECT_NO_THROW(run_speed_test(
-      {.population = SyntheticPopulationSpec{pop, pop.initial_relays},
-       .seed = 20210605,
-       .speedtest = SpeedTestWindow{.warmup_days = 2,
-                                    .test_duration_hours = 6,
-                                    .cooldown_days = 1}}));
 }
 
 TEST(Experiment, PeriodHookObservesEveryPeriod) {

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/units.h"
@@ -110,18 +111,6 @@ TEST(ScenarioSerialize, TieredTopologyRoundTripsExactly) {
   EXPECT_EQ(back.topology.tier_rtt_s, topo.tier_rtt_s);
 }
 
-TEST(ScenarioSerialize, SpeedTestWindowRoundTripsExactly) {
-  analysis::PopulationParams pop;
-  const ScenarioSpec spec{.name = "fig5-rt",
-                          .population = SyntheticPopulationSpec{pop, 220},
-                          .seed = 20210605,
-                          .speedtest = SpeedTestWindow{30, 51, 10}};
-  const ScenarioSpec back = parse_scenario(serialize_scenario(spec));
-  EXPECT_EQ(spec, back);
-  ASSERT_TRUE(back.speedtest.has_value());
-  EXPECT_EQ(back.speedtest->test_duration_hours, 51);
-}
-
 TEST(ScenarioSerialize, FaultsRoundTripExactly) {
   fault::FaultSpec faults;
   faults.measurer_crash = 0.031;
@@ -138,12 +127,11 @@ TEST(ScenarioSerialize, FaultsRoundTripExactly) {
   EXPECT_EQ(back.faults, faults);
 }
 
-TEST(ScenarioSerialize, DefaultTopologyWindowAndFaultsStayOffTheWire) {
+TEST(ScenarioSerialize, DefaultTopologyAndFaultsStayOffTheWire) {
   // Specs without the optional sections must serialize without emitting
   // them, so files written before those keys existed stay byte-stable.
   const std::string text = serialize_scenario(synthetic_spec());
   EXPECT_EQ(text.find("topology."), std::string::npos);
-  EXPECT_EQ(text.find("speedtest."), std::string::npos);
   // Line-anchored: the header comment's word "defaults." is not a key.
   EXPECT_EQ(text.find("\nfaults."), std::string::npos);
 }
@@ -198,6 +186,28 @@ TEST(ScenarioSerialize, UnknownKeyNamesKeyAndLine) {
       "table1.rate_limits_mbit: [250]\n"
       "table1.rate_limit_mbit: [100]\n",  // near-miss typo
       {"test.yaml:3", "unknown key 'table1.rate_limit_mbit'"});
+  // Keys no slot run reads are refused, not silently ignored: each fails
+  // on its own line, after three valid lines of its population.
+  const char* const table1 =
+      "population: table1\ntable1.rate_limits_mbit: [250]\nseed: 3\n";
+  const char* const synthetic =
+      "population: synthetic\nsynthetic.relays: 40\n"
+      "team.capacity_bits: [8e8]\n";
+  const char* const shadow = "population: shadow\nshadow.relays: 30\nseed: 3\n";
+  const std::pair<const char*, const char*> removed[] = {
+      {table1, "speedtest.warmup_days"},
+      {synthetic, "synthetic.initial_relays"},
+      {synthetic, "synthetic.growth_per_year"},
+      {synthetic, "synthetic.churn_per_day"},
+      {synthetic, "synthetic.rate_limited_fraction"},
+      {shadow, "shadow.contention_mean"},
+      {shadow, "shadow.contention_sd"},
+  };
+  for (const auto& [head, key] : removed) {
+    const std::string unknown = std::string("unknown key '") + key + "'";
+    expect_parse_error(std::string(head) + key + ": 1\n",
+                       {"test.yaml:4", unknown.c_str()});
+  }
 }
 
 TEST(ScenarioSerialize, WrongTypeNamesKeyLineAndValue) {
@@ -330,20 +340,6 @@ TEST(ScenarioSerialize, JitterOutOfRangeRejected) {
       {"rtt_jitter must be in [0, 1)"});
 }
 
-TEST(ScenarioSerialize, SpeedTestWindowRequiresSyntheticAndPositiveTest) {
-  expect_parse_error(
-      "population: table1\n"
-      "table1.rate_limits_mbit: [250]\n"
-      "speedtest.warmup_days: 5\n",
-      {"speedtest window requires a synthetic population"});
-  expect_parse_error(
-      "population: synthetic\n"
-      "synthetic.relays: 40\n"
-      "team.capacity_bits: [8e8]\n"
-      "speedtest.test_duration_hours: 0\n",
-      {"positive test duration"});
-}
-
 TEST(ScenarioSerialize, MalformedFaultValuesNameKeyAndLine) {
   expect_parse_error(
       "population: table1\n"
@@ -394,6 +390,13 @@ TEST(ScenarioSerialize, SemanticValidationStillRuns) {
                               "adversaries.liar_fraction: 0.7\n"
                               "adversaries.forger_fraction: 0.6\n"),
                std::invalid_argument);
+  // Like tier parameters, a utilization the disabled background model
+  // would drop is refused.
+  expect_parse_error(
+      "population: table1\n"
+      "table1.rate_limits_mbit: [250]\n"
+      "background.utilization_mean: 0.5\n",
+      {"background utilization applies only with background.enabled"});
 }
 
 TEST(ScenarioSerialize, LoadFileReportsUnopenablePath) {
@@ -408,8 +411,8 @@ TEST(ScenarioSerialize, LoadFileReportsUnopenablePath) {
 
 TEST(ScenarioSerialize, CheckedInScenariosAllParse) {
   // The files the examples, benches and CI smoke job rely on.
-  for (const char* name : {"quickstart", "measure_network", "fig05", "fig07",
-                           "sec7", "golden_smoke", "fault_smoke"}) {
+  for (const char* name : {"quickstart", "measure_network", "fig07", "sec7",
+                           "golden_smoke", "fault_smoke"}) {
     const std::string path =
         default_scenario_dir() + "/" + name + ".yaml";
     EXPECT_NO_THROW(load_scenario_file(path)) << path;

@@ -120,10 +120,16 @@ TEST_F(ResultDiffTest, EachDifferingArtifactGetsOneEntry) {
   write(dir_b_, "results.csv", "h\nb\n");
   write(dir_a_, "bandwidth.txt", "1\n");
   write(dir_b_, "bandwidth.txt", "2\n");
+  // The fault ledger carries its slot in the third field, as results.csv.
+  write(dir_a_, "faults.csv", "period,relay,slot,attempt\n0,4,17,0\n");
+  write(dir_b_, "faults.csv", "period,relay,slot,attempt\n0,4,17,1\n");
   const DiffResult result = diff_result_dirs(dir_a_, dir_b_);
-  ASSERT_EQ(result.differences.size(), 2u);
+  ASSERT_EQ(result.differences.size(), 3u);
   EXPECT_EQ(result.differences[0].file, "results.csv");
   EXPECT_EQ(result.differences[1].file, "bandwidth.txt");
+  EXPECT_EQ(result.differences[2].file, "faults.csv");
+  EXPECT_EQ(result.differences[2].line, 2);
+  EXPECT_EQ(result.differences[2].slot, 17);
 }
 
 TEST_F(ResultDiffTest, NonDirectoryThrows) {

@@ -81,9 +81,10 @@ int usage(std::ostream& out, int exit_code) {
          "      result directory per cell under DIR.\n"
          "  diff <dirA> <dirB> [--quiet]\n"
          "      Compare two result directories (results.csv,\n"
-         "      results.jsonl, bandwidth.txt); report the first differing\n"
-         "      slot per file and exit 1 when they differ. --quiet\n"
-         "      suppresses the identical-directories message.\n"
+         "      results.jsonl, bandwidth.txt, faults.csv); report the\n"
+         "      first differing slot per file and exit 1 when they\n"
+         "      differ. --quiet suppresses the identical-directories\n"
+         "      message.\n"
          "\n"
          "Scenario files: flat YAML subset, one 'key: value' per line —\n"
          "see scenarios/ and README \"Scenario files & CLI\".\n";
