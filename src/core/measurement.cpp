@@ -390,7 +390,7 @@ const std::vector<SlotOutcome>& SlotRunner::run_concurrent(
       // (Fig 7's spike).
       double cap = ws.base_capacity_[t];
       if (relay.rate_limit_bits > 0.0 && second == 0)
-        cap += relay.rate_limit_bits * relay.burst_seconds;
+        cap += relay.rate_limit_bits * tor::kBurstSeconds;
       // Noise plus a small absolute jitter that dominates for tiny relays
       // (jitter_[s][t] == the normal(0, 0.15 Mbit) the loop used to draw
       // here, scaled from the batched standard normals).
@@ -411,8 +411,7 @@ const std::vector<SlotOutcome>& SlotRunner::run_concurrent(
           targets[t].behavior == TargetBehavior::kLieAboutBackground
               ? 0.0
               : targets[t].relay->background_demand_bits;
-      ws.y_t_[t] = std::min(
-          demand, targets[t].relay->ratio_r * ws.relay_capacity_[t]);
+      ws.y_t_[t] = std::min(demand, params_.ratio * ws.relay_capacity_[t]);
     }
 
     for (std::size_t t = 0; t < n_targets; ++t)
@@ -430,11 +429,9 @@ const std::vector<SlotOutcome>& SlotRunner::run_concurrent(
     }
     // The forwarded background also satisfies the ratio rule against the
     // measurement traffic that actually materialized.
-    for (std::size_t t = 0; t < n_targets; ++t) {
-      const auto& relay = *targets[t].relay;
+    for (std::size_t t = 0; t < n_targets; ++t)
       ws.y_t_[t] = std::min(
-          ws.y_t_[t], ws.x_t_[t] * relay.ratio_r / (1.0 - relay.ratio_r));
-    }
+          ws.y_t_[t], ws.x_t_[t] * params_.ratio / (1.0 - params_.ratio));
 
     // Record per-second outcomes (shape_outcomes reserved every series:
     // these push_backs never reallocate).

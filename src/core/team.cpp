@@ -1,13 +1,9 @@
 #include "core/team.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
-#include "metrics/stats.h"
-#include "net/flownet.h"
-#include "sim/random.h"
-#include "sim/simulator.h"
+#include "net/iperf.h"
 
 namespace flashflow::core {
 
@@ -27,54 +23,13 @@ void Team::measure_measurers(std::uint64_t seed) {
         std::min(host.nic_up_bits, host.nic_down_bits);
     return;
   }
-  // Concurrent full-mesh bidirectional UDP for 60 seconds on a fluid net.
-  sim::Simulator simu;
-  net::FlowNet netw(simu);
-  std::vector<net::ResourceId> up, down;
-  for (const auto& m : measurers_) {
-    up.push_back(netw.add_resource(topo_.host(m.host).nic_up_bits));
-    down.push_back(netw.add_resource(topo_.host(m.host).nic_down_bits));
-  }
-  // flows[i][j]: measurer i sending to measurer j.
-  std::vector<std::vector<net::FlowId>> flows(measurers_.size());
-  for (std::size_t i = 0; i < measurers_.size(); ++i) {
-    for (std::size_t j = 0; j < measurers_.size(); ++j) {
-      if (i == j) {
-        flows[i].push_back(0);
-        continue;
-      }
-      net::FlowNet::FlowSpec spec;
-      spec.resources = {up[i], down[j]};
-      spec.record_per_second = true;
-      flows[i].push_back(netw.add_flow(std::move(spec)));
-    }
-  }
-  simu.run_until(60 * sim::kSecond);
-  netw.sync();
-
-  sim::Rng rng(seed);
-  for (std::size_t i = 0; i < measurers_.size(); ++i) {
-    // Per-second totals sent by i and received by i.
-    std::vector<double> sent(60, 0.0), received(60, 0.0);
-    for (std::size_t j = 0; j < measurers_.size(); ++j) {
-      if (i == j) continue;
-      const auto out_bins = netw.series(flows[i][j]).bins_bits_per_second();
-      for (std::size_t s = 0; s < out_bins.size() && s < 60; ++s)
-        sent[s] += out_bins[s];
-      const auto in_bins = netw.series(flows[j][i]).bins_bits_per_second();
-      for (std::size_t s = 0; s < in_bins.size() && s < 60; ++s)
-        received[s] += in_bins[s];
-    }
-    std::vector<double> per_second(60);
-    for (std::size_t s = 0; s < 60; ++s) {
-      per_second[s] = std::min(sent[s], received[s]) *
-                      rng.uniform(1.0 - topo_.host(measurers_[i].host)
-                                            .rx_var_udp,
-                                  1.0);
-    }
-    measurers_[i].capacity_bits =
-        metrics::median(metrics::as_span(per_second));
-  }
+  // Concurrent full-mesh bidirectional UDP for 60 seconds.
+  std::vector<net::HostId> hosts;
+  for (const auto& m : measurers_) hosts.push_back(m.host);
+  const std::vector<net::IperfReport> reports =
+      net::IperfRunner(topo_, seed).run_mesh_udp(hosts, 60);
+  for (std::size_t i = 0; i < measurers_.size(); ++i)
+    measurers_[i].capacity_bits = reports[i].median_bits();
 }
 
 void Team::set_capacity(std::size_t index, double capacity_bits) {

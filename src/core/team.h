@@ -3,9 +3,10 @@
 //
 // A team is a set of measurer hosts whose summed capacity must be at least
 // f times the largest relay capacity. Measurer capacities are estimated
-// with a concurrent bidirectional UDP iPerf mesh: every measurer exchanges
-// traffic with every other measurer for 60 seconds, and the estimate is the
-// median per-second min(sent, received). Only a lower bound is needed — an
+// with a concurrent bidirectional UDP iPerf mesh
+// (net::IperfRunner::run_mesh_udp): every measurer exchanges traffic with
+// every other measurer for 60 seconds, and the estimate is the median
+// per-second min(sent, received). Only a lower bound is needed — an
 // underestimate slows the schedule but cannot bias relay estimates.
 #pragma once
 
@@ -26,7 +27,8 @@ class Team {
   Team(const net::Topology& topo, std::vector<net::HostId> hosts);
 
   /// Runs the 60-second concurrent bidirectional UDP mesh and stores
-  /// per-measurer capacity estimates.
+  /// per-measurer capacity estimates. A team of one has no peers and takes
+  /// its NIC capacity instead.
   void measure_measurers(std::uint64_t seed);
 
   /// Overrides a measurer's capacity (lab configs with known limits).

@@ -6,25 +6,6 @@
 
 namespace flashflow::metrics {
 
-void PerSecondSeries::add(sim::SimTime at, double bytes) {
-  const std::int64_t second = at / sim::kSecond;
-  if (bins_.empty()) {
-    first_second_ = second;
-    bins_.push_back(0.0);
-  }
-  if (second < first_second_)
-    throw std::invalid_argument("PerSecondSeries::add: time went backwards");
-  const auto idx = static_cast<std::size_t>(second - first_second_);
-  if (idx >= bins_.size()) bins_.resize(idx + 1, 0.0);
-  bins_[idx] += bytes;
-}
-
-std::vector<double> PerSecondSeries::bins_bits_per_second() const {
-  std::vector<double> out = bins_;
-  for (double& v : out) v *= 8.0;
-  return out;
-}
-
 TrailingMax::TrailingMax(std::size_t window) : window_(window) {
   if (window_ == 0) throw std::invalid_argument("TrailingMax: zero window");
 }

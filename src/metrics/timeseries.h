@@ -1,35 +1,15 @@
-// Per-second accumulators and sliding maximum windows.
+// Sliding and rolling windows over per-sample series.
 //
-// PerSecondSeries buckets byte counts into whole-second bins, matching how
-// FlashFlow measurers and the Tor relay report throughput. SlidingMax
-// implements the "maximum sustained 10-second throughput over 5 days"
-// computation behind Tor's observed bandwidth.
+// TrailingMax and SlidingWindowMax implement the "maximum sustained
+// 10-second throughput over 5 days" computation behind Tor's observed
+// bandwidth; RollingWindowStats backs the Appendix A variation analyses.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <utility>
-#include <vector>
-
-#include "sim/time.h"
 
 namespace flashflow::metrics {
-
-/// Accumulates byte counts into contiguous one-second bins.
-class PerSecondSeries {
- public:
-  /// Adds `bytes` observed at absolute simulation time `at`.
-  void add(sim::SimTime at, double bytes);
-
-  /// Bin values in bits/second, from the first bin touched through the
-  /// last.
-  std::vector<double> bins_bits_per_second() const;
-
- private:
-  /// First bin index, in whole seconds since sim start.
-  std::int64_t first_second_ = 0;
-  std::vector<double> bins_;
-};
 
 /// Maximum over the trailing `window` samples, O(1) amortized per push
 /// (monotonic deque). Used for the paper's C(r,t,p) = max advertised

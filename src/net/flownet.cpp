@@ -60,37 +60,11 @@ void FlowNet::remove_flow(FlowId id) {
   sync();
   const auto it = flows_.find(id);
   if (it == flows_.end()) return;  // already completed/removed
-  retired_.emplace(id, std::move(it->second));
   flows_.erase(it);
   recompute_rates();
 }
 
-const metrics::PerSecondSeries& FlowNet::series(FlowId id) {
-  sync();
-  if (const auto it = flows_.find(id); it != flows_.end())
-    return it->second.series;
-  if (const auto it = retired_.find(id); it != retired_.end())
-    return it->second.series;
-  throw std::invalid_argument("FlowNet::series: unknown flow");
-}
-
 void FlowNet::sync() { advance_to(sim_.now()); }
-
-void FlowNet::accrue_series(metrics::PerSecondSeries& series,
-                            sim::SimTime from, sim::SimTime to,
-                            double rate_bits) {
-  // Split the constant-rate interval at one-second boundaries so each bin
-  // receives exactly the bytes transferred during that second.
-  sim::SimTime cursor = from;
-  while (cursor < to) {
-    const sim::SimTime next_boundary =
-        (cursor / sim::kSecond + 1) * sim::kSecond;
-    const sim::SimTime chunk_end = std::min(next_boundary, to);
-    const double seconds = sim::to_seconds(chunk_end - cursor);
-    series.add(cursor, bytes_from_bits(rate_bits) * seconds);
-    cursor = chunk_end;
-  }
-}
 
 void FlowNet::advance_to(sim::SimTime t) {
   if (advancing_ || t <= last_time_) return;
@@ -98,37 +72,15 @@ void FlowNet::advance_to(sim::SimTime t) {
   std::vector<std::pair<FlowId, std::function<void(FlowId)>>> callbacks;
 
   while (last_time_ < t) {
-    // Earliest completion among finite flows at current rates.
-    sim::SimTime next_completion = t;
-    for (const auto& [id, flow] : flows_) {
-      (void)id;
-      if (!std::isfinite(flow.remaining_bytes) || flow.rate_bits <= 0.0)
-        continue;
-      const double secs =
-          bits_from_bytes(flow.remaining_bytes) / flow.rate_bits;
-      // Strictly in the future so each loop iteration makes progress even
-      // when the remaining time rounds to zero microseconds.
-      const sim::SimTime when =
-          last_time_ +
-          std::max<sim::SimDuration>(sim::from_seconds(secs), 1);
-      next_completion = std::min(next_completion, when);
-    }
-
-    const sim::SimTime step_end = std::min(t, next_completion);
+    const sim::SimTime step_end = std::min(t, next_completion());
     const double dt = sim::to_seconds(step_end - last_time_);
     if (dt > 0.0) {
       for (auto& [id, flow] : flows_) {
         (void)id;
-        const double bytes = bytes_from_bits(flow.rate_bits) * dt;
-        const double delivered = std::min(bytes, flow.remaining_bytes);
         if (std::isfinite(flow.remaining_bytes))
-          flow.remaining_bytes =
-              std::max(0.0, flow.remaining_bytes - delivered);
-        if (flow.spec.record_per_second && delivered > 0.0) {
-          // Record at the actual delivered rate over the interval.
-          const double eff_rate = bits_from_bytes(delivered) / dt;
-          accrue_series(flow.series, last_time_, step_end, eff_rate);
-        }
+          flow.remaining_bytes = std::max(
+              0.0,
+              flow.remaining_bytes - bytes_from_bits(flow.rate_bits) * dt);
       }
     }
     last_time_ = step_end;
@@ -139,8 +91,8 @@ void FlowNet::advance_to(sim::SimTime t) {
       if (std::isfinite(it->second.remaining_bytes) &&
           it->second.remaining_bytes <= kByteEps) {
         if (it->second.spec.on_complete)
-          callbacks.emplace_back(it->first, it->second.spec.on_complete);
-        retired_.emplace(it->first, std::move(it->second));
+          callbacks.emplace_back(it->first,
+                                 std::move(it->second.spec.on_complete));
         it = flows_.erase(it);
         any_completed = true;
       } else {
@@ -152,29 +104,39 @@ void FlowNet::advance_to(sim::SimTime t) {
   }
 
   advancing_ = false;
-  if (!callbacks.empty()) {
-    for (auto& [id, cb] : callbacks) cb(id);
+  for (auto& [id, cb] : callbacks) cb(id);
+}
+
+sim::SimTime FlowNet::next_completion() const {
+  sim::SimTime earliest = std::numeric_limits<sim::SimTime>::max();
+  for (const auto& [id, flow] : flows_) {
+    (void)id;
+    if (!std::isfinite(flow.remaining_bytes) || flow.rate_bits <= 0.0)
+      continue;
+    const double secs = bits_from_bytes(flow.remaining_bytes) / flow.rate_bits;
+    // Strictly in the future so each advance_to iteration makes progress
+    // even when the remaining time rounds to zero microseconds.
+    const sim::SimTime when =
+        last_time_ + std::max<sim::SimDuration>(sim::from_seconds(secs), 1);
+    earliest = std::min(earliest, when);
   }
+  return earliest;
 }
 
 void FlowNet::recompute_rates() {
   std::vector<FairShareFlow> specs;
   specs.reserve(flows_.size());
-  std::vector<FlowId> order;
-  order.reserve(flows_.size());
   for (const auto& [id, flow] : flows_) {
-    FairShareFlow f;
-    f.resources = flow.spec.resources;
-    f.weight = flow.spec.weight;
-    f.cap = flow.spec.cap_bits;
-    specs.push_back(std::move(f));
-    order.push_back(id);
+    (void)id;
+    specs.push_back(
+        {flow.spec.resources, flow.spec.weight, flow.spec.cap_bits});
   }
   const std::vector<double> rates = max_min_fair_rates(resources_, specs);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    double r = rates[i];
-    if (!std::isfinite(r)) r = kHugeRate;
-    flows_[order[i]].rate_bits = r;
+  std::size_t i = 0;
+  for (auto& [id, flow] : flows_) {
+    (void)id;
+    flow.rate_bits = std::isfinite(rates[i]) ? rates[i] : kHugeRate;
+    ++i;
   }
   schedule_completion_tick();
 }
@@ -184,16 +146,7 @@ void FlowNet::schedule_completion_tick() {
     sim_.cancel(*completion_event_);
     completion_event_.reset();
   }
-  sim::SimTime earliest = std::numeric_limits<sim::SimTime>::max();
-  for (const auto& [id, flow] : flows_) {
-    (void)id;
-    if (!std::isfinite(flow.remaining_bytes) || flow.rate_bits <= 0.0)
-      continue;
-    const double secs = bits_from_bytes(flow.remaining_bytes) / flow.rate_bits;
-    const sim::SimTime when =
-        last_time_ + std::max<sim::SimDuration>(sim::from_seconds(secs), 1);
-    earliest = std::min(earliest, when);
-  }
+  const sim::SimTime earliest = next_completion();
   if (earliest != std::numeric_limits<sim::SimTime>::max()) {
     completion_event_ =
         sim_.schedule_at(std::max(earliest, sim_.now()), [this] {

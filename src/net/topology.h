@@ -29,8 +29,8 @@ struct Host {
   bool datacenter = true;
   KernelProfile kernel;  // socket buffer configuration
   // Receive-direction throughput variability observed in Appendix B
-  // (US-NW's receive path was highly variable). A per-run factor is drawn
-  // uniformly from [1 - var, 1].
+  // (US-NW's receive path was highly variable). Each per-second iPerf
+  // sample is scaled by a factor drawn uniformly from [1 - var, 1].
   double rx_var_tcp = 0.05;
   double rx_var_udp = 0.01;
 };

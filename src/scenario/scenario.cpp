@@ -21,7 +21,7 @@ void reject(const std::string& what) {
 
 /// Relay model for one Table 1 lab relay (the §6 experiment shape).
 tor::RelayModel make_table1_relay(std::size_t index, double limit_mbit,
-                                  double background_mbit, double ratio) {
+                                  double background_mbit) {
   tor::RelayModel model;
   model.name = "relay-" + std::to_string(index) + "-" +
                std::to_string(static_cast<int>(limit_mbit));
@@ -29,7 +29,6 @@ tor::RelayModel make_table1_relay(std::size_t index, double limit_mbit,
   model.rate_limit_bits = limit_mbit > 0.0 ? net::mbit(limit_mbit) : 0.0;
   model.cpu = tor::CpuModel::us_sw();
   model.background_demand_bits = net::mbit(background_mbit);
-  model.ratio_r = ratio;
   return model;
 }
 
@@ -37,15 +36,13 @@ tor::RelayModel make_table1_relay(std::size_t index, double limit_mbit,
 /// NIC headroom above capacity and the CPU base scaled so the per-socket
 /// overhead cancels (the mapping measure_network.cpp used to hand-roll).
 tor::RelayModel make_capacity_relay(std::string name, double capacity_bits,
-                                    double background_bits, double ratio,
-                                    int sockets) {
+                                    double background_bits, int sockets) {
   tor::RelayModel model;
   model.name = std::move(name);
   model.nic_up_bits = model.nic_down_bits = capacity_bits * 1.2;
   model.cpu.base_bits =
       capacity_bits * (1.0 + model.cpu.per_socket_overhead * sockets);
   model.background_demand_bits = background_bits;
-  model.ratio_r = ratio;
   return model;
 }
 
@@ -193,8 +190,7 @@ MaterializedScenario materialize(const ScenarioSpec& spec) {
     for (std::size_t i = 0; i < t1->rate_limit_mbit.size(); ++i) {
       campaign::CampaignRelay relay;
       relay.model = make_table1_relay(i, t1->rate_limit_mbit[i],
-                                      t1->background_mbit,
-                                      spec.params.ratio);
+                                      t1->background_mbit);
       relay.host = relay_host;
       relay.prior_estimate_bits =
           t1->prior_mbit > 0.0 ? net::mbit(t1->prior_mbit) : 0.0;
@@ -217,7 +213,7 @@ MaterializedScenario materialize(const ScenarioSpec& spec) {
       campaign::CampaignRelay relay;
       relay.model = make_capacity_relay(
           r.fingerprint, r.capacity_bits, r.capacity_bits * r.utilization,
-          spec.params.ratio, spec.params.sockets);
+          spec.params.sockets);
       relay.host = 3 + i;  // shadow_topology: hosts 0..2 are the measurers
       relay.prior_estimate_bits = r.advertised_bits;
       mat.relays.push_back(std::move(relay));
@@ -267,7 +263,7 @@ MaterializedScenario materialize(const ScenarioSpec& spec) {
       campaign::CampaignRelay relay;
       relay.model = make_capacity_relay(
           "synthetic-relay-" + std::to_string(i), capacities[i], 0.0,
-          spec.params.ratio, spec.params.sockets);
+          spec.params.sockets);
       relay.host = id;
       relay.prior_estimate_bits =
           syn.prior_fraction > 0.0 ? capacities[i] * syn.prior_fraction : 0.0;

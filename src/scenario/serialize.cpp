@@ -496,7 +496,12 @@ ScenarioSpec parse_scenario(const std::string& text,
     spec.params.period = sim::from_seconds(period_seconds);
 
   in.reject_unused(population);
-  spec.validate();
+  // A semantic rule has no line to point at; name the source instead.
+  try {
+    spec.validate();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(source + ": " + e.what());
+  }
   return spec;
 }
 

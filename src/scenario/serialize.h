@@ -52,7 +52,8 @@ std::string serialize_scenario(const ScenarioSpec& spec);
 /// Parses scenario-file text and validates the result
 /// (ScenarioSpec::validate). `source` names the input in diagnostics
 /// (a path, "<stdin>", ...). Throws std::invalid_argument with
-/// "<source>:<line>: ..." messages on malformed input.
+/// "<source>:<line>: ..." messages on malformed input and
+/// "<source>: ..." ones when the spec breaks a semantic rule.
 ScenarioSpec parse_scenario(const std::string& text,
                             const std::string& source = "scenario");
 
@@ -65,8 +66,10 @@ struct FileCheck {
   bool ok = false;
   /// The parsed spec's name when ok.
   std::string name;
-  /// Empty when ok; otherwise the located diagnostic
-  /// ("<path>:<line>: ..." or "cannot open scenario file: ...").
+  /// Empty when ok; otherwise the diagnostic, which names the file:
+  /// "<path>:<line>: ..." for a malformed line, "<path>: ..." for a
+  /// semantic rule the spec breaks, or "cannot open scenario file:
+  /// <path>".
   std::string detail;
 };
 

@@ -34,7 +34,6 @@ std::vector<core::RelayTarget> make_targets(const ShadowNet& net,
     const double reachable = r.capacity_bits * r.contention;
     t.model.cpu.base_bits =
         reachable * (1.0 + t.model.cpu.per_socket_overhead * params.sockets);
-    t.model.ratio_r = params.ratio;
     t.model.background_demand_bits = r.capacity_bits * r.utilization;
     t.host = 3 + i;  // shadow_topology: measurers first, then relays
     t.previous_estimate_bits = r.advertised_bits;  // start from §3 estimate

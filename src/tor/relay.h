@@ -12,8 +12,9 @@
 //
 // During a FlashFlow measurement the relay enforces the ratio r between
 // normal (background) traffic and total traffic (§4.1): it forwards as much
-// background as possible subject to y <= r * (x + y). The slot runner
-// applies that split each simulated second (core/measurement.cpp).
+// background as possible subject to y <= r * (x + y). r is the BWAuth's
+// parameter (core::Params::ratio), the same for every relay; the slot
+// runner applies the split each simulated second (core/measurement.cpp).
 #pragma once
 
 #include <limits>
@@ -56,21 +57,19 @@ class RelayNoise {
   double episode_depth_ = 1.0;
 };
 
+/// Token-bucket depth in seconds-at-rate: the first second of a
+/// measurement can spend the accumulated bucket on top of the refill (the
+/// spike at measurement start in Fig 7).
+inline constexpr double kBurstSeconds = 0.25;
+
 struct RelayModel {
   std::string name = "relay";
   double nic_up_bits = std::numeric_limits<double>::infinity();
   double nic_down_bits = std::numeric_limits<double>::infinity();
   /// Operator rate limit on Tor throughput; <= 0 means unlimited.
   double rate_limit_bits = 0.0;
-  /// Token-bucket depth in seconds-at-rate: the first second of a
-  /// measurement can spend the accumulated bucket on top of the refill
-  /// (the spike at measurement start in Fig 7).
-  double burst_seconds = 0.25;
   CpuModel cpu;
   SchedulerModel sched;
-  /// Max fraction r of total traffic that may be normal traffic during a
-  /// measurement (§4.1); the paper recommends 0.25.
-  double ratio_r = 0.25;
   /// Offered background (client) traffic demand, bits/s.
   double background_demand_bits = 0.0;
 

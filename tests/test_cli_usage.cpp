@@ -17,9 +17,9 @@
 // usage probes touch no file, so every invocation fails fast before any
 // scenario is loaded or directory created. The CliOutputs tests run real
 // scenarios into a scratch directory under the system temp dir and check
-// that a result file which cannot be written in full fails the run, and
-// that a spec which cannot be materialized is refused without writing
-// anything.
+// that a result file which cannot be written in full fails the run, that
+// a spec which cannot be materialized is refused without writing or
+// announcing anything, and that validate names every file it refuses.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -245,9 +245,10 @@ TEST(CliOutputs, RunFailsWhenBandwidthFileCannotBeCreated) {
 
 TEST(CliOutputs, RefusedRunLeavesNoDirectory) {
   // A spec that validates but names a measurer host the topology lacks:
-  // materialization refuses it before anything is written, so no
-  // scenario.yaml or empty result files are left behind, and a second run
-  // into the same directory needs no --force.
+  // materialization refuses it before anything is written or announced,
+  // so no scenario.yaml or empty result files are left behind, the
+  // output never names the directory, and a second run into the same
+  // directory needs no --force.
   const ScratchDir scratch;
   const fs::path spec = scratch.path() / "mars.yaml";
   std::ofstream(spec) << "flashflow_scenario: 1\n"
@@ -257,11 +258,41 @@ TEST(CliOutputs, RefusedRunLeavesNoDirectory) {
   EXPECT_EQ(run_cli("validate " + quoted(spec)).exit_code, 0);
   const fs::path out = scratch.path() / "out";
   const RunResult result =
-      run_cli("run " + quoted(spec) + " --out " + quoted(out) + " --quiet");
+      run_cli("run " + quoted(spec) + " --out " + quoted(out));
   EXPECT_EQ(result.exit_code, 1) << result.output;
   EXPECT_NE(result.output.find("no host named Mars"), std::string::npos)
       << result.output;
+  EXPECT_EQ(result.output.find(out.string()), std::string::npos)
+      << result.output;
   EXPECT_FALSE(fs::exists(out));
+}
+
+TEST(CliOutputs, ValidateNamesEachFileThatBreaksASemanticRule) {
+  // Both files parse line by line; each breaks a rule only the whole spec
+  // can check, and the diagnostic still says which file it came from.
+  const ScratchDir scratch;
+  const fs::path no_team = scratch.path() / "noteam.yaml";
+  std::ofstream(no_team) << "flashflow_scenario: 1\n"
+                            "population: synthetic\n"
+                            "synthetic.relays: 5\n";
+  const fs::path background = scratch.path() / "bg.yaml";
+  std::ofstream(background) << "flashflow_scenario: 1\n"
+                               "population: table1\n"
+                               "table1.rate_limits_mbit: [100]\n"
+                               "background.utilization_mean: 0.5\n";
+  const RunResult result =
+      run_cli("validate " + quoted(no_team) + " " + quoted(background));
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find(no_team.string() + ": ScenarioSpec: "),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("team capacity"), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find(background.string() + ": ScenarioSpec: "),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("background.enabled"), std::string::npos)
+      << result.output;
 }
 
 TEST(CliOutputs, RunFailsWhenAnyOutputWriteFails) {

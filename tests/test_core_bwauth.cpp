@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -46,6 +47,21 @@ TEST(Team, MeshEstimatesApproachNics) {
   }
   const std::vector<double> caps = team.capacities();
   EXPECT_GT(std::accumulate(caps.begin(), caps.end(), 0.0), net::gbit(3));
+}
+
+TEST(Team, MeshCapacitiesMatchRecordedBits) {
+  // The §4.2 mesh over the four non-US-SW Table 1 hosts at seed 99,
+  // recorded from the event-driven FlowNet mesh that accrued 60 one-second
+  // bins per flow; the single fair-share solve must give the same bits.
+  const auto t = topo();
+  const std::vector<double> want = {
+      0x1.9526deea53c56p+29, 0x1.bdebc54b09b82p+29, 0x1.fe4de5f049fe8p+29,
+      0x1.fe85f07790c2p+29};
+  const std::vector<double> got = make_team(t).capacities();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+        << "measurer " << i << ": " << std::hexfloat << got[i];
 }
 
 TEST(Team, SetCapacityOverridesTheEstimate) {

@@ -112,11 +112,11 @@ TEST(SlotRunner, BurstSpikeInFirstSecond) {
   const auto topo = table1();
   Params params;
   SlotRunner runner(topo, params, sim::Rng(3));
-  auto relay = us_sw_relay(250);
-  relay.burst_seconds = 0.25;
+  const auto relay = us_sw_relay(250);
   const MeasurerSlot m{topo.find("NL"), net::mbit(900), 160};
   const auto out = runner.run(relay, topo.find("US-SW"), {&m, 1});
-  // Fig 7: the first second spends the accumulated bucket.
+  // Fig 7: the first second spends the accumulated bucket
+  // (tor::kBurstSeconds of refill on top of the rate).
   const double later_mean =
       std::accumulate(out.z_bits.begin() + 5, out.z_bits.end(), 0.0) /
       static_cast<double>(out.z_bits.size() - 5);

@@ -18,7 +18,9 @@
 // stream; every stream scenarios/fault_smoke.yaml writes (results with the
 // fault columns, the fault ledger, and the deterministic prefix of each
 // trace line); and the serialized text of every checked-in scenario file
-// plus a tiered-topology spec.
+// plus a tiered-topology spec. scenarios/quickstart.yaml's CSV stream pins
+// the §4.2 iPerf mesh, the only path by which a checked-in run gets its
+// team capacities.
 //
 // If a change *intends* to alter results, re-record the constants from a
 // trusted build (the failure message prints the new hash) and justify the
@@ -71,6 +73,10 @@ constexpr std::uint64_t kFaultLedgerHash = 0x73685fa6d357fc6fULL;
 /// Over each trace line cut at `,"lane":` (the execution-dependent rest).
 constexpr std::uint64_t kFaultTraceHash = 0x713b77c54c5ce90eULL;
 constexpr std::uint64_t kTieredScenarioTextHash = 0xea91d65e9ee65887ULL;
+// Recorded from the event-driven FlowNet iPerf mesh, before the mesh
+// became one fair-share solve: scenarios/quickstart.yaml is the only
+// checked-in run whose team capacities come from the §4.2 mesh.
+constexpr std::uint64_t kQuickstartCsvHash = 0x0f361ab056c35659ULL;
 
 /// serialize_scenario() of each checked-in scenarios/*.yaml file.
 struct ScenarioTextHash {
@@ -430,6 +436,24 @@ TEST(GoldenDeterminism, FaultSmokeStreamsMatchRecordedBaseline) {
     EXPECT_EQ(streams.jsonl, eight.jsonl);
     EXPECT_EQ(streams.ledger, eight.ledger);
     EXPECT_EQ(streams.trace, eight.trace);
+  }
+}
+
+TEST(GoldenDeterminism, QuickstartCsvBytesMatchRecordedBaseline) {
+  const int forced = forced_threads();
+  SCOPED_TRACE("threads=" + std::to_string(forced > 0 ? forced : 1) +
+               " shard=" + std::to_string(forced_shard()));
+  const auto quickstart = [](int threads) {
+    scenario::ScenarioSpec spec = scenario::load_scenario_file(
+        scenario::default_scenario_dir() + "/quickstart.yaml");
+    spec.threads = threads;
+    spec.shard_slots = forced_shard();
+    return spec_csv(spec);
+  };
+  const std::string csv = quickstart(forced > 0 ? forced : 1);
+  expect_hash(csv, kQuickstartCsvHash, "quickstart CSV");
+  if (forced <= 0) {
+    EXPECT_EQ(csv, quickstart(/*threads=*/8));
   }
 }
 

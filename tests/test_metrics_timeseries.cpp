@@ -2,42 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/time.h"
-
 namespace flashflow::metrics {
 namespace {
-
-TEST(PerSecondSeries, BinsBySecond) {
-  PerSecondSeries s;
-  s.add(0, 100.0);
-  s.add(sim::kSecond / 2, 50.0);
-  s.add(2 * sim::kSecond, 10.0);
-  const auto bins = s.bins_bits_per_second();
-  ASSERT_EQ(bins.size(), 3u);
-  EXPECT_DOUBLE_EQ(bins[0], 8 * 150.0);
-  EXPECT_DOUBLE_EQ(bins[1], 0.0);
-  EXPECT_DOUBLE_EQ(bins[2], 8 * 10.0);
-}
-
-TEST(PerSecondSeries, BitsConversion) {
-  PerSecondSeries s;
-  s.add(0, 100.0);
-  EXPECT_DOUBLE_EQ(s.bins_bits_per_second()[0], 800.0);
-}
-
-TEST(PerSecondSeries, FirstSecondOffset) {
-  PerSecondSeries s;
-  s.add(10 * sim::kSecond, 5.0);
-  s.add(12 * sim::kSecond, 1.0);
-  // Bins run from the first second touched, not from time zero.
-  EXPECT_EQ(s.bins_bits_per_second(), (std::vector<double>{40.0, 0.0, 8.0}));
-}
-
-TEST(PerSecondSeries, RejectsTimeTravel) {
-  PerSecondSeries s;
-  s.add(5 * sim::kSecond, 1.0);
-  EXPECT_THROW(s.add(2 * sim::kSecond, 1.0), std::invalid_argument);
-}
 
 TEST(TrailingMax, TracksWindow) {
   TrailingMax m(3);

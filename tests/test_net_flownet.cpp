@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <vector>
 
 #include "net/units.h"
@@ -15,58 +14,71 @@ struct FlowNetTest : ::testing::Test {
   sim::Simulator simu;
   FlowNet netw{simu};
 
-  /// An unbounded flow over `resources` that records its per-second series.
-  FlowId recorded_flow(std::vector<ResourceId> resources,
-                       double weight = 1.0) {
+  /// A flow over `resources`; unbounded unless `volume_bytes` >= 0, in
+  /// which case its completion time lands in `*done_at`.
+  FlowId flow(std::vector<ResourceId> resources, double weight = 1.0,
+              double volume_bytes = -1.0, sim::SimTime* done_at = nullptr) {
     FlowNet::FlowSpec spec;
     spec.resources = std::move(resources);
     spec.weight = weight;
-    spec.record_per_second = true;
+    spec.volume_bytes = volume_bytes;
+    if (done_at) spec.on_complete = [this, done_at](FlowId) {
+      *done_at = simu.now();
+    };
     return netw.add_flow(std::move(spec));
   }
 
-  /// The flow's per-second rates (bits/s), accrued up to now.
-  std::vector<double> rates(FlowId f) {
-    netw.sync();
-    return netw.series(f).bins_bits_per_second();
+  /// An unconstrained resource: put on one flow, its usage reads that
+  /// flow's rate.
+  ResourceId probe() { return netw.add_resource(0.0); }
+
+  /// The usage of `r` once the simulation has run to `seconds`.
+  double usage_at(ResourceId r, double seconds) {
+    simu.run_until(sim::from_seconds(seconds));
+    return netw.resource_usage(r);
   }
 };
 
 TEST_F(FlowNetTest, SingleFlowUsesCapacity) {
   const ResourceId r = netw.add_resource(mbit(100));
-  const FlowId f = recorded_flow({r});
-  simu.run_until(10 * sim::kSecond);
-  const std::vector<double> per_second = rates(f);
-  ASSERT_EQ(per_second.size(), 10u);
-  for (const double bits : per_second) EXPECT_NEAR(bits, mbit(100), 1.0);
-  // 100 Mbit/s for 10 s = 125 MB.
-  EXPECT_NEAR(bytes_from_bits(std::accumulate(per_second.begin(),
-                                              per_second.end(), 0.0)),
-              125e6, 1.0);
+  flow({r});
+  // 100 Mbit/s for 10 s = 125 MB: a flow of that volume, alone on a link
+  // of the same capacity, drains at 10 s.
+  const ResourceId link = netw.add_resource(mbit(100));
+  sim::SimTime done_at = -1;
+  flow({link}, 1.0, 125e6, &done_at);
+  EXPECT_NEAR(netw.resource_usage(r), mbit(100), 1.0);
+  EXPECT_NEAR(usage_at(r, 10.0), mbit(100), 1.0);
+  simu.run_until(30 * sim::kSecond);
+  EXPECT_NEAR(sim::to_seconds(done_at), 10.0, 1e-6);
 }
 
 TEST_F(FlowNetTest, TwoFlowsShareFairly) {
   const ResourceId r = netw.add_resource(mbit(100));
-  const FlowId fa = recorded_flow({r});
-  const FlowId fb = recorded_flow({r});
-  simu.run_until(1 * sim::kSecond);
-  EXPECT_NEAR(rates(fa).at(0), mbit(50), 1.0);
-  EXPECT_NEAR(rates(fb).at(0), mbit(50), 1.0);
+  const ResourceId pa = probe(), pb = probe();
+  flow({r, pa});
+  flow({r, pb});
+  EXPECT_NEAR(usage_at(pa, 1.0), mbit(50), 1.0);
+  EXPECT_NEAR(netw.resource_usage(pb), mbit(50), 1.0);
+  EXPECT_NEAR(netw.resource_usage(r), mbit(100), 1.0);
 }
 
 TEST_F(FlowNetTest, RemovalRestoresRates) {
   const ResourceId r = netw.add_resource(mbit(100));
-  const FlowId fa = recorded_flow({r});
-  const FlowId fb = recorded_flow({r});
-  simu.run_until(1 * sim::kSecond);
+  const ResourceId pa = probe(), pb = probe();
+  // 50 Mbit/s for 1 s, then 100 Mbit/s alone: 18.75 MB drain at 2 s.
+  sim::SimTime done_at = -1;
+  flow({r, pa}, 1.0, 18.75e6, &done_at);
+  const FlowId fb = flow({r, pb});
+  EXPECT_NEAR(usage_at(pa, 1.0), mbit(50), 1.0);
   netw.remove_flow(fb);
-  simu.run_until(2 * sim::kSecond);
-  const std::vector<double> a = rates(fa);
-  ASSERT_EQ(a.size(), 2u);
-  EXPECT_NEAR(a[0], mbit(50), 1.0);
-  EXPECT_NEAR(a[1], mbit(100), 1.0);
-  // A retired flow's series stays queryable and stops growing.
-  EXPECT_EQ(rates(fb).size(), 1u);
+  EXPECT_NEAR(netw.resource_usage(pa), mbit(100), 1.0);
+  EXPECT_DOUBLE_EQ(netw.resource_usage(pb), 0.0);
+  simu.run_until(5 * sim::kSecond);
+  EXPECT_NEAR(sim::to_seconds(done_at), 2.0, 1e-6);
+  // Removing a flow twice is a no-op.
+  netw.remove_flow(fb);
+  EXPECT_DOUBLE_EQ(netw.resource_usage(r), 0.0);
 }
 
 TEST_F(FlowNetTest, VolumeCompletesAtExactTime) {
@@ -83,17 +95,15 @@ TEST_F(FlowNetTest, VolumeCompletesAtExactTime) {
 
 TEST_F(FlowNetTest, CompletionFreesCapacity) {
   const ResourceId r = netw.add_resource(mbit(8));
-  FlowNet::FlowSpec finite;
-  finite.resources = {r};
-  finite.volume_bytes = 1e6;  // 2 s at half rate
-  netw.add_flow(std::move(finite));
-  const FlowId inf_flow = recorded_flow({r});
-  simu.run_until(10 * sim::kSecond);
-  // First 2 s at 0.5 MB/s, remaining 8 s at 1 MB/s = 9 MB.
-  const std::vector<double> per_second = rates(inf_flow);
-  EXPECT_NEAR(bytes_from_bits(std::accumulate(per_second.begin(),
-                                              per_second.end(), 0.0)),
-              9e6, 1e4);
+  const ResourceId p = probe();
+  sim::SimTime done_at = -1;
+  flow({r}, 1.0, 1e6, &done_at);  // 2 s at half rate
+  flow({r, p});
+  // First 2 s at 0.5 MB/s each; then the unbounded flow has all 1 MB/s.
+  EXPECT_NEAR(usage_at(p, 1.0), mbit(4), 1.0);
+  EXPECT_NEAR(usage_at(p, 3.0), mbit(8), 1.0);
+  EXPECT_NEAR(sim::to_seconds(done_at), 2.0, 1e-6);
+  EXPECT_NEAR(usage_at(r, 10.0), mbit(8), 1.0);
 }
 
 TEST_F(FlowNetTest, CompletionCallbackCanAddFlows) {
@@ -120,22 +130,13 @@ TEST_F(FlowNetTest, CompletionCallbackCanAddFlows) {
   EXPECT_NEAR(sim::to_seconds(second_done_at), 2.0, 0.01);
 }
 
-TEST_F(FlowNetTest, PerSecondSeriesRecordsRate) {
-  const ResourceId r = netw.add_resource(mbit(80));
-  const FlowId f = recorded_flow({r});
-  simu.run_until(5 * sim::kSecond);
-  const auto bins = rates(f);
-  ASSERT_GE(bins.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(bins[i], mbit(80), 1e3);
-}
-
 TEST_F(FlowNetTest, WeightedContention) {
   const ResourceId r = netw.add_resource(mbit(100));
-  const FlowId fh = recorded_flow({r}, /*weight=*/4.0);
-  const FlowId fl = recorded_flow({r});
-  simu.run_until(1 * sim::kSecond);
-  EXPECT_NEAR(rates(fh).at(0), mbit(80), 1.0);
-  EXPECT_NEAR(rates(fl).at(0), mbit(20), 1.0);
+  const ResourceId ph = probe(), pl = probe();
+  flow({r, ph}, /*weight=*/4.0);
+  flow({r, pl});
+  EXPECT_NEAR(usage_at(ph, 1.0), mbit(80), 1.0);
+  EXPECT_NEAR(netw.resource_usage(pl), mbit(20), 1.0);
 }
 
 TEST_F(FlowNetTest, ResourceUsageSumsRates) {
@@ -165,24 +166,20 @@ TEST_F(FlowNetTest, RejectsBadSpecs) {
   bad_weight.weight = 0.0;
   EXPECT_THROW(netw.add_flow(std::move(bad_weight)),
                std::invalid_argument);
-  EXPECT_THROW(netw.series(1234), std::invalid_argument);
+  EXPECT_THROW(netw.resource_usage(99), std::out_of_range);
 }
 
 TEST_F(FlowNetTest, FiniteFlowDrainsItsVolume) {
   const ResourceId r = netw.add_resource(mbit(8));  // 1 MB/s
-  FlowNet::FlowSpec spec;
-  spec.resources = {r};
-  spec.volume_bytes = 4e6;
-  spec.record_per_second = true;
-  const FlowId f = netw.add_flow(std::move(spec));
-  simu.run_until(10 * sim::kSecond);
-  // 1 MB in each of the first four seconds, and 4 MB in all.
-  const std::vector<double> per_second = rates(f);
-  ASSERT_GE(per_second.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(per_second[i], mbit(8), 1e3);
-  EXPECT_NEAR(bytes_from_bits(std::accumulate(per_second.begin(),
-                                              per_second.end(), 0.0)),
-              4e6, 1.0);
+  const ResourceId p = probe();
+  sim::SimTime done_at = -1;
+  flow({r, p}, 1.0, 4e6, &done_at);
+  // 1 MB in each of the first four seconds, and nothing once 4 MB are
+  // through.
+  EXPECT_NEAR(usage_at(p, 1.0), mbit(8), 1.0);
+  EXPECT_NEAR(usage_at(p, 3.5), mbit(8), 1.0);
+  EXPECT_DOUBLE_EQ(usage_at(p, 10.0), 0.0);
+  EXPECT_NEAR(sim::to_seconds(done_at), 4.0, 1e-6);
 }
 
 }  // namespace

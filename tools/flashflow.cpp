@@ -217,9 +217,14 @@ scenario::Experiment::Result run_into_dir(
     telemetry::Recorder* recorder = nullptr,
     const std::string* trace_dir = nullptr) {
   // Materializes (and validates) the spec before anything touches the
-  // disk, so a refused spec leaves no directory behind.
+  // disk or names the directory, so a refused spec leaves no directory
+  // behind and announces none.
   scenario::Experiment experiment(spec);
   if (recorder) experiment.set_telemetry(recorder);
+  if (!quiet)
+    std::cout << "running '" << spec.name << "' (" << spec.periods
+              << " period" << (spec.periods == 1 ? "" : "s") << ") -> "
+              << dir.string() << "\n";
   fs::create_directories(dir);
 
   // The normalized spec first: the directory documents what produced it
@@ -311,10 +316,6 @@ int cmd_run(Flags& flags) {
     if (trace_dir) recorder->enable_trace();
   }
 
-  if (!quiet)
-    std::cout << "running '" << spec.name << "' (" << spec.periods
-              << " period" << (spec.periods == 1 ? "" : "s") << ") -> "
-              << *out << "\n";
   const auto result =
       run_into_dir(spec, *out, quiet, recorder ? &*recorder : nullptr,
                    trace_dir ? &*trace_dir : nullptr);
