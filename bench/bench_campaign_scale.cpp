@@ -75,7 +75,6 @@ struct CountingSink : campaign::SlotSink {
 struct SizeResult {
   int relays = 0;
   int threads = 1;
-  bool tiered = false;
   /// A telemetry::Recorder was attached for this run (overhead probing;
   /// the engine output is byte-identical either way).
   bool telemetry = false;
@@ -89,25 +88,20 @@ struct SizeResult {
 };
 
 SizeResult run_size_once(int relays, std::uint64_t seed, int threads,
-                         bool tiered, bool telemetry_on) {
+                         bool telemetry_on) {
   // July-2019-like capacity mixture (bench_sec7): largest 998 Mbit/s,
   // whole-network total ~608 Gbit/s at 6,419 relays.
   analysis::PopulationParams pop;
   pop.lognormal_mu = 17.42;
   pop.lognormal_sigma = 1.45;
   pop.max_capacity_bits = 998e6;
-  // --path-model tiered swaps the dense n x n flat mesh for the implicit
-  // 1-tier model (same 0.05 s / loss constants, so per-pair values are
-  // identical); it is what makes the 50k-relay row fit in memory.
-  scenario::ScenarioSpec spec{
+  const scenario::ScenarioSpec spec{
       .name = "campaign-scale",
       .population =
           scenario::SyntheticPopulationSpec{.params = pop, .relays = relays},
       .team = {.capacity_bits = {net::gbit(1), net::gbit(1), net::gbit(1)}},
       .threads = threads,
       .seed = seed};
-  if (tiered)
-    spec.topology.path_model = scenario::TopologySpec::PathModelKind::kTiered;
   scenario::Experiment experiment(spec);
 
   // The recorder exists only to measure instrumentation overhead: with
@@ -120,7 +114,6 @@ SizeResult run_size_once(int relays, std::uint64_t seed, int threads,
   SizeResult result;
   result.relays = relays;
   result.threads = threads;
-  result.tiered = tiered;
   result.telemetry = telemetry_on;
   result.stats = experiment.run(&sink).periods.front().stats;
   if (result.stats.wall_seconds > 0.0) {
@@ -138,11 +131,10 @@ SizeResult run_size_once(int relays, std::uint64_t seed, int threads,
 /// scheduler hiccup visibly dents one sample, and the fastest run is the
 /// least-interfered measurement of the engine itself.
 SizeResult run_size(int relays, std::uint64_t seed, int threads,
-                    int repeats, bool tiered, bool telemetry_on) {
-  SizeResult best = run_size_once(relays, seed, threads, tiered, telemetry_on);
+                    int repeats, bool telemetry_on) {
+  SizeResult best = run_size_once(relays, seed, threads, telemetry_on);
   for (int rep = 1; rep < repeats; ++rep) {
-    SizeResult next =
-        run_size_once(relays, seed, threads, tiered, telemetry_on);
+    SizeResult next = run_size_once(relays, seed, threads, telemetry_on);
     if (next.slots_per_second > best.slots_per_second) best = next;
   }
   return best;
@@ -159,7 +151,7 @@ void write_json(const std::string& path, std::uint64_t seed,
   out.precision(6);
   out << "{\n"
       << "  \"bench\": \"bench_campaign_scale\",\n"
-      << "  \"schema\": 5,\n"
+      << "  \"schema\": 6,\n"
       << "  \"seed\": " << seed << ",\n"
       << "  \"thread_counts\": [";
   for (std::size_t i = 0; i < thread_counts.size(); ++i)
@@ -170,7 +162,6 @@ void write_json(const std::string& path, std::uint64_t seed,
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     out << "    {\"relays\": " << r.relays << ", \"threads\": " << r.threads
-        << ", \"path_model\": \"" << (r.tiered ? "tiered" : "dense") << "\""
         << ", \"slots_in_period\": " << r.stats.slots_in_period
         << ", \"slots_executed\": " << r.stats.slots_executed
         << ", \"wall_seconds\": " << r.stats.wall_seconds
@@ -225,7 +216,6 @@ int main(int argc, char** argv) {
   std::vector<int> sizes = {500, 2000, 6419};
   std::string out_path = "BENCH_campaign.json";
   int repeats = 3;
-  bool tiered = false;
   bool telemetry_on = false;
   std::vector<int> sweep;  // empty: single thread count from --threads
   std::vector<char*> passthrough = {argv[0]};
@@ -246,8 +236,7 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--seed N] [--threads N] [--thread-sweep LIST]"
-                   " [--relays N] [--path-model dense|tiered]"
-                   " [--repeat N] [--out FILE]\n"
+                   " [--relays N] [--repeat N] [--out FILE]\n"
                    "       [--telemetry]\n"
                    "  --seed         population/campaign seed (default "
                    "20210613)\n"
@@ -260,12 +249,6 @@ int main(int argc, char** argv) {
                    "                 1-thread run (overrides --threads)\n"
                    "  --relays       run a single population size instead "
                    "of 500/2000/6419\n"
-                   "  --path-model   topology path model: dense (n x n "
-                   "matrices, default) or\n"
-                   "                 tiered (implicit O(N) model; same "
-                   "per-pair values for the\n"
-                   "                 flat mesh, required for the 50k-relay "
-                   "row)\n"
                    "  --repeat       samples per size, best kept (default "
                    "3)\n"
                    "  --out          JSON output path (default "
@@ -288,18 +271,6 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--relays")) {
       sizes = {static_cast<int>(
           bench::parse_int_flag(v, 1, 1000000, "--relays", argv[0]))};
-    } else if (const char* vp = value("--path-model")) {
-      const std::string model = vp;
-      if (model == "dense") {
-        tiered = false;
-      } else if (model == "tiered") {
-        tiered = true;
-      } else {
-        std::cerr << argv[0]
-                  << ": --path-model needs dense or tiered, got '" << model
-                  << "'\n";
-        std::exit(2);
-      }
     } else if (const char* v2 = value("--out")) {
       out_path = v2;
     } else {
@@ -323,7 +294,7 @@ int main(int argc, char** argv) {
     const std::size_t size_begin = results.size();
     for (const int threads : thread_counts) {
       const auto r =
-          run_size(relays, cli.seed, threads, repeats, tiered, telemetry_on);
+          run_size(relays, cli.seed, threads, repeats, telemetry_on);
       results.push_back(r);
       std::cout << "  " << r.relays << " relays @ " << r.threads
                 << " threads: " << metrics::Table::num(r.slots_per_second, 1)

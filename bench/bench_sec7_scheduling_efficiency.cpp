@@ -8,8 +8,7 @@
 //
 // The whole-network layout is the checked-in scenarios/sec7.yaml
 // scenario file (`--scenario FILE` substitutes another). scenario::plan()
-// lays out period 0 with the run's own priors and packing, on the
-// implicit path model (a dense 6,419-relay path matrix would need ~1 GB).
+// lays out period 0 with the run's own priors and packing.
 #include <algorithm>
 #include <iostream>
 

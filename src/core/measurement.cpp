@@ -288,12 +288,11 @@ const std::vector<SlotOutcome>& SlotRunner::run_concurrent(
   // its allocation, times the slot's path factor — is a slot invariant, so
   // the path resolution and tcp_socket_throughput happen once per
   // (measurer, target) pair per slot, not once per second. Paths come from
-  // the topology's bulk fill_paths hook: one virtual call per target per
-  // slot (team hosts gathered into a contiguous arena first), keeping the
-  // per-second loop free of both allocation and virtual dispatch whatever
-  // PathModel backs the topology. flows_ and flow_ids_ are overwritten in
-  // place and never shrunk, so each flow's resource-index vector keeps its
-  // capacity across slots.
+  // the topology's bulk fill_paths: one call per target per slot (team
+  // hosts gathered into a contiguous arena first), keeping path
+  // resolution out of the per-second loop. flows_ and flow_ids_ are
+  // overwritten in place and never shrunk, so each flow's resource-index
+  // vector keeps its capacity across slots.
   ws.member_hosts_.resize(n_members);
   ws.path_chars_.resize(n_members);
   const std::uint64_t fill_start = probe_ ? probe_->now() : 0;

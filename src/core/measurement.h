@@ -146,8 +146,8 @@ class SlotWorkspace {
   std::vector<double> path_factor_;
   std::vector<double> x_it_;
   /// Member host ids, gathered per target so the path model's bulk
-  /// fill_paths hook gets a contiguous span (one virtual call per target
-  /// per slot), and the characteristics it resolves.
+  /// fill_paths gets a contiguous span (one call per target per slot),
+  /// and the characteristics it resolves.
   std::vector<net::HostId> member_hosts_;
   std::vector<net::PathCharacteristics> path_chars_;
 

@@ -4,14 +4,14 @@
 // can only check after the fact:
 //
 //   ND — nondeterminism sources. FlashFlow's results must be bit-identical
-//        for a fixed seed regardless of thread count, shard size, or path
-//        model (tests/test_golden_determinism.cpp); anything that reads
+//        for a fixed seed regardless of thread count or shard size
+//        (tests/test_golden_determinism.cpp); anything that reads
 //        ambient entropy or iterates a hash container can silently break
 //        that. Enforced in src/ only: tests and harnesses may read clocks.
 //   HP — hot-path allocation guards. Regions bracketed by the comments
 //        `// FF_HOT_BEGIN` ... `// FF_HOT_END` (the per-second slot loop,
 //        the slot aggregation, FairShareSolver::solve_prepared,
-//        TieredPathModel::fill_paths)
+//        PathModel::fill_paths)
 //        must stay free of allocation-shaped calls; PR 4 bought that
 //        property and nothing should quietly spend it.
 //   FL — floating-point accumulation over unordered containers, where the

@@ -133,6 +133,12 @@ IperfReport IperfRunner::run_saturate_udp(HostId receiver, int seconds) {
 std::vector<IperfReport> IperfRunner::run_mesh_udp(
     const std::vector<HostId>& hosts, int seconds) {
   const std::size_t n = hosts.size();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < i; ++j)
+      if (hosts[i] == hosts[j])
+        throw std::invalid_argument("IperfRunner::run_mesh_udp: host " +
+                                    topo_.host(hosts[i]).name +
+                                    " is listed twice");
   std::vector<FairShareFlow> flows;
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)

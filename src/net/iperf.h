@@ -52,7 +52,8 @@ class IperfRunner {
 
   /// Every host sends UDP to every other host concurrently (§4.2); one
   /// report per host, in `hosts` order, of its per-second
-  /// min(sent, received).
+  /// min(sent, received). Each entry brings its own NICs, so a host listed
+  /// twice throws std::invalid_argument.
   std::vector<IperfReport> run_mesh_udp(const std::vector<HostId>& hosts,
                                         int seconds);
 

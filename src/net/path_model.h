@@ -1,27 +1,22 @@
-// Pluggable path-characteristics models (the n x n memory-wall seam).
+// The path model: what the path between hosts a and b looks like — RTT,
+// clean loss, loaded loss.
 //
-// A PathModel answers "what does the path between hosts a and b look
-// like?" — RTT, clean loss, loaded loss — without dictating how the
-// answer is stored. Two implementations:
+// It works the way Shadow models its network: every host belongs to one
+// tier (a region, a measured vantage point, a path class), and a
+// tier x tier table gives each pair of tiers its own characteristics.
+// Optional deterministic per-pair RTT jitter, derived from the pair ids
+// and a seed, spreads the pairs of one tier pair. Memory is O(hosts +
+// tiers^2): a 50k-relay topology costs kilobytes.
 //
-//   DensePathModel   three explicit n x n matrices, exactly the storage
-//                    the Topology class always had. Byte-exact for every
-//                    existing experiment, O(N^2) memory: ~987 MiB of peak
-//                    RSS at the paper's 6,419 relays, ~60 GB at a 50k
-//                    "future Tor". Right for Table-1/lab topologies and
-//                    anything whose paths are individually measured.
+// Table 1's five hosts take one tier each, so their ten measured pairs
+// are the table itself; the §7 shadow network's regions are its tiers; a
+// synthetic population's default is one tier, the flat mesh.
 //
-//   TieredPathModel  implicit per-pair resolution the way Shadow models
-//                    its network: each host belongs to a small tier
-//                    (region/cluster), paths are a tier x tier
-//                    characteristic table plus optional deterministic
-//                    per-pair RTT jitter derived from the pair ids and a
-//                    seed. O(N + T^2) memory, so a 50k-relay topology
-//                    costs kilobytes instead of tens of gigabytes.
-//
-// Both models resolve a pair in O(1) and answer one bulk query,
-// fill_paths(): one virtual call per target per slot on the hot path, and
-// a one-entry call for Topology's scalar rtt()/loss().
+// Pair resolution is a pure function of (seed, min(a,b), max(a,b)), so
+// values are independent of query order and identical across instances
+// built from the same table — the property the golden determinism suite
+// needs from an on-demand model. The slot hot path asks one bulk query,
+// fill_paths(), per target per slot.
 #pragma once
 
 #include <cstddef>
@@ -37,114 +32,50 @@ using HostId = std::size_t;
 /// stream between two hosts.
 struct PathCharacteristics {
   double rtt_s = 0.0;
+  /// Clean-path loss seen by a lone well-paced stream (iPerf-style runs).
   double loss = 0.0;
+  /// Self-induced congestion loss each socket sees when many parallel
+  /// measurement connections push the path hard (governs the Appendix E.1
+  /// socket-sweep shape).
   double loaded_loss = 0.0;
 };
 
-/// Path-characteristics interface. Implementations must be symmetric
-/// (path(a, b) == path(b, a)) and return all-zero characteristics for
-/// a == b (the pipeline treats rtt <= 0 as "co-located").
+/// Per-host tiers plus a tier x tier table, pairs resolved on demand.
+/// Symmetric (path(a, b) == path(b, a)), and all-zero for a == b (the
+/// pipeline treats rtt <= 0 as "co-located").
 class PathModel {
  public:
-  virtual ~PathModel() = default;
+  /// `tier_paths` is the upper triangle (incl. the diagonal) of the
+  /// tier x tier table, row-major: [(0,0), (0,1), ..., (0,T-1), (1,1),
+  /// ...], tiers*(tiers+1)/2 entries. With `rtt_jitter` > 0 a pair's RTT
+  /// is scaled by 1 + rtt_jitter * u, u in [-1, 1) derived from (seed,
+  /// lo, hi); 0 reads the exact table values. Throws
+  /// std::invalid_argument unless tiers >= 1, the table is triangle-sized
+  /// with RTTs >= 0 and losses in [0, 1), and the jitter is in [0, 1).
+  PathModel(int tiers, std::span<const PathCharacteristics> tier_paths,
+            double rtt_jitter = 0.0, std::uint64_t seed = 0);
 
-  /// Grows the model to cover hosts [0, count). Called by Topology on
-  /// every add_host; models size any per-host state here.
-  virtual void resize_hosts(std::size_t count) = 0;
-  /// Presizes for `count` hosts (dense: lays the matrices out once).
-  virtual void reserve_hosts(std::size_t /*count*/) {}
+  /// Attaches the next host (id = hosts attached so far) to tier
+  /// id % tiers, until set_host_tier says otherwise.
+  void add_host();
 
-  /// Resolves the paths from `from` to every host in `to` into `out`
-  /// (out.size() must equal to.size()): one virtual call per (target,
-  /// slot) on the slot hot path instead of one per pair.
-  virtual void fill_paths(HostId from, std::span<const HostId> to,
-                          std::span<PathCharacteristics> out) const = 0;
-};
-
-/// Today's storage: three dense n x n matrices, row-major over an
-/// allocated dimension >= the host count so insertions within a
-/// reservation never re-lay them out.
-class DensePathModel final : public PathModel {
- public:
-  void resize_hosts(std::size_t count) override;
-  void reserve_hosts(std::size_t count) override;
-
-  /// Sets symmetric path characteristics (Topology::set_path's storage).
-  void set_path(HostId a, HostId b, double rtt_s, double loss_rate,
-                double loaded_loss_rate);
-
-  void fill_paths(HostId from, std::span<const HostId> to,
-                  std::span<PathCharacteristics> out) const override;
-
- private:
-  std::size_t index(HostId a, HostId b) const { return a * dim_ + b; }
-  /// Re-lays the matrices out for `dim` hosts, preserving entries.
-  void grow_matrices(std::size_t dim);
-
-  std::size_t hosts_ = 0;
-  /// Allocated matrix dimension (>= hosts_).
-  std::size_t dim_ = 0;
-  std::vector<double> rtt_;
-  std::vector<double> loss_;
-  std::vector<double> loaded_loss_;
-};
-
-/// Parameters of a tiered (sparse/implicit) path model.
-struct TieredPathParams {
-  /// Number of tiers (clusters/regions); hosts default to tier id % tiers.
-  int tiers = 1;
-  /// Upper-triangle (including the diagonal) of the tier x tier RTT table
-  /// in seconds, row-major: [ (0,0), (0,1), ..., (0,T-1), (1,1), ... ].
-  /// Size tiers*(tiers+1)/2. Empty means 0.05 s for every pair (the flat
-  /// synthetic-mesh default).
-  std::vector<double> tier_rtt_s;
-  /// Clean and loaded loss, shared across tiers (the synthetic/shadow
-  /// meshes use network-wide constants).
-  double loss = 1.0e-6;
-  double loaded_loss = 5.0e-5;
-  /// Deterministic per-pair RTT jitter: the pair's RTT is scaled by
-  /// 1 + rtt_jitter * u with u in [-1, 1) derived from (seed, lo, hi).
-  /// 0 disables jitter entirely — pairs then read the exact table value,
-  /// bit-identical to a dense model built from the same table.
-  double rtt_jitter = 0.0;
-  /// Seed of the per-pair jitter stream.
-  std::uint64_t seed = 0;
-
-  friend bool operator==(const TieredPathParams&,
-                         const TieredPathParams&) = default;
-};
-
-/// Shadow-style implicit model: per-host tier assignments plus a small
-/// tier x tier characteristic table, pairs resolved on demand.
-///
-/// Pair resolution is a pure function of (seed, min(a,b), max(a,b)), so
-/// values are independent of query order and identical across instances
-/// built from the same parameters — the property the golden determinism
-/// suite needs from an on-demand model.
-class TieredPathModel final : public PathModel {
- public:
-  /// Validates params (throws std::invalid_argument): tiers >= 1, RTT
-  /// table empty or triangle-sized with non-negative entries, losses in
-  /// [0, 1), jitter in [0, 1).
-  explicit TieredPathModel(TieredPathParams params);
-
-  /// New hosts join tier (id % tiers) until set_host_tier says otherwise.
-  void resize_hosts(std::size_t count) override;
-
-  /// Overrides a host's tier assignment (shadow regions).
+  /// Moves a host to another tier.
   void set_host_tier(HostId host, int tier);
 
+  /// Resolves the paths from `from` to every host in `to` into `out`
+  /// (out.size() must equal to.size(); ids must be attached).
   void fill_paths(HostId from, std::span<const HostId> to,
-                  std::span<PathCharacteristics> out) const override;
+                  std::span<PathCharacteristics> out) const;
 
  private:
-  double tier_rtt(int ta, int tb) const;
-  /// The deterministic per-pair RTT multiplier (1.0 when jitter is 0).
+  /// The deterministic per-pair RTT multiplier.
   double pair_factor(HostId a, HostId b) const;
 
-  TieredPathParams params_;
-  /// Dense tiers x tiers RTT table expanded from the triangle.
-  std::vector<double> rtt_table_;
+  std::size_t tiers_;
+  /// Dense tiers x tiers table expanded from the triangle.
+  std::vector<PathCharacteristics> table_;
+  double rtt_jitter_;
+  std::uint64_t seed_;
   std::vector<std::int32_t> host_tier_;
 };
 

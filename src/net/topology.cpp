@@ -7,14 +7,7 @@
 
 namespace flashflow::net {
 
-Topology::Topology() : model_(std::make_unique<DensePathModel>()) {}
-
-void Topology::use_path_model(std::unique_ptr<PathModel> model) {
-  if (!model)
-    throw std::invalid_argument("Topology::use_path_model: null model");
-  model_ = std::move(model);
-  model_->resize_hosts(hosts_.size());
-}
+Topology::Topology(PathModel paths) : paths_(std::move(paths)) {}
 
 HostId Topology::add_host(Host host) {
   const HostId id = hosts_.size();
@@ -22,37 +15,17 @@ HostId Topology::add_host(Host host) {
   // first-match semantics find() has always had.
   name_index_.emplace(host.name, id);
   hosts_.push_back(std::move(host));
-  model_->resize_hosts(hosts_.size());
+  paths_.add_host();
   return id;
 }
 
 void Topology::reserve_hosts(std::size_t n) {
   hosts_.reserve(n);
   name_index_.reserve(n);
-  model_->reserve_hosts(n);
-}
-
-void Topology::set_path(HostId a, HostId b, double rtt_s, double loss_rate,
-                        double loaded_loss_rate) {
-  check_ids(a, b);
-  if (rtt_s < 0.0 || loss_rate < 0.0 || loss_rate >= 1.0)
-    throw std::invalid_argument("Topology::set_path: bad parameters");
-  if (loaded_loss_rate < 0.0) loaded_loss_rate = loss_rate;
-  auto* dense = dynamic_cast<DensePathModel*>(model_.get());
-  if (!dense)
-    throw std::logic_error(
-        "Topology::set_path: requires the dense path model (tiered "
-        "topologies describe paths through their tier table)");
-  dense->set_path(a, b, rtt_s, loss_rate, loaded_loss_rate);
 }
 
 void Topology::set_host_tier(HostId id, int tier) {
-  if (id >= hosts_.size()) throw std::out_of_range("Topology: bad host id");
-  auto* tiered = dynamic_cast<TieredPathModel*>(model_.get());
-  if (!tiered)
-    throw std::logic_error(
-        "Topology::set_host_tier: requires a tiered path model");
-  tiered->set_host_tier(id, tier);
+  paths_.set_host_tier(id, tier);
 }
 
 const Host& Topology::host(HostId id) const {
@@ -67,15 +40,10 @@ HostId Topology::find(const std::string& name) const {
   return it->second;
 }
 
-void Topology::fill_paths(HostId from, std::span<const HostId> to,
-                          std::span<PathCharacteristics> out) const {
-  model_->fill_paths(from, to, out);
-}
-
 PathCharacteristics Topology::path(HostId a, HostId b) const {
   check_ids(a, b);
   PathCharacteristics out;
-  model_->fill_paths(a, {&b, 1}, {&out, 1});
+  paths_.fill_paths(a, {&b, 1}, {&out, 1});
   return out;
 }
 
@@ -91,7 +59,29 @@ const std::vector<std::string>& table1_host_names() {
 }
 
 Topology make_table1_hosts() {
-  Topology topo;
+  // One tier per host, in add order below: the table is the upper
+  // triangle of the hosts' path matrix. A host's own tier holds only the
+  // host itself, so the diagonal (co-located) is never read.
+  //
+  // Table 1 RTTs to US-SW. Clean loss is near zero (iPerf runs reach close
+  // to line rate); loaded loss is calibrated so the Appendix E.1 socket
+  // sweep reproduces each host's peak location (IN peaks at s=160). The
+  // inter-pair paths (not in Table 1) are synthesized from geography.
+  constexpr PathCharacteristics kSelf{};
+  constexpr PathCharacteristics kTable[] = {
+      // US-SW to US-SW, US-NW, US-E, IN, NL
+      kSelf, {0.040, 1.0e-6, 6.0e-5}, {0.062, 1.0e-6, 6.0e-5},
+      {0.210, 2.0e-6, 1.6e-4}, {0.137, 1.0e-6, 1.0e-4},
+      // US-NW to US-NW, US-E, IN, NL
+      kSelf, {0.070, 1.0e-6, 6.0e-5}, {0.230, 2.0e-6, 1.7e-4},
+      {0.150, 1.0e-6, 1.1e-4},
+      // US-E to US-E, IN, NL
+      kSelf, {0.200, 2.0e-6, 1.6e-4}, {0.090, 1.0e-6, 8.0e-5},
+      // IN to IN, NL
+      kSelf, {0.130, 2.0e-6, 1.0e-4},
+      // NL to NL
+      kSelf};
+  Topology topo(PathModel(5, kTable));
 
   // NIC capacities are set so that saturating UDP measurements reproduce
   // Table 1's "BW (measured)" row: 954 / 946 / 941 / 1076 / 1611 Mbit/s.
@@ -121,28 +111,11 @@ Topology make_table1_hosts() {
             .virtual_host = true, .datacenter = true,
             .kernel = KernelProfile::default_profile()};
 
-  const HostId us_sw = topo.add_host(us_sw_h);
-  const HostId us_nw = topo.add_host(us_nw_h);
-  const HostId us_e = topo.add_host(us_e_h);
-  const HostId in = topo.add_host(in_h);
-  const HostId nl = topo.add_host(nl_h);
-
-  // Table 1 RTTs to US-SW. Clean loss is near zero (iPerf runs reach close
-  // to line rate); loaded loss is calibrated so the Appendix E.1 socket
-  // sweep reproduces each host's peak location (IN peaks at s=160).
-  topo.set_path(us_sw, us_nw, 0.040, 1.0e-6, 6.0e-5);
-  topo.set_path(us_sw, us_e, 0.062, 1.0e-6, 6.0e-5);
-  topo.set_path(us_sw, in, 0.210, 2.0e-6, 1.6e-4);
-  topo.set_path(us_sw, nl, 0.137, 1.0e-6, 1.0e-4);
-
-  // Inter-pair paths (not in Table 1): synthesized from geography.
-  topo.set_path(us_nw, us_e, 0.070, 1.0e-6, 6.0e-5);
-  topo.set_path(us_nw, in, 0.230, 2.0e-6, 1.7e-4);
-  topo.set_path(us_nw, nl, 0.150, 1.0e-6, 1.1e-4);
-  topo.set_path(us_e, in, 0.200, 2.0e-6, 1.6e-4);
-  topo.set_path(us_e, nl, 0.090, 1.0e-6, 8.0e-5);
-  topo.set_path(in, nl, 0.130, 2.0e-6, 1.0e-4);
-
+  topo.add_host(us_sw_h);
+  topo.add_host(us_nw_h);
+  topo.add_host(us_e_h);
+  topo.add_host(in_h);
+  topo.add_host(nl_h);
   return topo;
 }
 

@@ -1,15 +1,13 @@
 // Host and path model for Internet experiments.
 //
 // A Topology is a set of named hosts with NIC capacities plus path
-// characteristics (RTT and loss rate) answered by a pluggable
-// net::PathModel — dense full-mesh matrices by default, or an implicit
-// tiered model for topologies too large to materialize all pairs (see
-// net/path_model.h). The paper's Table 1 vantage points are provided as
-// a factory so every Internet experiment runs on the same configuration.
+// characteristics (RTT and loss rate) answered by its net::PathModel: each
+// host sits on a tier, and a tier x tier table holds the paths (see
+// net/path_model.h). The paper's Table 1 vantage points are provided as a
+// factory so every Internet experiment runs on the same configuration.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -37,41 +35,17 @@ struct Host {
 
 class Topology {
  public:
-  Topology();
-  Topology(Topology&&) noexcept = default;
-  Topology& operator=(Topology&&) noexcept = default;
+  /// An empty topology whose paths `paths` resolves.
+  explicit Topology(PathModel paths);
 
-  /// Installs a path model, replacing the default DensePathModel. Install
-  /// before adding hosts so a tiered topology never allocates n x n
-  /// matrices; any hosts already added are carried over (tier defaults
-  /// apply, previously set dense paths are not).
-  void use_path_model(std::unique_ptr<PathModel> model);
-
-  /// Adds a host; returns its id.
+  /// Adds a host on tier (id % tiers); returns its id.
   HostId add_host(Host host);
 
-  /// Presizes the path model for `n` hosts. With the dense model,
-  /// add_host reallocates the three n x n matrices whenever the host
-  /// count outgrows them, so building a large topology host-by-host
-  /// without reserving is quadratic in memory traffic per insertion;
-  /// callers that know the final host count (scenario materialization)
-  /// should reserve up front.
+  /// Presizes the host list and name index for `n` hosts.
   void reserve_hosts(std::size_t n);
 
-  /// Sets symmetric path characteristics between two hosts. Requires the
-  /// dense path model (throws std::logic_error otherwise — tiered
-  /// topologies describe paths through their tier table instead).
-  ///
-  /// `loss_rate` is the clean-path loss seen by a lone well-paced stream
-  /// (iPerf-style runs); `loaded_loss_rate` is the self-induced congestion
-  /// loss each socket sees when many parallel measurement connections push
-  /// the path hard (governs the Appendix E.1 socket-sweep shape). Defaults
-  /// loaded == clean when omitted.
-  void set_path(HostId a, HostId b, double rtt_s, double loss_rate,
-                double loaded_loss_rate = -1.0);
-
-  /// Assigns a host to a tier. Requires a TieredPathModel (throws
-  /// std::logic_error otherwise).
+  /// Moves a host to another tier (throws std::out_of_range on a bad id,
+  /// std::invalid_argument on a bad tier).
   void set_host_tier(HostId id, int tier);
 
   std::size_t host_count() const { return hosts_.size(); }
@@ -85,18 +59,19 @@ class Topology {
   double rtt(HostId a, HostId b) const { return path(a, b).rtt_s; }
   double loss(HostId a, HostId b) const { return path(a, b).loss; }
 
-  /// Bulk path resolution for the slot hot path: one virtual call for all
-  /// of `from`'s paths to `to`. out.size() must equal to.size(); ids must
-  /// be valid.
+  /// Bulk path resolution for the slot hot path: all of `from`'s paths to
+  /// `to` in one call. out.size() must equal to.size(); ids must be valid.
   void fill_paths(HostId from, std::span<const HostId> to,
-                  std::span<PathCharacteristics> out) const;
+                  std::span<PathCharacteristics> out) const {
+    paths_.fill_paths(from, to, out);
+  }
 
  private:
   void check_ids(HostId a, HostId b) const;
   PathCharacteristics path(HostId a, HostId b) const;
 
   std::vector<Host> hosts_;
-  std::unique_ptr<PathModel> model_;
+  PathModel paths_;
   /// name -> id of the first host added under that name.
   // FFCHECK(ND06): point lookups only (find/emplace in topology.cpp);
   // never iterated, so hash order cannot reach results.
@@ -105,10 +80,11 @@ class Topology {
 
 /// Builds the paper's Table 1 vantage points: US-SW (Fremont, CA),
 /// US-NW (Santa Rosa, CA), US-E (Washington, DC), IN (Bangalore),
-/// NL (Amsterdam). NIC capacities reflect the paper's measured values; the
-/// RTT column is Table 1's RTT-to-US-SW with synthesized inter-pair values;
-/// loss rates grow with RTT, calibrated so the Appendix E.1 socket sweep
-/// reproduces each host's peak location (IN peaks at s=160).
+/// NL (Amsterdam), one tier each. NIC capacities reflect the paper's
+/// measured values; the RTT column is Table 1's RTT-to-US-SW with
+/// synthesized inter-pair values; loss rates grow with RTT, calibrated so
+/// the Appendix E.1 socket sweep reproduces each host's peak location (IN
+/// peaks at s=160).
 Topology make_table1_hosts();
 
 /// Names of the five Table 1 hosts in paper order.

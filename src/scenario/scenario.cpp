@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -126,29 +127,30 @@ void ScenarioSpec::validate() const {
     if (team.capacity_bits.size() != team_size)
       reject("team capacity overrides misaligned with the measurer team");
   }
-  if (topology.path_model == TopologySpec::PathModelKind::kDense) {
-    if (topology != TopologySpec{})
-      reject("topology tier parameters apply only to path_model 'tiered'");
-  } else {
-    if (!std::holds_alternative<SyntheticPopulationSpec>(population))
-      reject("tiered path model applies only to synthetic populations "
-             "(table1 paths are individually measured; shadow installs its "
-             "own region-tiered model)");
-    if (topology.tiers < 1) reject("topology tiers must be >= 1");
-    const std::size_t tiers = static_cast<std::size_t>(topology.tiers);
-    const std::size_t triangle = tiers * (tiers + 1) / 2;
-    if (!topology.tier_rtt_s.empty() &&
-        topology.tier_rtt_s.size() != triangle)
-      reject("topology tier_rtt_s needs tiers*(tiers+1)/2 entries "
-             "(upper triangle incl. diagonal)");
-    for (const double rtt : topology.tier_rtt_s)
-      if (rtt < 0.0) reject("topology tier RTTs must be >= 0");
-    if (topology.loss < 0.0 || topology.loss >= 1.0 ||
-        topology.loaded_loss < 0.0 || topology.loaded_loss >= 1.0)
-      reject("topology loss rates must be in [0, 1)");
-    if (topology.rtt_jitter < 0.0 || topology.rtt_jitter >= 1.0)
-      reject("topology rtt_jitter must be in [0, 1)");
-  }
+  std::set<std::string> named;
+  for (const std::string& name : team.measurer_names)
+    if (!named.insert(name).second)
+      reject("team.measurers names " + name +
+             " twice (the §4.2 mesh would count its NIC once per entry)");
+  if (topology != TopologySpec{} &&
+      !std::holds_alternative<SyntheticPopulationSpec>(population))
+    reject("topology.* keys apply only to synthetic populations (table1 "
+           "and shadow bring their own path tables)");
+  if (topology.tiers < 1) reject("topology.tiers must be >= 1");
+  if (topology.tiers > 1 && topology.tier_rtt_s.empty())
+    reject("topology.tiers > 1 needs topology.tier_rtt_s");
+  const std::size_t tiers = static_cast<std::size_t>(topology.tiers);
+  if (!topology.tier_rtt_s.empty() &&
+      topology.tier_rtt_s.size() != tiers * (tiers + 1) / 2)
+    reject("topology tier_rtt_s needs tiers*(tiers+1)/2 entries "
+           "(upper triangle incl. diagonal)");
+  for (const double rtt : topology.tier_rtt_s)
+    if (rtt < 0.0) reject("topology tier RTTs must be >= 0");
+  if (topology.loss < 0.0 || topology.loss >= 1.0 ||
+      topology.loaded_loss < 0.0 || topology.loaded_loss >= 1.0)
+    reject("topology loss rates must be in [0, 1)");
+  if (topology.rtt_jitter < 0.0 || topology.rtt_jitter >= 1.0)
+    reject("topology rtt_jitter must be in [0, 1)");
   faults.validate(params.slot_seconds);
   if (const auto* t1 = std::get_if<Table1PopulationSpec>(&population)) {
     if (t1->rate_limit_mbit.empty()) reject("table1 population is empty");
@@ -180,100 +182,105 @@ std::uint64_t period_seed(const ScenarioSpec& spec, int period) {
          sim::hash_tag("scenario/period-" + std::to_string(period));
 }
 
+namespace {
+
+MaterializedScenario populate(const ScenarioSpec& spec,
+                              const Table1PopulationSpec& t1) {
+  MaterializedScenario mat{.topology = net::make_table1_hosts()};
+  const net::HostId relay_host = mat.topology.find(t1.relay_host);
+  for (std::size_t i = 0; i < t1.rate_limit_mbit.size(); ++i) {
+    campaign::CampaignRelay relay;
+    relay.model =
+        make_table1_relay(i, t1.rate_limit_mbit[i], t1.background_mbit);
+    relay.host = relay_host;
+    relay.prior_estimate_bits =
+        t1.prior_mbit > 0.0 ? net::mbit(t1.prior_mbit) : 0.0;
+    mat.relays.push_back(std::move(relay));
+  }
+  // Default team: every Table 1 host except the relay host.
+  std::vector<std::string> names = spec.team.measurer_names;
+  if (names.empty())
+    for (const auto& name : net::table1_host_names())
+      if (name != t1.relay_host) names.push_back(name);
+  for (const auto& name : names)
+    mat.measurer_hosts.push_back(mat.topology.find(name));
+  return mat;
+}
+
+MaterializedScenario populate(const ScenarioSpec& spec,
+                              const ShadowPopulationSpec& shadow) {
+  const auto network = shadowsim::make_shadow_net(shadow.params, shadow.seed);
+  MaterializedScenario mat{.topology = shadowsim::shadow_topology(network)};
+  for (std::size_t i = 0; i < network.relays.size(); ++i) {
+    const auto& r = network.relays[i];
+    campaign::CampaignRelay relay;
+    relay.model = make_capacity_relay(
+        r.fingerprint, r.capacity_bits, r.capacity_bits * r.utilization,
+        spec.params.sockets);
+    relay.host = 3 + i;  // shadow_topology: hosts 0..2 are the measurers
+    relay.prior_estimate_bits = r.advertised_bits;
+    mat.relays.push_back(std::move(relay));
+  }
+  std::vector<std::string> names = spec.team.measurer_names;
+  if (names.empty()) names = {"measurer-0", "measurer-1", "measurer-2"};
+  for (const auto& name : names)
+    mat.measurer_hosts.push_back(mat.topology.find(name));
+  return mat;
+}
+
+/// The spec's tier table with its network-wide losses; an empty table is
+/// the 1-tier flat mesh.
+net::PathModel synthetic_paths(const ScenarioSpec& spec) {
+  const TopologySpec& topo = spec.topology;
+  std::vector<net::PathCharacteristics> table;
+  for (const double rtt : topo.tier_rtt_s)
+    table.push_back({rtt, topo.loss, topo.loaded_loss});
+  if (table.empty()) table.push_back({0.05, topo.loss, topo.loaded_loss});
+  return net::PathModel(topo.tiers, table, topo.rtt_jitter,
+                        sub_seed(spec, "scenario/tiered-path"));
+}
+
+MaterializedScenario populate(const ScenarioSpec& spec,
+                              const SyntheticPopulationSpec& syn) {
+  const auto capacities = analysis::sample_capacities(
+      syn.params, syn.relays, spec.seed ^ sim::hash_tag("scenario/synthetic"));
+  // Measurer hosts first (ids 0..m-1), then one host per relay, on the
+  // spec's tiers (the flat mesh by default).
+  MaterializedScenario mat{.topology = net::Topology(synthetic_paths(spec))};
+  mat.topology.reserve_hosts(spec.team.capacity_bits.size() +
+                             capacities.size());
+  for (std::size_t i = 0; i < spec.team.capacity_bits.size(); ++i) {
+    net::Host host;
+    host.name = "measurer-" + std::to_string(i);
+    host.nic_up_bits = host.nic_down_bits = spec.team.capacity_bits[i];
+    host.cpu_cores = 4;
+    mat.measurer_hosts.push_back(mat.topology.add_host(std::move(host)));
+  }
+  for (std::size_t i = 0; i < capacities.size(); ++i) {
+    net::Host host;
+    host.name = "synthetic-relay-" + std::to_string(i) + "-host";
+    host.nic_up_bits = host.nic_down_bits = capacities[i] * 1.2;
+    host.cpu_cores = 2;
+    const net::HostId id = mat.topology.add_host(std::move(host));
+    campaign::CampaignRelay relay;
+    relay.model = make_capacity_relay(
+        "synthetic-relay-" + std::to_string(i), capacities[i], 0.0,
+        spec.params.sockets);
+    relay.host = id;
+    relay.prior_estimate_bits =
+        syn.prior_fraction > 0.0 ? capacities[i] * syn.prior_fraction : 0.0;
+    mat.relays.push_back(std::move(relay));
+  }
+  return mat;
+}
+
+}  // namespace
+
 MaterializedScenario materialize(const ScenarioSpec& spec) {
   spec.validate();
-  MaterializedScenario mat;
-
-  if (const auto* t1 = std::get_if<Table1PopulationSpec>(&spec.population)) {
-    mat.topology = net::make_table1_hosts();
-    const net::HostId relay_host = mat.topology.find(t1->relay_host);
-    for (std::size_t i = 0; i < t1->rate_limit_mbit.size(); ++i) {
-      campaign::CampaignRelay relay;
-      relay.model = make_table1_relay(i, t1->rate_limit_mbit[i],
-                                      t1->background_mbit);
-      relay.host = relay_host;
-      relay.prior_estimate_bits =
-          t1->prior_mbit > 0.0 ? net::mbit(t1->prior_mbit) : 0.0;
-      mat.relays.push_back(std::move(relay));
-    }
-    // Default team: every Table 1 host except the relay host.
-    std::vector<std::string> names = spec.team.measurer_names;
-    if (names.empty())
-      for (const auto& name : net::table1_host_names())
-        if (name != t1->relay_host) names.push_back(name);
-    for (const auto& name : names)
-      mat.measurer_hosts.push_back(mat.topology.find(name));
-  } else if (const auto* shadow =
-                 std::get_if<ShadowPopulationSpec>(&spec.population)) {
-    const auto network = shadowsim::make_shadow_net(shadow->params,
-                                                    shadow->seed);
-    mat.topology = shadowsim::shadow_topology(network);
-    for (std::size_t i = 0; i < network.relays.size(); ++i) {
-      const auto& r = network.relays[i];
-      campaign::CampaignRelay relay;
-      relay.model = make_capacity_relay(
-          r.fingerprint, r.capacity_bits, r.capacity_bits * r.utilization,
-          spec.params.sockets);
-      relay.host = 3 + i;  // shadow_topology: hosts 0..2 are the measurers
-      relay.prior_estimate_bits = r.advertised_bits;
-      mat.relays.push_back(std::move(relay));
-    }
-    std::vector<std::string> names = spec.team.measurer_names;
-    if (names.empty()) names = {"measurer-0", "measurer-1", "measurer-2"};
-    for (const auto& name : names)
-      mat.measurer_hosts.push_back(mat.topology.find(name));
-  } else {
-    const auto& syn = std::get<SyntheticPopulationSpec>(spec.population);
-    const auto capacities = analysis::sample_capacities(
-        syn.params, syn.relays, spec.seed ^ sim::hash_tag("scenario/synthetic"));
-    // Measurer hosts first (ids 0..m-1), then one host per relay, all on a
-    // flat low-latency mesh. Under the default dense path model the mesh
-    // is materialized all-pairs, so very large populations are
-    // memory-heavy (three n x n matrices); topology.path_model 'tiered'
-    // resolves the same pairs implicitly in O(hosts) memory, and its
-    // 1-tier default reproduces the dense flat mesh bit-exactly. The
-    // reservation sizes the dense matrices once; without it every
-    // add_host re-lays them out.
-    if (spec.topology.path_model == TopologySpec::PathModelKind::kTiered) {
-      net::TieredPathParams tier_params;
-      tier_params.tiers = spec.topology.tiers;
-      tier_params.tier_rtt_s = spec.topology.tier_rtt_s;
-      tier_params.loss = spec.topology.loss;
-      tier_params.loaded_loss = spec.topology.loaded_loss;
-      tier_params.rtt_jitter = spec.topology.rtt_jitter;
-      tier_params.seed = spec.seed ^ sim::hash_tag("scenario/tiered-path");
-      mat.topology.use_path_model(
-          std::make_unique<net::TieredPathModel>(std::move(tier_params)));
-    }
-    mat.topology.reserve_hosts(spec.team.capacity_bits.size() +
-                               capacities.size());
-    for (std::size_t i = 0; i < spec.team.capacity_bits.size(); ++i) {
-      net::Host host;
-      host.name = "measurer-" + std::to_string(i);
-      host.nic_up_bits = host.nic_down_bits = spec.team.capacity_bits[i];
-      host.cpu_cores = 4;
-      mat.measurer_hosts.push_back(mat.topology.add_host(std::move(host)));
-    }
-    for (std::size_t i = 0; i < capacities.size(); ++i) {
-      net::Host host;
-      host.name = "synthetic-relay-" + std::to_string(i) + "-host";
-      host.nic_up_bits = host.nic_down_bits = capacities[i] * 1.2;
-      host.cpu_cores = 2;
-      const net::HostId id = mat.topology.add_host(std::move(host));
-      campaign::CampaignRelay relay;
-      relay.model = make_capacity_relay(
-          "synthetic-relay-" + std::to_string(i), capacities[i], 0.0,
-          spec.params.sockets);
-      relay.host = id;
-      relay.prior_estimate_bits =
-          syn.prior_fraction > 0.0 ? capacities[i] * syn.prior_fraction : 0.0;
-      mat.relays.push_back(std::move(relay));
-    }
-    if (spec.topology.path_model == TopologySpec::PathModelKind::kDense)
-      for (net::HostId a = 0; a < mat.topology.host_count(); ++a)
-        for (net::HostId b = a + 1; b < mat.topology.host_count(); ++b)
-          mat.topology.set_path(a, b, 0.05, 1.0e-6, 5.0e-5);
-  }
+  MaterializedScenario mat = std::visit(
+      [&spec](const auto& population) { return populate(spec, population); },
+      spec.population);
 
   mat.measurer_capacity_bits = spec.team.capacity_bits;
   assign_behaviors(spec, mat.relays);
@@ -293,13 +300,7 @@ std::vector<double> resolve_team_capacities(const ScenarioSpec& spec,
 }
 
 PlanResult plan(const ScenarioSpec& spec) {
-  // The layout never reads a path, so a synthetic population plans on the
-  // implicit 1-tier model — the dense flat mesh's bit-identical twin —
-  // rather than filling three n x n matrices.
-  ScenarioSpec planned = spec;
-  if (std::holds_alternative<SyntheticPopulationSpec>(spec.population))
-    planned.topology.path_model = TopologySpec::PathModelKind::kTiered;
-  const MaterializedScenario mat = materialize(planned);
+  const MaterializedScenario mat = materialize(spec);
   const std::vector<double> team_caps = resolve_team_capacities(spec, mat);
 
   PlanResult plan;

@@ -69,9 +69,8 @@ struct ShadowPopulationSpec {
 
 /// Capacities sampled from the §3 population mixture (analysis::
 /// sample_capacities reads only its μ, σ and the two clamps); relays are
-/// placed on synthetic hosts in a flat topology. Used for scale and
-/// scheduling studies (e.g. the §7 efficiency numbers), which plan() lays
-/// out on the implicit path model, so no n x n path matrix is built.
+/// placed on synthetic hosts on the spec's TopologySpec tiers. Used for
+/// scale and scheduling studies (e.g. the §7 efficiency numbers).
 struct SyntheticPopulationSpec {
   analysis::PopulationParams params{};
   int relays = 0;
@@ -115,7 +114,8 @@ struct BackgroundModel {
 /// The measurer team. Empty `measurer_names` selects the population's
 /// default team (table1: every Table 1 host except the relay host; shadow:
 /// the three built-in 1 Gbit/s measurers; synthetic: hosts created from
-/// `capacity_bits`, which is then required).
+/// `capacity_bits`, which is then required). Names must be distinct: the
+/// §4.2 mesh gives every listed measurer its own NICs.
 struct TeamSpec {
   std::vector<std::string> measurer_names{};
   /// Per-measurer capacity overrides; empty runs the §4.2 iPerf mesh.
@@ -124,22 +124,17 @@ struct TeamSpec {
   friend bool operator==(const TeamSpec&, const TeamSpec&) = default;
 };
 
-/// How the materialized topology answers path queries (net/path_model.h).
-/// Dense is today's three n x n matrices — exact per-pair control,
-/// O(N^2) memory. Tiered is the Shadow-style implicit model — per-host
-/// tiers plus a tier x tier RTT table with optional deterministic
-/// per-pair jitter — and is what makes 50k-relay synthetic campaigns fit
-/// in memory. Tiered currently applies to synthetic populations only
-/// (table1/lab paths are individually measured; shadow already installs
-/// its own region-tiered model).
+/// A synthetic population's path model (net/path_model.h): hosts on
+/// tiers, a tier x tier RTT table, network-wide clean and loaded loss,
+/// and optional deterministic per-pair RTT jitter. The default is the
+/// flat mesh: one tier, 0.05 s between any two hosts. Table 1 and shadow
+/// populations bring their own tables, so validate() refuses a
+/// non-default TopologySpec for them.
 struct TopologySpec {
-  enum class PathModelKind { kDense, kTiered };
-  PathModelKind path_model = PathModelKind::kDense;
   /// Tier count; synthetic hosts default to tier (host id % tiers).
   int tiers = 1;
   /// Upper triangle (incl. diagonal) of the tier x tier RTT table,
-  /// seconds; empty means 0.05 s everywhere (the flat-mesh default, so a
-  /// 1-tier tiered topology reproduces the dense flat mesh bit-exactly).
+  /// seconds; required when tiers > 1. Empty at one tier means 0.05 s.
   std::vector<double> tier_rtt_s{};
   double loss = 1.0e-6;
   double loaded_loss = 5.0e-5;
@@ -187,12 +182,12 @@ struct ScenarioSpec {
 /// measurer hosts.
 struct MaterializedScenario {
   net::Topology topology;
-  std::vector<campaign::CampaignRelay> relays;
-  std::vector<net::HostId> measurer_hosts;
+  std::vector<campaign::CampaignRelay> relays{};
+  std::vector<net::HostId> measurer_hosts{};
   /// Capacity overrides aligned with measurer_hosts (empty: iPerf mesh).
-  std::vector<double> measurer_capacity_bits;
+  std::vector<double> measurer_capacity_bits{};
   /// Relay fingerprints, aligned with `relays` (bandwidth-file emission).
-  std::vector<std::string> fingerprints;
+  std::vector<std::string> fingerprints{};
 };
 
 /// Schedule-only dry run: how period 0 of a spec's run lays out.
@@ -221,9 +216,7 @@ MaterializedScenario materialize(const ScenarioSpec& spec);
 /// Lays out period 0 of the spec's run without measuring anything: the
 /// priors and layout come from campaign::scheduling_priors and
 /// campaign::lay_out_period, the functions CampaignRunner::run calls, on
-/// the materialized population and resolved team. A synthetic population
-/// is materialized on the implicit 1-tier path model (the layout never
-/// reads a path), so §7's 6,419 relays build no n x n path matrix.
+/// the materialized population and resolved team.
 PlanResult plan(const ScenarioSpec& spec);
 
 /// Resolves the team's per-measurer capacities: the spec's overrides, or

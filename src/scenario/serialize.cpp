@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -79,7 +80,8 @@ const Key<PopulationParams> kSyntheticPopulationKeys[] = {
     {"synthetic.min_capacity_bits", &PopulationParams::min_capacity_bits},
 };
 
-// `topology.path_model` (dense | tiered) comes first, by hand.
+// Read only for synthetic populations; `topology.path_model` is read by
+// hand.
 const Key<TopologySpec> kTopologyKeys[] = {
     {"topology.tiers", &TopologySpec::tiers},
     {"topology.tier_rtt_s", &TopologySpec::tier_rtt_s},
@@ -275,9 +277,15 @@ class ScenarioText {
       }
     }
     if (!first) return;
-    for (const char* section : {"table1", "shadow", "synthetic"}) {
-      if (first_key->rfind(std::string(section) + ".", 0) == 0 &&
-          population != section)
+    // Each section belongs to one population; topology.* describes the
+    // synthetic mesh (table1 and shadow bring their own path tables).
+    const std::pair<const char*, const char*> kSectionOwners[] = {
+        {"table1.", "table1"},
+        {"shadow.", "shadow"},
+        {"synthetic.", "synthetic"},
+        {"topology.", "synthetic"}};
+    for (const auto& [prefix, owner] : kSectionOwners) {
+      if (first_key->rfind(prefix, 0) == 0 && population != owner)
         fail(first->line, "key '" + *first_key +
                               "' does not apply (population is '" +
                               population + "')");
@@ -397,10 +405,6 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
   // older builds and specs with all-default values stay byte-stable.
   if (spec.topology != TopologySpec{}) {
     out += '\n';
-    write_line(out, "topology.path_model",
-               spec.topology.path_model == TopologySpec::PathModelKind::kTiered
-                   ? "tiered"
-                   : "dense");
     write_keys(out, spec.topology, kTopologyKeys);
   }
   if (spec.faults != fault::FaultSpec{}) {
@@ -463,28 +467,19 @@ ScenarioSpec parse_scenario(const std::string& text,
     auto& syn = spec.population.emplace<SyntheticPopulationSpec>();
     in.read_keys(syn, kSyntheticKeys);
     in.read_keys(syn.params, kSyntheticPopulationKeys);
+    // Files written while a second path model existed name the one that
+    // is left.
+    std::string path_model;
+    if (in.read("topology.path_model", path_model) && path_model != "tiered")
+      in.fail(in.line_of("topology.path_model"),
+              "key 'topology.path_model': expected tiered, got '" +
+                  path_model + "'");
+    in.read_keys(spec.topology, kTopologyKeys);
   } else {
     in.fail(in.line_of("population"),
             "key 'population': expected table1, shadow or synthetic, "
             "got '" + population + "'");
   }
-
-  std::string path_model;
-  if (in.read("topology.path_model", path_model)) {
-    if (path_model == "dense") {
-      spec.topology.path_model = TopologySpec::PathModelKind::kDense;
-    } else if (path_model == "tiered") {
-      spec.topology.path_model = TopologySpec::PathModelKind::kTiered;
-    } else {
-      in.fail(in.line_of("topology.path_model"),
-              "key 'topology.path_model': expected dense or tiered, got '" +
-                  path_model + "'");
-    }
-  }
-  // Tier parameters are read unconditionally so a file carrying them
-  // without 'topology.path_model: tiered' fails spec validation instead
-  // of being silently dropped.
-  in.read_keys(spec.topology, kTopologyKeys);
 
   in.read_keys(spec.faults, kFaultKeys);
   in.read_keys(spec.team, kTeamKeys);

@@ -47,21 +47,17 @@ ShadowNet make_shadow_net(const ShadowNetParams& params, std::uint64_t seed) {
 }
 
 net::Topology shadow_topology(const ShadowNet& net) {
-  net::Topology topo;
-  // Regions map 1:1 onto path-model tiers: the tier table below is the
-  // upper triangle of the region_rtt matrix, so every pair reads exactly
-  // the value the old all-pairs set_path mesh stored — but in O(hosts)
-  // memory instead of three n x n matrices.
-  net::TieredPathParams params;
-  params.tiers = kRegionCount;
+  // Regions map 1:1 onto path tiers: the tier table is the upper
+  // triangle of the region_rtt matrix, with modest loaded loss on the
+  // shared simulated internet.
+  std::vector<net::PathCharacteristics> table;
   for (int a = 0; a < kRegionCount; ++a)
     for (int b = a; b < kRegionCount; ++b)
-      params.tier_rtt_s.push_back(
-          region_rtt(static_cast<Region>(a), static_cast<Region>(b)));
-  // Modest loaded loss on the shared simulated internet.
-  params.loss = 1.0e-6;
-  params.loaded_loss = 5.0e-5;
-  topo.use_path_model(std::make_unique<net::TieredPathModel>(params));
+      table.push_back({.rtt_s = region_rtt(static_cast<Region>(a),
+                                           static_cast<Region>(b)),
+                       .loss = 1.0e-6,
+                       .loaded_loss = 5.0e-5});
+  net::Topology topo(net::PathModel(kRegionCount, table));
   topo.reserve_hosts(3 + net.relays.size());
   // Three 1 Gbit/s measurers (§7), placed in distinct regions.
   const std::array<Region, 3> measurer_regions = {

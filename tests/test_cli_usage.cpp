@@ -19,7 +19,8 @@
 // scenarios into a scratch directory under the system temp dir and check
 // that a result file which cannot be written in full fails the run, that
 // a spec which cannot be materialized is refused without writing or
-// announcing anything, and that validate names every file it refuses.
+// announcing anything, and that validate names every file it refuses and
+// the keys that break a rule.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -292,6 +293,26 @@ TEST(CliOutputs, ValidateNamesEachFileThatBreaksASemanticRule) {
             std::string::npos)
       << result.output;
   EXPECT_NE(result.output.find("background.enabled"), std::string::npos)
+      << result.output;
+}
+
+TEST(CliOutputs, ValidateRefusesATierCountWithoutATable) {
+  // Without a table, 50,000 tiers would expand to 50,000^2 table entries
+  // (about 20 GB per field) in plan or run; validate refuses the file
+  // first and names both keys.
+  const ScratchDir scratch;
+  const fs::path spec = scratch.path() / "tiers.yaml";
+  std::ofstream(spec) << "flashflow_scenario: 1\n"
+                         "population: synthetic\n"
+                         "synthetic.relays: 4\n"
+                         "team.capacity_bits: [1e9]\n"
+                         "topology.path_model: tiered\n"
+                         "topology.tiers: 50000\n";
+  const RunResult result = run_cli("validate " + quoted(spec));
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("topology.tiers"), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("topology.tier_rtt_s"), std::string::npos)
       << result.output;
 }
 

@@ -15,7 +15,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
-#include <memory>
 #include <new>
 #include <string>
 #include <utility>
@@ -23,7 +22,6 @@
 
 #include "fault/fault.h"
 #include "metrics/stats.h"
-#include "net/path_model.h"
 #include "net/topology.h"
 #include "net/units.h"
 #include "sim/random.h"
@@ -62,34 +60,47 @@ namespace {
 
 constexpr std::size_t kMaxTargets = 300;
 
-/// Table 1's five vantage points plus `relay_hosts` relay hosts on dense
-/// paths.
-net::Topology dense_topology(int relay_hosts) {
-  net::Topology topo = net::make_table1_hosts();
-  const std::size_t measurers = topo.host_count();
+/// Table 1's five vantage points plus `relay_hosts` relay hosts, each on
+/// one of nine relay tiers whose path to measurer m has its own RTT.
+net::Topology table1_topology(int relay_hosts) {
+  const net::Topology table1 = net::make_table1_hosts();
+  const std::size_t measurers = table1.host_count();
+  constexpr int kRelayTiers = 9;
+  const std::size_t tiers = measurers + kRelayTiers;
+  std::vector<net::PathCharacteristics> table;
+  for (std::size_t a = 0; a < tiers; ++a)
+    for (std::size_t b = a; b < tiers; ++b) {
+      net::PathCharacteristics path{};  // relay <-> relay: co-located
+      if (b < measurers)  // Table 1's own pairs
+        table1.fill_paths(a, {&b, 1}, {&path, 1});
+      else if (a < measurers)
+        path = {0.01 + 0.004 * static_cast<double>(b - measurers) +
+                    0.02 * static_cast<double>(a),
+                1e-5, 6e-5};
+      table.push_back(path);
+    }
+  net::Topology topo(net::PathModel(static_cast<int>(tiers), table));
+  for (net::HostId m = 0; m < measurers; ++m) topo.add_host(table1.host(m));
   for (int i = 0; i < relay_hosts; ++i) {
     net::Host host;
-    host.name = "dense-relay-";
+    host.name = "table1-relay-";
     host.name += std::to_string(i);
     host.nic_up_bits = host.nic_down_bits = net::mbit(400.0 + 60.0 * i);
     host.cpu_cores = 4;
     const net::HostId id = topo.add_host(host);
-    for (net::HostId m = 0; m < measurers; ++m)
-      topo.set_path(id, m, 0.01 + 0.004 * (i % 9) + 0.02 * m, 1e-5, 6e-5);
+    topo.set_host_tier(id, static_cast<int>(measurers) + i % kRelayTiers);
   }
   return topo;
 }
 
 /// Three measurer hosts and `relay_hosts` relay hosts on a jittered
-/// three-tier model: more hosts than dense_topology's, other path code.
+/// three-tier model: more hosts than table1_topology's, other path code.
 net::Topology tiered_topology(int relay_hosts) {
-  net::TieredPathParams params;
-  params.tiers = 3;
-  params.tier_rtt_s = {0.008, 0.05, 0.11, 0.012, 0.08, 0.02};
-  params.rtt_jitter = 0.2;
-  params.seed = 5;
-  net::Topology topo;
-  topo.use_path_model(std::make_unique<net::TieredPathModel>(params));
+  std::vector<net::PathCharacteristics> table;
+  for (const double rtt : {0.008, 0.05, 0.11, 0.012, 0.08, 0.02})
+    table.push_back({rtt, 1.0e-6, 5.0e-5});
+  net::Topology topo(net::PathModel(3, table, /*rtt_jitter=*/0.2,
+                                    /*seed=*/5));
   for (int i = 0; i < 3 + relay_hosts; ++i) {
     net::Host host;
     host.name = i < 3 ? "tier-measurer-" : "tier-relay-";
@@ -134,7 +145,7 @@ struct Fixture {
   Params params;
 
   Fixture() {
-    topologies.push_back(dense_topology(12));
+    topologies.push_back(table1_topology(12));
     topologies.push_back(tiered_topology(40));
     measurers = {{0, 1, 2, 3, 4}, {0, 1, 2}};
     relay_hosts.resize(2);

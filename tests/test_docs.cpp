@@ -88,7 +88,6 @@ std::vector<scenario::ScenarioSpec> fully_populated_specs() {
     synthetic.prior_fraction = 0.8;
     spec.population = synthetic;
     spec.team.capacity_bits = {8e8, 8e8, 8e8};
-    spec.topology.path_model = scenario::TopologySpec::PathModelKind::kTiered;
     spec.topology.tiers = 2;
     spec.topology.tier_rtt_s = {0.02, 0.065, 0.02};
     spec.topology.rtt_jitter = 0.1;

@@ -72,7 +72,10 @@ constexpr std::uint64_t kFaultJsonlHash = 0xc6866fb3712a197dULL;
 constexpr std::uint64_t kFaultLedgerHash = 0x73685fa6d357fc6fULL;
 /// Over each trace line cut at `,"lane":` (the execution-dependent rest).
 constexpr std::uint64_t kFaultTraceHash = 0x713b77c54c5ce90eULL;
-constexpr std::uint64_t kTieredScenarioTextHash = 0xea91d65e9ee65887ULL;
+// Re-recorded when `topology.path_model: tiered` stopped being written:
+// the previous hash, 0xea91d65e9ee65887, is that of this text plus the
+// line.
+constexpr std::uint64_t kTieredScenarioTextHash = 0x969adbfcd2467164ULL;
 // Recorded from the event-driven FlowNet iPerf mesh, before the mesh
 // became one fair-share solve: scenarios/quickstart.yaml is the only
 // checked-in run whose team capacities come from the §4.2 mesh.
@@ -192,7 +195,6 @@ std::string scenario_csv(int threads) {
 /// A 3-tier path model with jittered RTTs.
 scenario::TopologySpec tiered_topology() {
   scenario::TopologySpec topo;
-  topo.path_model = scenario::TopologySpec::PathModelKind::kTiered;
   topo.tiers = 3;
   topo.tier_rtt_s = {0.02, 0.08, 0.15, 0.03, 0.11, 0.04};
   topo.rtt_jitter = 0.1;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -95,14 +96,28 @@ TEST(Iperf, RefusesAPathNoNicLimits) {
     host.name = std::move(name);
     return host;
   };
-  Topology topo;
+  const PathCharacteristics path{.rtt_s = 0.05};
+  Topology topo(PathModel(1, {&path, 1}));
   const HostId a = topo.add_host(nicless("a"));
   const HostId b = topo.add_host(nicless("b"));
-  topo.set_path(a, b, 0.05, 0.0);
   IperfRunner runner(topo, 1);
   EXPECT_THROW(runner.run_udp(a, b, 10), std::invalid_argument);
   EXPECT_THROW(runner.run_mesh_udp({a, b}, 10), std::invalid_argument);
   EXPECT_GT(runner.run_tcp(a, b, 10).median_bits(), 0.0);
+}
+
+TEST_F(IperfTest, MeshRefusesAHostListedTwice) {
+  // The mesh gives every listed entry its own NICs, so a repeated host
+  // would count its NIC twice.
+  IperfRunner runner(topo, 1);
+  const HostId us_e = topo.find("US-E");
+  try {
+    runner.run_mesh_udp({topo.find("NL"), us_e, us_e}, 10);
+    FAIL() << "a repeated host was measured";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("US-E"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(IperfTest, EmptyReportMedianIsZero) {

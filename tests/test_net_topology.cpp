@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "net/units.h"
 
@@ -19,6 +21,13 @@ Host make_host(std::string name, double up_bits = 0.0,
   return h;
 }
 
+/// A topology whose hosts all sit on one co-located tier (lookups need no
+/// paths).
+Topology one_tier() {
+  const PathCharacteristics co_located{};
+  return Topology(PathModel(1, {&co_located, 1}));
+}
+
 /// The loaded loss of one path, through the slot pipeline's bulk query.
 double loaded_loss(const Topology& t, HostId a, HostId b) {
   PathCharacteristics out;
@@ -27,7 +36,7 @@ double loaded_loss(const Topology& t, HostId a, HostId b) {
 }
 
 TEST(Topology, AddHostAndLookup) {
-  Topology t;
+  Topology t = one_tier();
   const HostId a = t.add_host(make_host("a", mbit(100), mbit(100)));
   const HostId b = t.add_host(make_host("b", mbit(200), mbit(200)));
   EXPECT_EQ(t.host_count(), 2u);
@@ -41,7 +50,7 @@ TEST(Topology, FindResolvesEveryNameInALargePopulation) {
   // find() is backed by a name index maintained by add_host (it used to
   // be an O(N) scan per lookup, quadratic across a campaign's relay
   // resolution); every host must stay findable as the index grows.
-  Topology t;
+  Topology t = one_tier();
   std::vector<HostId> ids;
   for (int i = 0; i < 500; ++i)
     ids.push_back(t.add_host(make_host("relay-" + std::to_string(i))));
@@ -50,73 +59,23 @@ TEST(Topology, FindResolvesEveryNameInALargePopulation) {
 }
 
 TEST(Topology, FindReturnsFirstAddedOnDuplicateNames) {
-  Topology t;
+  Topology t = one_tier();
   const HostId first = t.add_host(make_host("twin"));
   t.add_host(make_host("twin"));
   EXPECT_EQ(t.find("twin"), first);
 }
 
 TEST(Topology, PathIsSymmetric) {
-  Topology t;
+  // Two tiers, one host each: the (0, 1) entry is the pair's path.
+  const PathCharacteristics table[] = {{}, {0.05, 1e-5, 2e-4}, {}};
+  Topology t(PathModel(2, table));
   const HostId a = t.add_host(make_host("a"));
   const HostId b = t.add_host(make_host("b"));
-  t.set_path(a, b, 0.05, 1e-5, 2e-4);
   EXPECT_DOUBLE_EQ(t.rtt(a, b), 0.05);
   EXPECT_DOUBLE_EQ(t.rtt(b, a), 0.05);
   EXPECT_DOUBLE_EQ(t.loss(a, b), 1e-5);
   EXPECT_DOUBLE_EQ(loaded_loss(t, b, a), 2e-4);
-}
-
-TEST(Topology, LoadedLossDefaultsToCleanLoss) {
-  Topology t;
-  const HostId a = t.add_host(make_host("a"));
-  const HostId b = t.add_host(make_host("b"));
-  t.set_path(a, b, 0.05, 3e-5);
-  EXPECT_DOUBLE_EQ(loaded_loss(t, a, b), 3e-5);
-}
-
-TEST(Topology, GrowingPreservesPaths) {
-  Topology t;
-  const HostId a = t.add_host(make_host("a"));
-  const HostId b = t.add_host(make_host("b"));
-  t.set_path(a, b, 0.1, 0.0);
-  const HostId c = t.add_host(make_host("c"));
-  EXPECT_DOUBLE_EQ(t.rtt(a, b), 0.1);  // survived the matrix growth
-  EXPECT_DOUBLE_EQ(t.rtt(a, c), 0.0);  // unset defaults to zero
-}
-
-TEST(Topology, ReserveHostsMatchesIncrementalGrowth) {
-  // reserve_hosts presizes the dense matrices so large materializations
-  // are not quadratic per insertion; paths and lookups must behave
-  // identically with and without the reservation, including growth past
-  // the reserved dimension.
-  Topology reserved;
-  reserved.reserve_hosts(3);
-  Topology grown;
-  for (auto* t : {&reserved, &grown}) {
-    const HostId a = t->add_host(make_host("a", mbit(10), mbit(10)));
-    const HostId b = t->add_host(make_host("b", mbit(20), mbit(20)));
-    const HostId c = t->add_host(make_host("c", mbit(30), mbit(30)));
-    t->set_path(a, b, 0.1, 1e-6, 2e-5);
-    t->set_path(b, c, 0.2, 2e-6);
-    const HostId d = t->add_host(make_host("d"));  // beyond the reservation
-    t->set_path(a, d, 0.3, 0.0);
-  }
-  for (HostId x = 0; x < reserved.host_count(); ++x)
-    for (HostId y = 0; y < reserved.host_count(); ++y) {
-      EXPECT_DOUBLE_EQ(reserved.rtt(x, y), grown.rtt(x, y));
-      EXPECT_DOUBLE_EQ(reserved.loss(x, y), grown.loss(x, y));
-      EXPECT_DOUBLE_EQ(loaded_loss(reserved, x, y), loaded_loss(grown, x, y));
-    }
-  EXPECT_THROW(reserved.rtt(0, 5), std::out_of_range);
-}
-
-TEST(Topology, RejectsBadPathParams) {
-  Topology t;
-  const HostId a = t.add_host(make_host("a"));
-  const HostId b = t.add_host(make_host("b"));
-  EXPECT_THROW(t.set_path(a, b, -1.0, 0.0), std::invalid_argument);
-  EXPECT_THROW(t.set_path(a, b, 1.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(t.rtt(a, 2), std::out_of_range);
 }
 
 TEST(Table1Hosts, MatchesPaperInventory) {
@@ -148,6 +107,48 @@ TEST(Table1Hosts, LoadedLossExceedsCleanLoss) {
     const HostId h = t.find(name);
     EXPECT_GT(loaded_loss(t, us_sw, h), t.loss(us_sw, h));
   }
+}
+
+TEST(Table1Hosts, PathsMatchRecordedBits) {
+  // Every ordered pair of the five hosts, row by row in paper order:
+  // (RTT, loss, loaded loss), recorded from the build that stored Table 1
+  // as ten symmetric per-pair writes into n x n matrices.
+  const PathCharacteristics kRecorded[25] = {
+      {0x0p+0, 0x0p+0, 0x0p+0},  // US-SW -> US-SW
+      {0x1.47ae147ae147bp-5, 0x1.0c6f7a0b5ed8dp-20, 0x1.f75104d551d69p-15},
+      {0x1.fbe76c8b43958p-5, 0x1.0c6f7a0b5ed8dp-20, 0x1.f75104d551d69p-15},
+      {0x1.ae147ae147ae1p-3, 0x1.0c6f7a0b5ed8dp-19, 0x1.4f8b588e368f1p-13},
+      {0x1.189374bc6a7fp-3, 0x1.0c6f7a0b5ed8dp-20, 0x1.a36e2eb1c432dp-14},
+      {0x1.47ae147ae147bp-5, 0x1.0c6f7a0b5ed8dp-20, 0x1.f75104d551d69p-15},
+      {0x0p+0, 0x0p+0, 0x0p+0},  // US-NW -> US-NW
+      {0x1.1eb851eb851ecp-4, 0x1.0c6f7a0b5ed8dp-20, 0x1.f75104d551d69p-15},
+      {0x1.d70a3d70a3d71p-3, 0x1.0c6f7a0b5ed8dp-19, 0x1.64840e1719f8p-13},
+      {0x1.3333333333333p-3, 0x1.0c6f7a0b5ed8dp-20, 0x1.cd5f99c38b04bp-14},
+      {0x1.fbe76c8b43958p-5, 0x1.0c6f7a0b5ed8dp-20, 0x1.f75104d551d69p-15},
+      {0x1.1eb851eb851ecp-4, 0x1.0c6f7a0b5ed8dp-20, 0x1.f75104d551d69p-15},
+      {0x0p+0, 0x0p+0, 0x0p+0},  // US-E -> US-E
+      {0x1.999999999999ap-3, 0x1.0c6f7a0b5ed8dp-19, 0x1.4f8b588e368f1p-13},
+      {0x1.70a3d70a3d70ap-4, 0x1.0c6f7a0b5ed8dp-20, 0x1.4f8b588e368f1p-14},
+      {0x1.ae147ae147ae1p-3, 0x1.0c6f7a0b5ed8dp-19, 0x1.4f8b588e368f1p-13},
+      {0x1.d70a3d70a3d71p-3, 0x1.0c6f7a0b5ed8dp-19, 0x1.64840e1719f8p-13},
+      {0x1.999999999999ap-3, 0x1.0c6f7a0b5ed8dp-19, 0x1.4f8b588e368f1p-13},
+      {0x0p+0, 0x0p+0, 0x0p+0},  // IN -> IN
+      {0x1.0a3d70a3d70a4p-3, 0x1.0c6f7a0b5ed8dp-19, 0x1.a36e2eb1c432dp-14},
+      {0x1.189374bc6a7fp-3, 0x1.0c6f7a0b5ed8dp-20, 0x1.a36e2eb1c432dp-14},
+      {0x1.3333333333333p-3, 0x1.0c6f7a0b5ed8dp-20, 0x1.cd5f99c38b04bp-14},
+      {0x1.70a3d70a3d70ap-4, 0x1.0c6f7a0b5ed8dp-20, 0x1.4f8b588e368f1p-14},
+      {0x1.0a3d70a3d70a4p-3, 0x1.0c6f7a0b5ed8dp-19, 0x1.a36e2eb1c432dp-14},
+      {0x0p+0, 0x0p+0, 0x0p+0},  // NL -> NL
+  };
+  const Topology t = make_table1_hosts();
+  std::vector<HostId> hosts;
+  for (const std::string& name : table1_host_names())
+    hosts.push_back(t.find(name));
+  ASSERT_EQ(hosts.size(), 5u);
+  PathCharacteristics paths[25];
+  for (std::size_t i = 0; i < hosts.size(); ++i)
+    t.fill_paths(hosts[i], hosts, {paths + 5 * i, 5});
+  EXPECT_EQ(std::memcmp(paths, kRecorded, sizeof(paths)), 0);
 }
 
 TEST(Units, Conversions) {

@@ -98,7 +98,6 @@ TEST(ScenarioSerialize, ShadowRoundTripsExactly) {
 
 TEST(ScenarioSerialize, TieredTopologyRoundTripsExactly) {
   TopologySpec topo;
-  topo.path_model = TopologySpec::PathModelKind::kTiered;
   topo.tiers = 3;
   topo.tier_rtt_s = {0.010, 0.065, 0.090, 0.020, 0.150, 0.025};
   topo.loss = 2.0e-6;
@@ -290,32 +289,79 @@ TEST(ScenarioSerialize, BadScheduleAndVersionRejected) {
 }
 
 TEST(ScenarioSerialize, UnknownPathModelValueNamesKeyAndLine) {
-  expect_parse_error(
+  // `tiered` names the one path model; anything else, the retired
+  // `dense` included, is refused at its line.
+  for (const char* model : {"mesh", "dense"}) {
+    expect_parse_error(
+        std::string("population: synthetic\n"
+                    "synthetic.relays: 40\n"
+                    "team.capacity_bits: [8e8]\n"
+                    "topology.path_model: ") +
+            model + "\n",
+        {"test.yaml:4", "key 'topology.path_model'", "expected tiered",
+         model});
+  }
+}
+
+TEST(ScenarioSerialize, TieredPathModelLineIsReadButNotWritten) {
+  // Files written while a second path model existed carry
+  // `topology.path_model: tiered`: they parse to the same spec as the
+  // file without the line, which is what serialize_scenario writes now.
+  const std::string body =
       "population: synthetic\n"
       "synthetic.relays: 40\n"
       "team.capacity_bits: [8e8]\n"
-      "topology.path_model: mesh\n",
-      {"test.yaml:4", "key 'topology.path_model'", "expected dense or tiered",
-       "mesh"});
+      "topology.tiers: 2\n"
+      "topology.tier_rtt_s: [0.02, 0.065, 0.02]\n";
+  const ScenarioSpec with_line =
+      parse_scenario(body + "topology.path_model: tiered\n");
+  EXPECT_EQ(with_line, parse_scenario(body));
+  const std::string text = serialize_scenario(with_line);
+  EXPECT_EQ(text.find("path_model"), std::string::npos) << text;
+  EXPECT_NE(text.find("topology.tiers: 2\n"), std::string::npos) << text;
 }
 
 TEST(ScenarioSerialize, TierParamsWithoutTieredModelRejected) {
-  // The tier keys parse fine but spec validation must refuse to silently
-  // drop them under the default dense model.
+  // More than one tier without a table would be the flat mesh again, and
+  // expanding it would take tiers^2 table entries: refused, naming both
+  // keys.
   expect_parse_error(
       "population: synthetic\n"
       "synthetic.relays: 40\n"
       "team.capacity_bits: [8e8]\n"
       "topology.tiers: 3\n",
-      {"tier parameters apply only to path_model 'tiered'"});
+      {"topology.tiers > 1 needs topology.tier_rtt_s"});
 }
 
 TEST(ScenarioSerialize, TieredModelRequiresSyntheticPopulation) {
+  // Table 1 and shadow bring their own path tables; any topology.* line,
+  // `topology.path_model` included, is refused at its line.
   expect_parse_error(
       "population: table1\n"
       "table1.rate_limits_mbit: [250]\n"
       "topology.path_model: tiered\n",
-      {"tiered path model applies only to synthetic populations"});
+      {"test.yaml:3", "key 'topology.path_model' does not apply",
+       "population is 'table1'"});
+  expect_parse_error(
+      "population: shadow\n"
+      "topology.tiers: 1\n",
+      {"test.yaml:2", "key 'topology.tiers' does not apply",
+       "population is 'shadow'"});
+  // A spec built in code hits the same rule in validate().
+  ScenarioSpec spec;
+  spec.population = Table1PopulationSpec{.rate_limit_mbit = {250}};
+  spec.topology.rtt_jitter = 0.1;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
+TEST(ScenarioSerialize, RepeatedMeasurerRejected) {
+  // The §4.2 mesh gives every listed measurer its own NICs, so naming a
+  // host twice would count its NIC twice.
+  expect_parse_error(
+      "population: table1\n"
+      "table1.rate_limits_mbit: [500]\n"
+      "team.measurers: [US-E, US-E]\n",
+      {"team.measurers names US-E twice"});
 }
 
 TEST(ScenarioSerialize, WrongTierTableLengthRejected) {
