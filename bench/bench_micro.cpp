@@ -1,43 +1,21 @@
 // Microbenchmarks (google-benchmark) for the hot paths under every
-// experiment: the event queue, the max-min fair solver (one-shot and a
-// slot's prepared per-second solves), the fluid network, and the statistics
-// kernels.
+// experiment: the max-min fair solver (one-shot and a slot's prepared
+// per-second solves), the fluid network, and the statistics kernels.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "metrics/stats.h"
 #include "metrics/timeseries.h"
 #include "net/fairshare.h"
 #include "net/flownet.h"
-#include "sim/event_queue.h"
 #include "sim/random.h"
-#include "sim/simulator.h"
 
 namespace {
 
 using namespace flashflow;
-
-void BM_EventQueueScheduleCancel(benchmark::State& state) {
-  sim::EventQueue queue;
-  for (auto _ : state) {
-    const auto id = queue.schedule(100, [] {});
-    queue.cancel(id);
-  }
-}
-BENCHMARK(BM_EventQueueScheduleCancel);
-
-void BM_SimulatorEventChurn(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator simu;
-    for (int i = 0; i < 1000; ++i)
-      simu.schedule_at(i, [] {});
-    simu.run_until(1000);
-    benchmark::DoNotOptimize(simu.now());
-  }
-}
-BENCHMARK(BM_SimulatorEventChurn);
 
 void BM_MaxMinFair(benchmark::State& state) {
   const auto flows_n = static_cast<std::size_t>(state.range(0));
@@ -122,17 +100,15 @@ BENCHMARK(BM_SlotSolvePrepared)
     ->Arg(300);
 
 void BM_FlowNetAddRemove(benchmark::State& state) {
-  sim::Simulator simu;
-  net::FlowNet netw(simu);
+  net::FlowNet netw;
   std::vector<net::ResourceId> resources;
   for (int i = 0; i < 16; ++i) resources.push_back(netw.add_resource(1e9));
   sim::Rng rng(9);
   for (auto _ : state) {
-    net::FlowNet::FlowSpec spec;
-    spec.resources = {
-        resources[static_cast<std::size_t>(rng.uniform_int(0, 15))],
-        resources[static_cast<std::size_t>(rng.uniform_int(0, 15))]};
-    const auto id = netw.add_flow(std::move(spec));
+    const auto id = netw.add_flow(
+        {resources[static_cast<std::size_t>(rng.uniform_int(0, 15))],
+         resources[static_cast<std::size_t>(rng.uniform_int(0, 15))]},
+        std::numeric_limits<double>::infinity(), 1e9);
     netw.remove_flow(id);
   }
 }

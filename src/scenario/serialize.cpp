@@ -487,8 +487,15 @@ ScenarioSpec parse_scenario(const std::string& text,
   in.read_keys(spec.background, kBackgroundKeys);
   in.read_keys(spec.params, kParamsKeys);
   double period_seconds = 0.0;
-  if (in.read("params.period_seconds", period_seconds))
+  if (in.read("params.period_seconds", period_seconds)) {
+    // A SimDuration holds about 9.22e12 s in microseconds; converting a
+    // longer period overflows.
+    if (!(period_seconds > 0.0 && period_seconds <= 9.2e12))
+      in.fail(in.line_of("params.period_seconds"),
+              "key 'params.period_seconds': expected seconds in "
+              "(0, 9.2e12]");
     spec.params.period = sim::from_seconds(period_seconds);
+  }
 
   in.reject_unused(population);
   // A semantic rule has no line to point at; name the source instead.

@@ -1,16 +1,20 @@
 #include "shadowsim/experiment.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <memory>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "core/bwauth.h"
 #include "core/params.h"
 #include "metrics/error_metrics.h"
 #include "net/flownet.h"
 #include "net/units.h"
-#include "sim/simulator.h"
+#include "sim/random.h"
+#include "sim/time.h"
 #include "torflow/torflow.h"
 
 namespace flashflow::shadowsim {
@@ -106,145 +110,40 @@ MeasurementComparison run_measurement_comparison(const ShadowNet& net,
 
 namespace {
 
-/// Drives one benchmark client's sequential transfer loop on the fluid net.
-class BenchClient {
- public:
-  BenchClient(sim::Simulator& simu, net::FlowNet& netw,
-              const std::vector<net::ResourceId>& relay_resources,
-              const std::vector<double>& norm_weights,
-              const std::vector<double>& rho, const ShadowNet& net,
-              const PerfConfig& config, trafficgen::BenchmarkResults& results,
-              sim::Rng rng)
-      : simu_(simu), netw_(netw), relay_resources_(relay_resources),
-        weights_(norm_weights), rho_(rho), net_(net), config_(config),
-        results_(results), rng_(std::move(rng)),
-        region_(static_cast<Region>(rng_.uniform_int(0, kRegionCount - 1))) {}
+constexpr sim::SimTime kNever = std::numeric_limits<sim::SimTime>::max();
 
-  void start() {
-    // Desynchronize clients.
-    simu_.schedule_in(sim::from_seconds(rng_.uniform(0.0, 30.0)),
-                      [this] { begin_transfer(); });
-  }
-
- private:
-  // Per-transfer state shared by the completion callback and the timeout
-  // event; `done` guards against the two racing (a timeout firing after a
-  // completion, or vice versa).
-  struct Transfer {
-    net::FlowId flow = 0;
-    sim::EventId timeout_event = 0;
-    bool done = false;
-    trafficgen::TransferRecord record;
-    std::vector<net::ResourceId> resources;
-  };
-
-  void begin_transfer() {
-    using trafficgen::TransferSize;
-    const auto size = static_cast<TransferSize>(next_size_);
-    next_size_ = (next_size_ + 1) % 3;
-
-    // Weighted 3-hop path.
-    std::vector<double> w = weights_;
-    std::array<std::size_t, 3> path{};
-    for (auto& hop : path) {
-      hop = rng_.weighted_index(w);
-      w[hop] = 0.0;
-    }
-
-    // TTFB: circuit latency plus congestion queueing at each hop.
-    const double rtt_sum =
-        region_rtt(region_, net_.relays[path[0]].region) +
-        region_rtt(net_.relays[path[0]].region,
-                   net_.relays[path[1]].region) +
-        region_rtt(net_.relays[path[1]].region,
-                   net_.relays[path[2]].region) +
-        region_rtt(net_.relays[path[2]].region, Region::kNaEast);
-    double queue_delay = 0.0;
-    for (const auto hop : path) {
-      const double rho = rho_[hop];
-      queue_delay += std::min(0.05 * rho / std::max(1.0 - rho, 0.005), 10.0);
-    }
-
-    auto transfer = std::make_shared<Transfer>();
-    transfer->record.size = size;
-    transfer->record.start = simu_.now();
-    transfer->record.ttfb_s = 2.2 * rtt_sum + queue_delay;
-    transfer->resources = {relay_resources_[path[0]],
-                           relay_resources_[path[1]],
-                           relay_resources_[path[2]]};
-
-    // The timeout clock starts at the request, covering circuit setup and
-    // queueing (TTFB) as well as the download itself.
-    const auto index = static_cast<int>(size);
-    const double limit = trafficgen::kTransferTimeoutS[index];
-    if (transfer->record.ttfb_s >= limit) {
-      transfer->record.ttlb_s = limit;
-      transfer->record.timed_out = true;
-      finish(transfer->record);
-      return;
-    }
-
-    // Bytes begin flowing once the first byte arrives.
-    simu_.schedule_in(
-        sim::from_seconds(transfer->record.ttfb_s),
-        [this, transfer, index] {
-          if (transfer->done) return;
-          net::FlowNet::FlowSpec spec;
-          spec.resources = transfer->resources;
-          spec.cap_bits = config_.client_cap_bits;
-          spec.volume_bytes = trafficgen::kTransferBytes[index];
-          spec.on_complete = [this, transfer](net::FlowId) {
-            if (transfer->done) return;
-            transfer->done = true;
-            simu_.cancel(transfer->timeout_event);
-            transfer->record.ttlb_s =
-                sim::to_seconds(simu_.now() - transfer->record.start);
-            transfer->record.timed_out = false;
-            finish(transfer->record);
-          };
-          transfer->flow = netw_.add_flow(std::move(spec));
-        });
-
-    transfer->timeout_event = simu_.schedule_in(
-        sim::from_seconds(limit), [this, transfer, limit] {
-          if (transfer->done) return;
-          transfer->done = true;
-          if (transfer->flow != 0) netw_.remove_flow(transfer->flow);
-          transfer->record.ttlb_s = limit;
-          transfer->record.timed_out = true;
-          finish(transfer->record);
-        });
-  }
-
-  void finish(const trafficgen::TransferRecord& record) {
-    results_.records.push_back(record);
-    // Torperf cadence: next transfer a minute after the previous start, or
-    // shortly after a long transfer finishes.
-    const sim::SimTime next =
-        std::max(record.start + 60 * sim::kSecond,
-                 simu_.now() + 5 * sim::kSecond);
-    if (next < sim::from_seconds(config_.sim_seconds))
-      simu_.schedule_at(next, [this] { begin_transfer(); });
-  }
-
-  sim::Simulator& simu_;
-  net::FlowNet& netw_;
-  const std::vector<net::ResourceId>& relay_resources_;
-  const std::vector<double>& weights_;
-  const std::vector<double>& rho_;
-  const ShadowNet& net_;
-  const PerfConfig& config_;
-  trafficgen::BenchmarkResults& results_;
-  sim::Rng rng_;
-  Region region_;
-  int next_size_ = 0;
+/// One benchmark client: a sequence of transfers, each waiting on one
+/// timer for its start, its first byte, or its deadline.
+struct Client {
+  enum class Phase { kStart, kFirstByte, kDeadline };
+  sim::Rng rng;
+  Region region;
+  sim::SimTime timer;  // kNever once no transfer is due
+  Phase phase = Phase::kStart;
+  int next_size = 0;
+  trafficgen::TransferRecord record{};
+  std::vector<net::ResourceId> path{};  // the transfer's three relays
+  net::FlowId flow = 0;
 };
+
+/// Refuses a weight file made for another network: run_performance reads
+/// relay i's weight at position i.
+void check_weights(const ShadowNet& net, const tor::BandwidthFile& weights) {
+  if (!std::equal(weights.begin(), weights.end(), net.relays.begin(),
+                  net.relays.end(), [](const auto& entry, const auto& relay) {
+                    return entry.fingerprint == relay.fingerprint;
+                  }))
+    throw std::invalid_argument(
+        "run_performance: the weight file must list the network's relays, "
+        "one entry each, in the network's order");
+}
 
 }  // namespace
 
 PerfResult run_performance(const ShadowNet& net,
                            const tor::BandwidthFile& weights,
                            const PerfConfig& config, std::uint64_t seed) {
+  check_weights(net, weights);
   PerfResult out;
   const auto norm_weights = metrics::normalize(weights_of(weights));
 
@@ -261,8 +160,7 @@ PerfResult run_performance(const ShadowNet& net,
     carried[i] = std::min(assigned[i], cap * 0.995);
   }
 
-  sim::Simulator simu;
-  net::FlowNet netw(simu);
+  net::FlowNet netw;
   std::vector<net::ResourceId> relay_resources;
   for (std::size_t i = 0; i < net.relays.size(); ++i) {
     const double cap = net.relays[i].capacity_bits;
@@ -273,35 +171,141 @@ PerfResult run_performance(const ShadowNet& net,
   }
 
   sim::Rng rng(seed);
-  std::vector<std::unique_ptr<BenchClient>> clients;
+  std::vector<Client> clients;
   for (int c = 0; c < config.bench_clients; ++c) {
-    clients.push_back(std::make_unique<BenchClient>(
-        simu, netw, relay_resources, norm_weights, rho, net, config,
-        out.bench, rng.fork("bench-" + std::to_string(c))));
-    clients.back()->start();
+    sim::Rng client_rng = rng.fork("bench-" + std::to_string(c));
+    const auto region =
+        static_cast<Region>(client_rng.uniform_int(0, kRegionCount - 1));
+    // Desynchronize clients.
+    const sim::SimTime first =
+        sim::from_seconds(client_rng.uniform(0.0, 30.0));
+    clients.push_back(
+        {.rng = std::move(client_rng), .region = region, .timer = first});
   }
+
+  const sim::SimTime end = sim::from_seconds(config.sim_seconds);
+  const auto finish = [&](Client& c, sim::SimTime now) {
+    out.bench.records.push_back(c.record);
+    // Torperf cadence: next transfer a minute after the previous start, or
+    // shortly after a long transfer finishes.
+    const sim::SimTime next =
+        std::max(c.record.start + 60 * sim::kSecond, now + 5 * sim::kSecond);
+    c.phase = Client::Phase::kStart;
+    c.timer = next < end ? next : kNever;
+  };
+  const auto limit_of = [](const Client& c) {
+    return trafficgen::kTransferTimeoutS[static_cast<int>(c.record.size)];
+  };
+
+  // Advancing the net completes the transfers whose volume drained. One
+  // that drains at its deadline has timed out: its deadline step records
+  // it.
+  std::vector<net::FlowId> finished;
+  const auto advance = [&](sim::SimTime now) {
+    netw.advance_to(now, finished);
+    for (const net::FlowId id : finished) {
+      Client& c = *std::find_if(clients.begin(), clients.end(),
+                                [id](const Client& k) { return k.flow == id; });
+      if (c.timer == now) continue;
+      c.record.ttlb_s = sim::to_seconds(now - c.record.start);
+      finish(c, now);
+    }
+  };
+
+  const auto begin_transfer = [&](Client& c, sim::SimTime now) {
+    using trafficgen::TransferSize;
+    const auto size = static_cast<TransferSize>(c.next_size);
+    c.next_size = (c.next_size + 1) % 3;
+
+    // Weighted 3-hop path.
+    std::vector<double> w = norm_weights;
+    std::array<std::size_t, 3> path{};
+    for (auto& hop : path) {
+      hop = c.rng.weighted_index(w);
+      w[hop] = 0.0;
+    }
+
+    // TTFB: circuit latency plus congestion queueing at each hop.
+    const double rtt_sum =
+        region_rtt(c.region, net.relays[path[0]].region) +
+        region_rtt(net.relays[path[0]].region, net.relays[path[1]].region) +
+        region_rtt(net.relays[path[1]].region, net.relays[path[2]].region) +
+        region_rtt(net.relays[path[2]].region, Region::kNaEast);
+    double queue_delay = 0.0;
+    for (const auto hop : path) {
+      const double hop_rho = rho[hop];
+      queue_delay +=
+          std::min(0.05 * hop_rho / std::max(1.0 - hop_rho, 0.005), 10.0);
+    }
+
+    c.record = {size, now, 2.2 * rtt_sum + queue_delay};
+    c.path = {relay_resources[path[0]], relay_resources[path[1]],
+              relay_resources[path[2]]};
+    // The timeout clock starts at the request, covering circuit setup and
+    // queueing (TTFB) as well as the download itself.
+    if (c.record.ttfb_s >= limit_of(c)) {
+      c.record.ttlb_s = limit_of(c);
+      c.record.timed_out = true;
+      finish(c, now);
+      return;
+    }
+    // Bytes begin flowing once the first byte arrives.
+    c.phase = Client::Phase::kFirstByte;
+    c.timer = now + sim::from_seconds(c.record.ttfb_s);
+  };
+
+  const auto step = [&](Client& c, sim::SimTime now) {
+    switch (c.phase) {
+      case Client::Phase::kStart:
+        begin_transfer(c, now);
+        break;
+      case Client::Phase::kFirstByte:
+        advance(now);
+        c.flow = netw.add_flow(
+            c.path, config.client_cap_bits,
+            trafficgen::kTransferBytes[static_cast<int>(c.record.size)]);
+        c.phase = Client::Phase::kDeadline;
+        c.timer = c.record.start + sim::from_seconds(limit_of(c));
+        break;
+      case Client::Phase::kDeadline:
+        advance(now);
+        netw.remove_flow(c.flow);
+        c.record.ttlb_s = limit_of(c);
+        c.record.timed_out = true;
+        finish(c, now);
+        break;
+    }
+  };
 
   // Per-second network-throughput sampling with background wobble.
   const double carried_total =
       std::accumulate(carried.begin(), carried.end(), 0.0);
   double wobble = 0.0;
-  auto* wobble_ptr = &wobble;
-  auto* rng_ptr = &rng;
-  auto* netw_ptr = &netw;
-  auto* out_ptr = &out;
-  const auto resources_copy = relay_resources;
-  simu.schedule_every(sim::kSecond, [=]() {
-    *wobble_ptr = 0.9 * *wobble_ptr +
-                  rng_ptr->normal(0.0, config.background_noise_sigma);
-    double bench_bits = 0.0;
-    for (const auto r : resources_copy)
-      bench_bits += netw_ptr->resource_usage(r);
-    out_ptr->throughput_series_bits.push_back(
-        carried_total * (1.0 + *wobble_ptr) + bench_bits);
-    return true;
-  });
-
-  simu.run_until(sim::from_seconds(config.sim_seconds));
+  sim::SimTime next_sample = sim::kSecond;
+  for (;;) {
+    const sim::SimTime drain = netw.next_completion();
+    sim::SimTime now = std::min(drain, next_sample);
+    for (const Client& c : clients) now = std::min(now, c.timer);
+    if (now > end) break;
+    // One microsecond's events run in a fixed order: flows that drain,
+    // then the clients by index, then the throughput sample. The recorded
+    // Fig 9 bits come from an event queue that ran same-time events in the
+    // order they were scheduled; a client's timer is nearly always set
+    // over a second ahead and the sample's one second ahead, so the client
+    // ran first.
+    if (drain == now) advance(now);
+    for (Client& c : clients)
+      while (c.timer == now) step(c, now);
+    if (next_sample == now) {
+      advance(now);
+      wobble = 0.9 * wobble + rng.normal(0.0, config.background_noise_sigma);
+      double bench_bits = 0.0;
+      for (const auto r : relay_resources) bench_bits += netw.resource_usage(r);
+      out.throughput_series_bits.push_back(carried_total * (1.0 + wobble) +
+                                           bench_bits);
+      next_sample += sim::kSecond;
+    }
+  }
   return out;
 }
 

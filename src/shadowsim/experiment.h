@@ -10,7 +10,9 @@
 // relay throughput at a given load level (Fig 9). Background client load
 // uses a mean-field assignment (expected weight-proportional load per
 // relay); benchmark transfers run as individual fluid flows through their
-// 3-hop paths.
+// 3-hop paths on a net::FlowNet. One loop drives the run: it steps to the
+// earliest of the clients' timers (a transfer's start, first byte or
+// deadline), the net's next finish and the next per-second sample.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +59,9 @@ struct PerfResult {
   std::vector<double> throughput_series_bits;
 };
 
+/// `weights` must list `net`'s relays, one entry each, in the network's
+/// order (relay i's fingerprint at position i): otherwise
+/// std::invalid_argument.
 PerfResult run_performance(const ShadowNet& net,
                            const tor::BandwidthFile& weights,
                            const PerfConfig& config, std::uint64_t seed);

@@ -8,9 +8,10 @@
 // build, not a user. docs/result-files.md gets the same treatment from
 // the result sinks' column tables and the engine's metric names.
 // Further tests keep the relative links inside docs/ and README.md
-// pointing at files that exist, and hold src/ to docs/ARCHITECTURE.md's
+// pointing at files that exist, hold src/ to docs/ARCHITECTURE.md's
 // rules that dependencies point downward and that every header has a
-// user outside the tests.
+// user outside the tests, and keep docs/determinism.md's list of ND06
+// suppressions equal to the markers in src/.
 //
 // FLASHFLOW_REPO_DIR is injected by CMake so the suite finds the
 // checked-in markdown from any build directory.
@@ -349,6 +350,40 @@ TEST(DocsStaleness, DeterminismPageNamesTheSuppressionRules) {
   EXPECT_NE(doc.find("FFCHECK(ND03)"), std::string::npos);
   EXPECT_NE(doc.find("telemetry/clock.cpp"), std::string::npos);
   EXPECT_NE(doc.find("FF02"), std::string::npos);
+}
+
+TEST(DocsStaleness, DeterminismPageNamesEveryNd06Suppression) {
+  // docs/determinism.md names, in one sentence, each file whose unordered
+  // containers were audited and suppressed under ND06. The files it names
+  // and the src/ files carrying an `// FFCHECK(ND06)` marker must agree.
+  const std::string doc = read_file(repo_dir() / "docs" / "determinism.md");
+  const std::size_t end = doc.find("suppressed under ND06");
+  ASSERT_NE(end, std::string::npos) << "the ND06 audit sentence is gone";
+  std::size_t begin = 0;
+  for (const char* stop : {". ", ".\n"}) {
+    const std::size_t at = doc.rfind(stop, end);
+    if (at != std::string::npos) begin = std::max(begin, at);
+  }
+  const std::string sentence = doc.substr(begin, end - begin);
+  const std::regex path(R"(`([a-z_]+/[a-z_]+\.(h|cpp))`)");
+  std::set<std::string> named;
+  for (std::sregex_iterator it(sentence.begin(), sentence.end(), path), stop;
+       it != stop; ++it)
+    named.insert((*it)[1]);
+
+  const fs::path src = repo_dir() / "src";
+  const std::regex marker(R"(//\s*FFCHECK\(ND06\))");
+  std::set<std::string> marked;
+  for (const fs::directory_entry& entry :
+       fs::recursive_directory_iterator(src)) {
+    const fs::path& file = entry.path();
+    if (file.extension() != ".h" && file.extension() != ".cpp") continue;
+    if (std::regex_search(read_file(file), marker))
+      marked.insert(fs::relative(file, src).generic_string());
+  }
+  EXPECT_FALSE(marked.empty()) << "no ND06 marker found under src/";
+  EXPECT_EQ(named, marked)
+      << "docs/determinism.md's ND06 sentence: \"" << sentence << "\"";
 }
 
 }  // namespace

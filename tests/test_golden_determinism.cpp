@@ -22,6 +22,9 @@
 // the §4.2 iPerf mesh, the only path by which a checked-in run gets its
 // team capacities.
 //
+// Fig 9's benchmark clients are pinned bit for bit: every transfer record
+// and throughput sample of the six load-balancing runs bench_fig09 makes.
+//
 // If a change *intends* to alter results, re-record the constants from a
 // trusted build (the failure message prints the new hash) and justify the
 // shift in the commit message.
@@ -36,6 +39,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <set>
 #include <sstream>
@@ -48,6 +52,8 @@
 #include "net/units.h"
 #include "scenario/experiment.h"
 #include "scenario/serialize.h"
+#include "shadowsim/experiment.h"
+#include "shadowsim/shadow_net.h"
 #include "sim/random.h"
 #include "telemetry/telemetry.h"
 #include "tor/cpu_model.h"
@@ -80,6 +86,9 @@ constexpr std::uint64_t kTieredScenarioTextHash = 0x969adbfcd2467164ULL;
 // became one fair-share solve: scenarios/quickstart.yaml is the only
 // checked-in run whose team capacities come from the §4.2 mesh.
 constexpr std::uint64_t kQuickstartCsvHash = 0x0f361ab056c35659ULL;
+// Recorded from Fig 9's clients on the discrete-event simulator, before
+// they drove the fluid net from one loop.
+constexpr std::uint64_t kFig9TransfersHash = 0xe8e1e1571cd5ed5dULL;
 
 /// serialize_scenario() of each checked-in scenarios/*.yaml file.
 struct ScenarioTextHash {
@@ -173,6 +182,14 @@ void expect_hash(const std::string& bytes, std::uint64_t expected,
       << what << " bytes shifted; new hash 0x" << std::hex
       << sim::hash_tag(bytes) << " over " << std::dec << bytes.size()
       << " bytes.";
+}
+
+/// Appends the bytes of `value` as they sit in memory.
+template <typename T>
+void append_bits(std::string& bytes, const T& value) {
+  char raw[sizeof(T)];
+  std::memcpy(raw, &value, sizeof(T));
+  bytes.append(raw, sizeof(T));
 }
 
 template <typename Sink>
@@ -457,6 +474,32 @@ TEST(GoldenDeterminism, QuickstartCsvBytesMatchRecordedBaseline) {
   if (forced <= 0) {
     EXPECT_EQ(csv, quickstart(/*threads=*/8));
   }
+}
+
+TEST(GoldenDeterminism, Fig9TransfersMatchRecordedBits) {
+  // bench_fig09's six runs: both weight files at each load level.
+  const auto net = shadowsim::make_shadow_net({}, 20210617);
+  const auto cmp = shadowsim::run_measurement_comparison(net, 20210618);
+  std::string bytes;
+  for (const double load : {1.0, 1.15, 1.30}) {
+    for (const tor::BandwidthFile* weights :
+         {&cmp.flashflow_file, &cmp.torflow_file}) {
+      shadowsim::PerfConfig config;
+      config.load_scale = load;
+      const shadowsim::PerfResult perf =
+          shadowsim::run_performance(net, *weights, config, 7);
+      for (const trafficgen::TransferRecord& r : perf.bench.records) {
+        append_bits(bytes, static_cast<std::int32_t>(r.size));
+        append_bits(bytes, r.start);
+        append_bits(bytes, r.ttfb_s);
+        append_bits(bytes, r.ttlb_s);
+        append_bits(bytes, static_cast<char>(r.timed_out));
+      }
+      for (const double bits : perf.throughput_series_bits)
+        append_bits(bytes, bits);
+    }
+  }
+  expect_hash(bytes, kFig9TransfersHash, "Fig 9 transfers");
 }
 
 TEST(GoldenDeterminism, SerializedScenarioTextMatchesRecordedBaseline) {

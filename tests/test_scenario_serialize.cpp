@@ -20,6 +20,7 @@
 #include "net/units.h"
 #include "scenario/scenario.h"
 #include "scenario/serialize.h"
+#include "sim/time.h"
 
 namespace flashflow::scenario {
 namespace {
@@ -225,6 +226,20 @@ TEST(ScenarioSerialize, WrongTypeNamesKeyLineAndValue) {
       "population: table1\n"
       "table1.rate_limits_mbit: [250]\n",
       {"test.yaml:1", "key 'record_outcomes'", "yes"});
+}
+
+TEST(ScenarioSerialize, OutOfRangePeriodNamesKeyAndLine) {
+  // Past 9.2e12 s the period's microsecond count would overflow: refused
+  // at its line before the conversion, like a period that is not positive.
+  const std::string head =
+      "population: table1\n"
+      "table1.rate_limits_mbit: [250]\n"
+      "params.period_seconds: ";
+  for (const char* value : {"1e300", "1e13", "0", "-86400"})
+    expect_parse_error(head + value + "\n",
+                       {"test.yaml:3", "key 'params.period_seconds'"});
+  EXPECT_EQ(parse_scenario(head + "9.2e12\n", "test.yaml").params.period,
+            sim::from_seconds(9.2e12));
 }
 
 TEST(ScenarioSerialize, TrailingGarbageInNumberRejected) {

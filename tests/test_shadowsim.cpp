@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+
 #include "metrics/stats.h"
 #include "net/units.h"
 #include "shadowsim/experiment.h"
@@ -73,6 +76,29 @@ TEST(Performance, ProducesTransfersAndThroughput) {
   EXPECT_GT(perf.bench.records.size(), 20u);
   EXPECT_GE(perf.throughput_series_bits.size(), 290u);
   for (const double t : perf.throughput_series_bits) EXPECT_GT(t, 0.0);
+}
+
+TEST(Performance, RefusesWeightsForAnotherNetwork) {
+  // run_performance reads relay i's weight at position i: a file with
+  // another relay count or order belongs to another network.
+  const auto net = make_shadow_net(small_net(), 5);
+  const auto cmp = run_measurement_comparison(net, 6);
+  PerfConfig config;
+  config.sim_seconds = 60;
+  config.bench_clients = 2;
+  const tor::BandwidthFile& file = cmp.flashflow_file;
+  const tor::BandwidthFile shorter(file.begin(), file.begin() + 10);
+  EXPECT_THROW(run_performance(net, shorter, config, 7),
+               std::invalid_argument);
+  tor::BandwidthFile swapped = file;
+  std::swap(swapped[0], swapped[1]);
+  EXPECT_THROW(run_performance(net, swapped, config, 7),
+               std::invalid_argument);
+  tor::BandwidthFile longer = file;
+  longer.push_back(file.back());
+  EXPECT_THROW(run_performance(net, longer, config, 7),
+               std::invalid_argument);
+  EXPECT_NO_THROW(run_performance(net, file, config, 7));
 }
 
 TEST(Performance, FlashFlowFewerTimeoutsThanTorFlow) {
