@@ -23,7 +23,7 @@ int main() {
   analysis::PopulationParams pop;
   analysis::SyntheticArchive archive(
       analysis::generate_population(pop, 3 * 365, /*seed=*/20210601), 7);
-  analysis::CapacityErrorAnalysis cap_analysis;
+  analysis::ErrorAnalysis cap_analysis;
   while (!archive.done()) cap_analysis.observe(archive.step_hour());
 
   metrics::Table table({"window", "median mean-RCE", "p75", "frac >0",

@@ -19,7 +19,7 @@ int main() {
   analysis::PopulationParams pop;
   analysis::SyntheticArchive archive(
       analysis::generate_population(pop, 3 * 365, 20210602), 8);
-  analysis::CapacityErrorAnalysis cap_analysis;
+  analysis::ErrorAnalysis cap_analysis;
   while (!archive.done()) cap_analysis.observe(archive.step_hour());
 
   metrics::Table table(

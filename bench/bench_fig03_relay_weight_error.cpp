@@ -20,7 +20,7 @@ int main() {
   analysis::PopulationParams pop;
   analysis::SyntheticArchive archive(
       analysis::generate_population(pop, 2 * 365, 20210603), 9);
-  analysis::WeightErrorAnalysis weight_analysis;
+  analysis::ErrorAnalysis weight_analysis;
   while (!archive.done()) weight_analysis.observe(archive.step_hour());
 
   metrics::Table table({"window", "frac under-weighted", "median log10 RWE",

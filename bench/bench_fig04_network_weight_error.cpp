@@ -18,7 +18,7 @@ int main() {
   analysis::PopulationParams pop;
   analysis::SyntheticArchive archive(
       analysis::generate_population(pop, 2 * 365, 20210604), 10);
-  analysis::WeightErrorAnalysis weight_analysis;
+  analysis::ErrorAnalysis weight_analysis;
   while (!archive.done()) weight_analysis.observe(archive.step_hour());
 
   metrics::Table table(

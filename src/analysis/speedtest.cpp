@@ -20,7 +20,7 @@ SpeedTestResult run_speed_test_experiment(const SpeedTestConfig& config,
   result.test_end_hour = result.test_start_hour + config.test_duration_hours;
   archive.set_speed_test(result.test_start_hour, result.test_end_hour);
 
-  WeightErrorAnalysis weight_analysis;
+  ErrorAnalysis weight_analysis;
   const std::int64_t horizon =
       std::min<std::int64_t>(archive.horizon_hours(),
                              static_cast<std::int64_t>(total_days) * 24);

@@ -99,6 +99,9 @@ void check_capacity_clamp(const std::string& section, double min_bits,
 void ScenarioSpec::validate() const {
   params.validate();
   if (periods < 1) reject("periods must be >= 1");
+  // The campaign's pool starts every worker thread up front.
+  if (threads < 0 || threads > 4096)
+    reject("threads must be in [0, 4096] (0 = hardware concurrency)");
   const auto bad_fraction = [](double f) { return f < 0.0 || f > 1.0; };
   if (bad_fraction(adversaries.liar_fraction) ||
       bad_fraction(adversaries.forger_fraction) ||

@@ -103,7 +103,7 @@ TEST(Archive, SpeedTestRaisesAdvertised) {
 
 TEST(ErrorAnalysis, LongerWindowsLargerCapacityError) {
   SyntheticArchive archive(generate_population(small_params(), 90, 9), 10);
-  CapacityErrorAnalysis analysis;
+  ErrorAnalysis analysis;
   for (int h = 0; h < 90 * 24; ++h) analysis.observe(archive.step_hour());
   const auto day = analysis.mean_rce_per_relay(Window::kDay);
   const auto month = analysis.mean_rce_per_relay(Window::kMonth);
@@ -121,7 +121,7 @@ TEST(ErrorAnalysis, LongerWindowsLargerCapacityError) {
 
 TEST(ErrorAnalysis, NceSeriesBounded) {
   SyntheticArchive archive(generate_population(small_params(), 40, 11), 12);
-  CapacityErrorAnalysis analysis;
+  ErrorAnalysis analysis;
   for (int h = 0; h < 40 * 24; ++h) analysis.observe(archive.step_hour());
   const auto& series = analysis.nce_series(Window::kWeek);
   ASSERT_EQ(series.size(), 40u * 24u);
@@ -133,7 +133,7 @@ TEST(ErrorAnalysis, NceSeriesBounded) {
 
 TEST(ErrorAnalysis, WeightErrorsMostlyUnderweighted) {
   SyntheticArchive archive(generate_population(small_params(), 60, 13), 14);
-  WeightErrorAnalysis analysis;
+  ErrorAnalysis analysis;
   for (int h = 0; h < 60 * 24; ++h) analysis.observe(archive.step_hour());
   const auto rwe = analysis.mean_rwe_per_relay(Window::kMonth);
   ASSERT_FALSE(rwe.empty());

@@ -316,6 +316,36 @@ TEST(CliOutputs, ValidateRefusesATierCountWithoutATable) {
       << result.output;
 }
 
+TEST(CliOutputs, ValidateRefusesAThreadCountOutsideTheRange) {
+  // The campaign's pool starts every worker thread up front, so 100,000
+  // would ask the OS for 100,000 threads; validate refuses the file and
+  // names the key. Only the harmless -1 is handed to `run`, which must
+  // refuse it the same way before any pool exists.
+  const ScratchDir scratch;
+  for (const char* threads : {"100000", "-1"}) {
+    SCOPED_TRACE(threads);
+    const fs::path spec = scratch.path() / "threads.yaml";
+    std::ofstream(spec) << "flashflow_scenario: 1\n"
+                           "population: table1\n"
+                           "table1.rate_limits_mbit: [100]\n"
+                           "threads: "
+                        << threads << "\n";
+    const RunResult result = run_cli("validate " + quoted(spec));
+    EXPECT_EQ(result.exit_code, 1) << result.output;
+    EXPECT_NE(result.output.find(spec.string() + ": ScenarioSpec: threads"),
+              std::string::npos)
+        << result.output;
+  }
+  const fs::path out = scratch.path() / "out";
+  const RunResult run = run_cli("run " + scenario_file("quickstart.yaml") +
+                                " --threads -1 --out " + quoted(out));
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("threads must be in [0, 4096]"),
+            std::string::npos)
+      << run.output;
+  EXPECT_FALSE(fs::exists(out));
+}
+
 TEST(CliOutputs, RunFailsWhenAnyOutputWriteFails) {
   // /dev/full accepts the open and fails every write with ENOSPC: each
   // output file in turn points there, and the run must fail naming it

@@ -24,6 +24,8 @@
 //
 // Fig 9's benchmark clients are pinned bit for bit: every transfer record
 // and throughput sample of the six load-balancing runs bench_fig09 makes.
+// So are the §3 analyses: every per-relay mean and network series of a
+// 400-day archive, and Fig 5's two series at a small configuration.
 //
 // If a change *intends* to alter results, re-record the constants from a
 // trusted build (the failure message prints the new hash) and justify the
@@ -47,6 +49,10 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/archive.h"
+#include "analysis/error_analysis.h"
+#include "analysis/population.h"
+#include "analysis/speedtest.h"
 #include "campaign/campaign.h"
 #include "campaign/sink.h"
 #include "net/units.h"
@@ -89,6 +95,9 @@ constexpr std::uint64_t kQuickstartCsvHash = 0x0f361ab056c35659ULL;
 // Recorded from Fig 9's clients on the discrete-event simulator, before
 // they drove the fluid net from one loop.
 constexpr std::uint64_t kFig9TransfersHash = 0xe8e1e1571cd5ed5dULL;
+// Recorded from the §3 analyses that kept one window object per relay,
+// window and series behind a std::map, before each relay became one row.
+constexpr std::uint64_t kArchiveAnalysesHash = 0x87df189672374b82ULL;
 
 /// serialize_scenario() of each checked-in scenarios/*.yaml file.
 struct ScenarioTextHash {
@@ -500,6 +509,46 @@ TEST(GoldenDeterminism, Fig9TransfersMatchRecordedBits) {
     }
   }
   expect_hash(bytes, kFig9TransfersHash, "Fig 9 transfers");
+}
+
+/// Appends a series' length, then the bits of each value.
+void append_series(std::string& bytes, const std::vector<double>& values) {
+  append_bits(bytes, static_cast<std::uint64_t>(values.size()));
+  for (const double v : values) append_bits(bytes, v);
+}
+
+TEST(GoldenDeterminism, ArchiveAnalysesMatchRecordedBits) {
+  // 400 days: long enough for year windows to drop samples.
+  analysis::PopulationParams params;
+  params.initial_relays = 60;
+  analysis::SyntheticArchive archive(
+      analysis::generate_population(params, 400, 31), 32);
+  analysis::ErrorAnalysis errors;
+  analysis::VariationAnalysis variation;
+  while (!archive.done()) {
+    const analysis::Snapshot snapshot = archive.step_hour();
+    errors.observe(snapshot);
+    variation.observe(snapshot);
+  }
+  std::string bytes;
+  for (std::size_t w = 0; w < 4; ++w) {
+    const auto window = static_cast<analysis::Window>(w);
+    append_series(bytes, errors.mean_rce_per_relay(window));
+    append_series(bytes, errors.mean_rwe_per_relay(window));
+    append_series(bytes, errors.nce_series(window));
+    append_series(bytes, errors.nwe_series(window));
+    append_series(bytes, variation.mean_advertised_rsd_per_relay(window));
+    append_series(bytes, variation.mean_weight_rsd_per_relay(window));
+  }
+  analysis::SpeedTestConfig config;
+  config.population = params;
+  config.warmup_days = 15;
+  config.cooldown_days = 6;
+  const analysis::SpeedTestResult speed_test =
+      analysis::run_speed_test_experiment(config, 17);
+  append_series(bytes, speed_test.capacity_series_bits);
+  append_series(bytes, speed_test.weight_error_series);
+  expect_hash(bytes, kArchiveAnalysesHash, "§3 archive analyses");
 }
 
 TEST(GoldenDeterminism, SerializedScenarioTextMatchesRecordedBaseline) {

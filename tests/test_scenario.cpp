@@ -64,6 +64,17 @@ TEST(ScenarioSpec, RejectsInvalidSpecs) {
   spec = one_relay;
   spec.periods = 0;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+  // Worker threads outside [0, 4096]: the pool would start them all.
+  for (const int threads : {100000, 4097, -1}) {
+    spec = one_relay;
+    spec.threads = threads;
+    EXPECT_THROW(spec.validate(), std::invalid_argument) << threads;
+  }
+  for (const int threads : {0, 4096}) {
+    spec = one_relay;
+    spec.threads = threads;
+    EXPECT_NO_THROW(spec.validate()) << threads;
+  }
   // Capacity clamps with a maximum <= 0 (below an even lower minimum, so
   // only that rule applies) or a minimum above the maximum, for both
   // sampled populations.
