@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   const auto result = experiment.run().final_period;
   const auto& est = result.relays.front();
 
-  std::cout << "\nMeasured " << mat.fingerprints.front() << " in slot "
+  std::cout << "\nMeasured " << mat.relays.front().model.name << " in slot "
             << est.slot << ":\n"
             << "  estimate     : " << net::to_mbit(est.estimate_bits)
             << " Mbit/s\n"

@@ -11,18 +11,12 @@ Topology::Topology(PathModel paths) : paths_(std::move(paths)) {}
 
 HostId Topology::add_host(Host host) {
   const HostId id = hosts_.size();
-  // emplace keeps the first id registered under a name, matching the
-  // first-match semantics find() has always had.
-  name_index_.emplace(host.name, id);
   hosts_.push_back(std::move(host));
   paths_.add_host();
   return id;
 }
 
-void Topology::reserve_hosts(std::size_t n) {
-  hosts_.reserve(n);
-  name_index_.reserve(n);
-}
+void Topology::reserve_hosts(std::size_t n) { hosts_.reserve(n); }
 
 void Topology::set_host_tier(HostId id, int tier) {
   paths_.set_host_tier(id, tier);
@@ -34,10 +28,10 @@ const Host& Topology::host(HostId id) const {
 }
 
 HostId Topology::find(const std::string& name) const {
-  const auto it = name_index_.find(name);
-  if (it == name_index_.end())
-    throw std::invalid_argument("Topology::find: no host named " + name);
-  return it->second;
+  if (!name.empty())
+    for (HostId id = 0; id < hosts_.size(); ++id)
+      if (hosts_[id].name == name) return id;
+  throw std::invalid_argument("Topology::find: no host named " + name);
 }
 
 PathCharacteristics Topology::path(HostId a, HostId b) const {

@@ -1,16 +1,18 @@
 // Host and path model for Internet experiments.
 //
-// A Topology is a set of named hosts with NIC capacities plus path
-// characteristics (RTT and loss rate) answered by its net::PathModel: each
-// host sits on a tier, and a tier x tier table holds the paths (see
-// net/path_model.h). The paper's Table 1 vantage points are provided as a
-// factory so every Internet experiment runs on the same configuration.
+// A Topology is a list of hosts, addressed by id, with NIC capacities plus
+// path characteristics (RTT and loss rate) answered by its
+// net::PathModel: each host sits on a tier, and a tier x tier table holds
+// the paths (see net/path_model.h). Hosts a scenario names (measurers,
+// Table 1 vantage points) carry a name for find(); relay hosts are
+// addressed by id alone and stay unnamed. The paper's Table 1 vantage
+// points are provided as a factory so every Internet experiment runs on
+// the same configuration.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/path_model.h"
@@ -19,7 +21,7 @@
 namespace flashflow::net {
 
 struct Host {
-  std::string name;
+  std::string name{};  // empty: never found by name
   double nic_up_bits = 0;    // upstream NIC capacity, bits/s
   double nic_down_bits = 0;  // downstream NIC capacity, bits/s
   int cpu_cores = 1;
@@ -41,7 +43,7 @@ class Topology {
   /// Adds a host on tier (id % tiers); returns its id.
   HostId add_host(Host host);
 
-  /// Presizes the host list and name index for `n` hosts.
+  /// Presizes the host list for `n` hosts.
   void reserve_hosts(std::size_t n);
 
   /// Moves a host to another tier (throws std::out_of_range on a bad id,
@@ -50,8 +52,9 @@ class Topology {
 
   std::size_t host_count() const { return hosts_.size(); }
   const Host& host(HostId id) const;
-  /// Finds a host id by name (first added wins on duplicates); throws if
-  /// absent.
+  /// Finds a host id by name (first added wins on duplicates) with a scan
+  /// of the hosts; an unnamed host never matches. Throws
+  /// std::invalid_argument if no host has the name, "" included.
   HostId find(const std::string& name) const;
 
   /// One path's RTT and clean loss (a one-entry fill_paths); throws
@@ -72,10 +75,6 @@ class Topology {
 
   std::vector<Host> hosts_;
   PathModel paths_;
-  /// name -> id of the first host added under that name.
-  // FFCHECK(ND06): point lookups only (find/emplace in topology.cpp);
-  // never iterated, so hash order cannot reach results.
-  std::unordered_map<std::string, HostId> name_index_;
 };
 
 /// Builds the paper's Table 1 vantage points: US-SW (Fremont, CA),

@@ -1,6 +1,7 @@
 #include "scenario/experiment.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "campaign/sink.h"
@@ -104,11 +105,19 @@ Experiment::Result Experiment::run(campaign::SlotSink* sink,
 
 tor::BandwidthFile Experiment::bandwidth_file(
     const campaign::CampaignResult& period_result) const {
-  std::vector<double> capacities;
-  capacities.reserve(period_result.relays.size());
-  for (const campaign::RelayEstimate& est : period_result.relays)
-    capacities.push_back(est.verification_failed ? 0.0 : est.estimate_bits);
-  return tor::make_flashflow_entries(materialized_.fingerprints, capacities);
+  const std::vector<campaign::CampaignRelay>& relays = materialized_.relays;
+  if (period_result.relays.size() != relays.size())
+    throw std::invalid_argument(
+        "Experiment::bandwidth_file: results misaligned with the population");
+  tor::BandwidthFile entries;
+  entries.reserve(relays.size());
+  for (std::size_t i = 0; i < relays.size(); ++i) {
+    const campaign::RelayEstimate& est = period_result.relays[i];
+    const double capacity = est.verification_failed ? 0.0 : est.estimate_bits;
+    if (capacity <= 0.0) continue;
+    entries.push_back({relays[i].model.name, capacity, capacity});
+  }
+  return entries;
 }
 
 std::string Experiment::bandwidth_file_text(

@@ -71,8 +71,12 @@ class Experiment {
   Result run(campaign::SlotSink* sink = nullptr,
              const PeriodHook& hook = {});
 
-  /// One period's results as a FlashFlow bandwidth file (weight ==
-  /// capacity); relays that failed verification are omitted.
+  /// One period's results as a FlashFlow bandwidth file: weight ==
+  /// capacity (Table 2: FlashFlow publishes true capacity values), keyed
+  /// by relay name. A relay whose capacity is <= 0 (e.g. one that failed
+  /// verification) is omitted, as a BWAuth refuses to vouch for it.
+  /// Throws std::invalid_argument when `period_result` is not aligned
+  /// with the materialized relays.
   tor::BandwidthFile bandwidth_file(
       const campaign::CampaignResult& period_result) const;
 

@@ -130,11 +130,15 @@ void ScenarioSpec::validate() const {
     if (team.capacity_bits.size() != team_size)
       reject("team capacity overrides misaligned with the measurer team");
   }
+  // No host is found by an empty name (relay hosts are unnamed): refuse
+  // it here rather than at materialization.
   std::set<std::string> named;
-  for (const std::string& name : team.measurer_names)
+  for (const std::string& name : team.measurer_names) {
+    if (name.empty()) reject("team.measurers has an empty name");
     if (!named.insert(name).second)
       reject("team.measurers names " + name +
              " twice (the §4.2 mesh would count its NIC once per entry)");
+  }
   if (topology != TopologySpec{} &&
       !std::holds_alternative<SyntheticPopulationSpec>(population))
     reject("topology.* keys apply only to synthetic populations (table1 "
@@ -157,6 +161,7 @@ void ScenarioSpec::validate() const {
   faults.validate(params.slot_seconds);
   if (const auto* t1 = std::get_if<Table1PopulationSpec>(&population)) {
     if (t1->rate_limit_mbit.empty()) reject("table1 population is empty");
+    if (t1->relay_host.empty()) reject("table1.relay_host is empty");
     for (const double limit : t1->rate_limit_mbit)
       if (limit < 0.0)
         reject("table1 rate limits must be >= 0 (0 = unlimited)");
@@ -191,6 +196,7 @@ MaterializedScenario populate(const ScenarioSpec& spec,
                               const Table1PopulationSpec& t1) {
   MaterializedScenario mat{.topology = net::make_table1_hosts()};
   const net::HostId relay_host = mat.topology.find(t1.relay_host);
+  mat.relays.reserve(t1.rate_limit_mbit.size());
   for (std::size_t i = 0; i < t1.rate_limit_mbit.size(); ++i) {
     campaign::CampaignRelay relay;
     relay.model =
@@ -214,6 +220,7 @@ MaterializedScenario populate(const ScenarioSpec& spec,
                               const ShadowPopulationSpec& shadow) {
   const auto network = shadowsim::make_shadow_net(shadow.params, shadow.seed);
   MaterializedScenario mat{.topology = shadowsim::shadow_topology(network)};
+  mat.relays.reserve(network.relays.size());
   for (std::size_t i = 0; i < network.relays.size(); ++i) {
     const auto& r = network.relays[i];
     campaign::CampaignRelay relay;
@@ -247,11 +254,12 @@ MaterializedScenario populate(const ScenarioSpec& spec,
                               const SyntheticPopulationSpec& syn) {
   const auto capacities = analysis::sample_capacities(
       syn.params, syn.relays, spec.seed ^ sim::hash_tag("scenario/synthetic"));
-  // Measurer hosts first (ids 0..m-1), then one host per relay, on the
-  // spec's tiers (the flat mesh by default).
+  // Measurer hosts first (ids 0..m-1), then one unnamed host per relay,
+  // on the spec's tiers (the flat mesh by default).
   MaterializedScenario mat{.topology = net::Topology(synthetic_paths(spec))};
   mat.topology.reserve_hosts(spec.team.capacity_bits.size() +
                              capacities.size());
+  mat.relays.reserve(capacities.size());
   for (std::size_t i = 0; i < spec.team.capacity_bits.size(); ++i) {
     net::Host host;
     host.name = "measurer-" + std::to_string(i);
@@ -261,7 +269,6 @@ MaterializedScenario populate(const ScenarioSpec& spec,
   }
   for (std::size_t i = 0; i < capacities.size(); ++i) {
     net::Host host;
-    host.name = "synthetic-relay-" + std::to_string(i) + "-host";
     host.nic_up_bits = host.nic_down_bits = capacities[i] * 1.2;
     host.cpu_cores = 2;
     const net::HostId id = mat.topology.add_host(std::move(host));
@@ -288,9 +295,6 @@ MaterializedScenario materialize(const ScenarioSpec& spec) {
   mat.measurer_capacity_bits = spec.team.capacity_bits;
   assign_behaviors(spec, mat.relays);
   assign_background(spec, mat.relays);
-  mat.fingerprints.reserve(mat.relays.size());
-  for (const auto& relay : mat.relays)
-    mat.fingerprints.push_back(relay.model.name);
   return mat;
 }
 

@@ -186,8 +186,6 @@ struct MaterializedScenario {
   std::vector<net::HostId> measurer_hosts{};
   /// Capacity overrides aligned with measurer_hosts (empty: iPerf mesh).
   std::vector<double> measurer_capacity_bits{};
-  /// Relay fingerprints, aligned with `relays` (bandwidth-file emission).
-  std::vector<std::string> fingerprints{};
 };
 
 /// Schedule-only dry run: how period 0 of a spec's run lays out.

@@ -73,8 +73,7 @@ net::Topology shadow_topology(const ShadowNet& net) {
   std::vector<net::HostId> relay_hosts;
   for (const auto& relay : net.relays) {
     relay_hosts.push_back(topo.add_host(
-        {.name = relay.fingerprint + "-host",
-         .nic_up_bits = relay.capacity_bits * 1.2,
+        {.nic_up_bits = relay.capacity_bits * 1.2,
          .nic_down_bits = relay.capacity_bits * 1.2, .cpu_cores = 2,
          .virtual_host = false, .datacenter = true,
          .kernel = net::KernelProfile::default_profile()}));

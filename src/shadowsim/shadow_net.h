@@ -64,7 +64,8 @@ struct ShadowNet {
 ShadowNet make_shadow_net(const ShadowNetParams& params, std::uint64_t seed);
 
 /// Topology for FlashFlow measurement: hosts[0..2] are the three 1 Gbit/s
-/// measurers (§7), hosts[3..] are the relays in relay order.
+/// measurers (§7), named measurer-0..2; hosts[3..] are the relays in relay
+/// order, unnamed.
 net::Topology shadow_topology(const ShadowNet& net);
 
 }  // namespace flashflow::shadowsim

@@ -130,20 +130,4 @@ ParsedBandwidthFile parse_bandwidth_file(const std::string& text) {
   return parsed;
 }
 
-BandwidthFile make_flashflow_entries(
-    std::span<const std::string> fingerprints,
-    std::span<const double> capacity_bits) {
-  if (fingerprints.size() != capacity_bits.size())
-    throw std::invalid_argument(
-        "make_flashflow_entries: fingerprints/capacities misaligned");
-  BandwidthFile entries;
-  entries.reserve(fingerprints.size());
-  for (std::size_t i = 0; i < fingerprints.size(); ++i) {
-    if (capacity_bits[i] <= 0.0) continue;
-    entries.push_back(
-        {fingerprints[i], capacity_bits[i], capacity_bits[i]});
-  }
-  return entries;
-}
-
 }  // namespace flashflow::tor

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "tor/authority.h"
@@ -36,13 +35,5 @@ struct ParsedBandwidthFile {
   BandwidthFile entries;
 };
 ParsedBandwidthFile parse_bandwidth_file(const std::string& text);
-
-/// Builds FlashFlow-style entries — weight == capacity (Table 2: FlashFlow
-/// publishes true capacity values) — from parallel fingerprint/capacity
-/// spans. Relays with a non-positive capacity (e.g. failed verification)
-/// are omitted, matching a BWAuth that refuses to vouch for them. Throws
-/// std::invalid_argument on length mismatch.
-BandwidthFile make_flashflow_entries(std::span<const std::string> fingerprints,
-                                     std::span<const double> capacity_bits);
 
 }  // namespace flashflow::tor

@@ -1,9 +1,11 @@
 // One SlotWorkspace reused across slots of changing shape: its outcomes
 // equal a fresh workspace's, a warm workspace allocates nothing, and the
 // in-place percentile the aggregation uses matches a sort bit for bit.
+// Setup builds a population with one allocation per relay.
 //
 // This binary replaces the global operator new/delete to count
-// allocations (see SlotWorkspaceReuse.WarmWorkspaceAllocatesNothing).
+// allocations (see SlotWorkspaceReuse.WarmWorkspaceAllocatesNothing and
+// MaterializeAllocations.OneAllocationPerRelay).
 #include "core/measurement.h"
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "metrics/stats.h"
 #include "net/topology.h"
 #include "net/units.h"
+#include "scenario/scenario.h"
 #include "sim/random.h"
 #include "telemetry/telemetry.h"
 #include "tor/cpu_model.h"
@@ -291,6 +294,22 @@ TEST(SlotWorkspaceReuse, WarmWorkspaceAllocatesNothing) {
       EXPECT_EQ(allocations, 0u);
     }
   }
+}
+
+TEST(MaterializeAllocations, OneAllocationPerRelay) {
+  // A synthetic population is plain data: each relay's name is its only
+  // heap block. Relay hosts are unnamed and nothing keeps a second copy
+  // of a name; the rest is a fixed number of growing vectors.
+  constexpr int kRelays = 2000;
+  const scenario::ScenarioSpec spec{
+      .population = scenario::SyntheticPopulationSpec{.relays = kRelays},
+      .team = {.capacity_bits = {net::gbit(1), net::gbit(1)}}};
+  const std::size_t before = g_allocations;
+  const scenario::MaterializedScenario mat = scenario::materialize(spec);
+  const std::size_t allocations = g_allocations - before;
+  ASSERT_EQ(mat.relays.size(), std::size_t{kRelays});
+  EXPECT_LE(allocations, std::size_t{kRelays} + 64);
+  EXPECT_GE(allocations, std::size_t{kRelays});  // the counter is live
 }
 
 /// The percentile as the sort-based implementation computed it.

@@ -381,7 +381,8 @@ TEST(DocsStaleness, DeterminismPageNamesEveryNd06Suppression) {
     if (std::regex_search(read_file(file), marker))
       marked.insert(fs::relative(file, src).generic_string());
   }
-  EXPECT_FALSE(marked.empty()) << "no ND06 marker found under src/";
+  // The scan is live: the regex finds a suppression as ffcheck reads it.
+  EXPECT_TRUE(std::regex_search(std::string("// FFCHECK(ND06): x"), marker));
   EXPECT_EQ(named, marked)
       << "docs/determinism.md's ND06 sentence: \"" << sentence << "\"";
 }

@@ -47,9 +47,10 @@ TEST(Topology, AddHostAndLookup) {
 }
 
 TEST(Topology, FindResolvesEveryNameInALargePopulation) {
-  // find() is backed by a name index maintained by add_host (it used to
-  // be an O(N) scan per lookup, quadratic across a campaign's relay
-  // resolution); every host must stay findable as the index grows.
+  // find() scans the hosts. That is quadratic only for a caller that
+  // resolves a whole population by name, and none does: relays carry
+  // their host ids, and names are looked up for at most five measurer
+  // and relay hosts. Every name must still resolve in a large topology.
   Topology t = one_tier();
   std::vector<HostId> ids;
   for (int i = 0; i < 500; ++i)
@@ -63,6 +64,19 @@ TEST(Topology, FindReturnsFirstAddedOnDuplicateNames) {
   const HostId first = t.add_host(make_host("twin"));
   t.add_host(make_host("twin"));
   EXPECT_EQ(t.find("twin"), first);
+}
+
+TEST(Topology, FindSkipsUnnamedHosts) {
+  // Relay hosts carry no name; an empty name must never resolve to one.
+  Topology t = one_tier();
+  t.add_host(make_host(""));
+  const HostId measurer = t.add_host(make_host("measurer-0"));
+  t.add_host(make_host(""));
+  const HostId nl = t.add_host(make_host("NL"));
+  EXPECT_EQ(t.find("measurer-0"), measurer);
+  EXPECT_EQ(t.find("NL"), nl);
+  EXPECT_THROW(t.find(""), std::invalid_argument);
+  EXPECT_THROW(t.find("measurer-1"), std::invalid_argument);
 }
 
 TEST(Topology, PathIsSymmetric) {

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/sink.h"
@@ -108,6 +109,28 @@ TEST(ScenarioSpec, RejectsInvalidSpecs) {
   // mesh-measure).
   spec = {.population = SyntheticPopulationSpec{.relays = 10}};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+  // An empty host name matches no host (relay hosts are unnamed): each
+  // file is refused naming the key, not accepted and then failed at
+  // materialization.
+  const std::pair<const char*, const char*> empty_names[] = {
+      {"population: table1\ntable1.rate_limits_mbit: [100]\n"
+       "team.measurers: [\"\"]\n",
+       "team.measurers"},
+      {"population: shadow\n"
+       "team.measurers: [\"\", measurer-1, measurer-2]\n",
+       "team.measurers"},
+      {"population: table1\ntable1.rate_limits_mbit: [100]\n"
+       "table1.relay_host: \"\"\n",
+       "table1.relay_host"}};
+  for (const auto& [file, key] : empty_names) {
+    try {
+      parse_scenario(file, "empty.yaml");
+      ADD_FAILURE() << "accepted:\n" << file;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Experiment, Table1RunTracksGroundTruth) {
@@ -132,8 +155,8 @@ TEST(Materialize, DefaultTeamIsEveryOtherTable1Host) {
   const auto mat = materialize(spec);
   // US-SW hosts the relay; the other four Table 1 hosts measure.
   EXPECT_EQ(mat.measurer_hosts.size(), 4u);
-  EXPECT_EQ(mat.relays.size(), 1u);
-  EXPECT_EQ(mat.fingerprints.size(), 1u);
+  ASSERT_EQ(mat.relays.size(), 1u);
+  EXPECT_EQ(mat.relays.front().model.name, "relay-0-100");
 }
 
 TEST(Plan, MatchesRunLayout) {
