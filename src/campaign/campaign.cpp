@@ -290,7 +290,9 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
       result.estimates.push_back(est);
       if (outcomes[t].failed) failed_now[r] = 1;
     }
-    if (config_.record_outcomes) result.outcomes = outcomes;
+    if (config_.record_outcomes)
+      for (std::size_t t = 0; t < n_targets; ++t)
+        result.outcomes.push_back(runner.recorded(ws.workspace, t));
 
     // The trace snapshot is taken before park(): reorder wait is not a
     // property of the slot's own work and is observed into the stage

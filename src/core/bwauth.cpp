@@ -33,6 +33,7 @@ BWAuth::MeasureResult BWAuth::measure_relay(const RelayTarget& target,
                      ? target.previous_estimate_bits
                      : new_relay_prior_bits_;
 
+  double z = 0.0;  // the last round's estimate
   for (int round = 0; round < max_rounds; ++round) {
     ++result.rounds;
     double required = params_.excess_factor() * guess;
@@ -53,28 +54,24 @@ BWAuth::MeasureResult BWAuth::measure_relay(const RelayTarget& target,
     }
 
     SlotRunner runner(topo_, params_, rng_.fork("slot"));
-    SlotOutcome outcome =
+    const SlotOutcome outcome =
         runner.run(target.model, target.host, slots, target.behavior);
-    const bool failed = outcome.verification_failed;
-    const double z = outcome.estimate_bits;
-    result.slots.push_back(std::move(outcome));
-    if (failed) {
+    if (outcome.verification_failed) {
       result.verification_failed = true;
       return result;
     }
+    z = outcome.estimate_bits;
 
     const auto acceptance = evaluate_estimate(z, allocations, params_);
     if (acceptance.accepted || saturated) {
       result.estimate_bits = z;
       result.accepted = acceptance.accepted;
-      result.team_saturated = saturated;
       return result;
     }
     guess = next_guess(z, guess);
   }
   // Rounds exhausted: report the last estimate unaccepted.
-  if (!result.slots.empty())
-    result.estimate_bits = result.slots.back().estimate_bits;
+  result.estimate_bits = z;
   return result;
 }
 

@@ -4,8 +4,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "core/measurement.h"
 #include "core/params.h"
@@ -36,8 +34,6 @@ class BWAuth {
     int rounds = 0;            // number of slots used (>= 1)
     bool accepted = false;     // §4.2 acceptance condition met
     bool verification_failed = false;
-    bool team_saturated = false;  // relay demanded the whole team
-    std::vector<SlotOutcome> slots;  // one outcome per round
   };
 
   /// Measures one relay to acceptance: allocate f*z0, run a slot, accept or

@@ -35,68 +35,6 @@ double offered_rate(const MeasurerSlot& m, const net::KernelProfile& kernel,
   return std::min(m.allocated_bits, per_socket * m.sockets);
 }
 
-void SlotWorkspace::shape_outcomes(std::size_t n_seconds) {
-  const std::size_t n_targets = team_offset_.size() - 1;
-  // Release everything this slot does not use before taking anything, so
-  // the series in use never exceed the larger of two consecutive slots'
-  // needs; a sequence of shapes already run once then draws from the
-  // pools alone. Parked whole, last position first, an outcome returns to
-  // the position it left.
-  const auto release_series = [this](SlotOutcome& out, std::size_t keep) {
-    while (out.x_by_measurer.size() > keep) {
-      spare_series_.push_back(std::move(out.x_by_measurer.back()));
-      out.x_by_measurer.pop_back();
-    }
-  };
-  while (outcomes_.size() > n_targets) {
-    release_series(outcomes_.back(), 0);
-    spare_outcomes_.push_back(std::move(outcomes_.back()));
-    outcomes_.pop_back();
-  }
-  for (std::size_t t = 0; t < outcomes_.size(); ++t)
-    release_series(outcomes_[t], team_offset_[t + 1] - team_offset_[t]);
-
-  while (outcomes_.size() < n_targets) {
-    if (spare_outcomes_.empty()) {
-      outcomes_.emplace_back();
-    } else {
-      outcomes_.push_back(std::move(spare_outcomes_.back()));
-      spare_outcomes_.pop_back();
-    }
-  }
-  for (std::size_t t = 0; t < n_targets; ++t) {
-    SlotOutcome& out = outcomes_[t];
-    const std::size_t team = team_offset_[t + 1] - team_offset_[t];
-    while (out.x_by_measurer.size() < team) {
-      if (spare_series_.empty()) {
-        out.x_by_measurer.emplace_back();
-      } else {
-        out.x_by_measurer.push_back(std::move(spare_series_.back()));
-        spare_series_.pop_back();
-      }
-    }
-    for (auto* series : {&out.x_bits, &out.y_reported_bits,
-                         &out.y_clamped_bits, &out.z_bits}) {
-      series->clear();
-      series->reserve(n_seconds);
-    }
-    for (auto& series : out.x_by_measurer) {
-      series.clear();
-      series.reserve(n_seconds);
-    }
-    out.estimate_bits = 0.0;
-    out.verification_failed = false;
-    out.quality = 1.0;
-    out.usable_seconds = 0;
-    out.failed = false;
-    out.failure = SlotFailure::kNone;
-  }
-  // Room for everything to park at once, so a later release never grows
-  // a pool.
-  spare_outcomes_.reserve(outcomes_.size() + spare_outcomes_.size());
-  spare_series_.reserve(team_offset_[n_targets] + spare_series_.size());
-}
-
 SlotRunner::SlotRunner(const net::Topology& topo, Params params, sim::Rng rng)
     : topo_(topo), params_(params), rng_(std::move(rng)) {}
 
@@ -110,7 +48,37 @@ SlotOutcome SlotRunner::run(const tor::RelayModel& relay,
   target.team.assign(team.begin(), team.end());
   target.behavior = behavior;
   if (!scratch_) scratch_ = std::make_unique<SlotWorkspace>();
-  return run_concurrent({&target, 1}, *scratch_).front();
+  run_concurrent({&target, 1}, *scratch_);
+  return recorded(*scratch_, 0);
+}
+
+SlotOutcome SlotRunner::recorded(const SlotWorkspace& ws,
+                                 std::size_t t) const {
+  SlotOutcome out = ws.outcomes_.at(t);
+  const std::size_t n_targets = ws.outcomes_.size();
+  const std::size_t n_members = ws.team_offset_[n_targets];
+  const std::size_t off = ws.team_offset_[t];
+  out.x_by_measurer.resize(ws.team_offset_[t + 1] - off);
+  // A timed-out slot never ran: every series stays empty.
+  const std::size_t n_seconds =
+      out.failure == SlotFailure::kTimeout
+          ? 0
+          : static_cast<std::size_t>(params_.slot_seconds);
+  for (auto* series : {&out.x_bits, &out.y_reported_bits,
+                       &out.y_clamped_bits, &out.z_bits})
+    series->resize(n_seconds);
+  for (auto& series : out.x_by_measurer) series.resize(n_seconds);
+  for (std::size_t s = 0; s < n_seconds; ++s) {
+    const double x = ws.x_[s * n_targets + t];
+    out.x_bits[s] = x;
+    out.y_reported_bits[s] = ws.y_reported_[s * n_targets + t];
+    out.y_clamped_bits[s] =
+        clamp_background(out.y_reported_bits[s], x, params_.ratio);
+    out.z_bits[s] = x + out.y_clamped_bits[s];
+    for (std::size_t i = 0; i < out.x_by_measurer.size(); ++i)
+      out.x_by_measurer[i][s] = ws.x_it_[s * n_members + off + i];
+  }
+  return out;
 }
 
 const std::vector<SlotOutcome>& SlotRunner::run_concurrent(
@@ -130,11 +98,11 @@ const std::vector<SlotOutcome>& SlotRunner::run_concurrent(
   for (std::size_t t = 0; t < n_targets; ++t)
     ws.team_offset_[t + 1] = ws.team_offset_[t] + targets[t].team.size();
   const std::size_t n_members = ws.team_offset_[n_targets];
-  ws.shape_outcomes(n_seconds);
+  ws.outcomes_.assign(n_targets, SlotOutcome{});
 
-  // Whole-slot timeout: the slot never runs. Series stay empty (shaped
-  // per team so downstream consumers can still iterate), every target
-  // fails, and rng_ is never touched — the decision is the plan's alone.
+  // Whole-slot timeout: the slot never runs. Nothing is recorded, every
+  // target fails, and rng_ is never touched — the decision is the plan's
+  // alone.
   if (faults.slot_timeout(fault_slot_)) {
     for (SlotOutcome& out : ws.outcomes_) {
       out.quality = 0.0;
@@ -202,7 +170,7 @@ const std::vector<SlotOutcome>& SlotRunner::run_concurrent(
     tor::RelayNoise noise(tor::RelayNoise::Params{},
                           rng_.fork(sim::hash_tag("/noise", relay_hash)));
     noise.fill_factors(
-        {ws.noise_factor_.data() + t * n_seconds, n_seconds});
+        std::span(ws.noise_factor_).subspan(t * n_seconds, n_seconds));
     ws.slot_factor_[t] =
         std::clamp(1.0 + rng_.normal(-0.01, 0.04), 0.85, 1.04);
     for (std::size_t i = 0; i < target.team.size(); ++i) {
@@ -301,8 +269,9 @@ const std::vector<SlotOutcome>& SlotRunner::run_concurrent(
       ws.member_hosts_[ws.team_offset_[t] + i] = targets[t].team[i].host;
     const std::size_t lo = ws.team_offset_[t];
     const std::size_t len = ws.team_offset_[t + 1] - lo;
-    topo_.fill_paths(targets[t].host, {ws.member_hosts_.data() + lo, len},
-                     {ws.path_chars_.data() + lo, len});
+    topo_.fill_paths(targets[t].host,
+                     std::span(ws.member_hosts_).subspan(lo, len),
+                     std::span(ws.path_chars_).subspan(lo, len));
   }
   if (probe_) probe_->note_fill_paths(probe_->now() - fill_start, n_targets);
   std::size_t n_flows = 0;
@@ -342,10 +311,13 @@ const std::vector<SlotOutcome>& SlotRunner::run_concurrent(
   }
 
   ws.relay_capacity_.resize(n_targets);
-  ws.x_t_.resize(n_targets);
   ws.y_t_.resize(n_targets);
-  ws.x_it_.resize(n_members);
-  ws.z_hat_.reserve(n_seconds);
+  // The evidence arenas, one row per second. Zeroed here: x_j sums the
+  // flow rates from 0, and a member without a flow records +0.0.
+  ws.x_.assign(n_seconds * n_targets, 0.0);
+  ws.y_reported_.resize(n_seconds * n_targets);
+  ws.x_it_.assign(n_seconds * n_members, 0.0);
+  ws.z_hat_.resize(n_seconds);
 
   // Segment loop: between crash boundaries the flow set is constant. At
   // each boundary after the first, the crashed members' flows leave the
@@ -419,45 +391,24 @@ const std::vector<SlotOutcome>& SlotRunner::run_concurrent(
 
     const auto rates = ws.solver_.solve_prepared(ws.resources_);
 
-    std::fill(ws.x_t_.begin(), ws.x_t_.end(), 0.0);
-    std::fill(ws.x_it_.begin(), ws.x_it_.end(), 0.0);
+    // Record second s: x_ij and their running sum x_j by index into the
+    // evidence arenas, then the relay's report y_j.
+    const std::size_t row = s * n_targets;
     for (std::size_t k = 0; k < n_flows; ++k) {
       const auto [t, i] = ws.flow_ids_[k];
-      ws.x_it_[ws.team_offset_[t] + i] = rates[k];
-      ws.x_t_[t] += rates[k];
+      ws.x_it_[s * n_members + ws.team_offset_[t] + i] = rates[k];
+      ws.x_[row + t] += rates[k];
     }
-    // The forwarded background also satisfies the ratio rule against the
-    // measurement traffic that actually materialized.
-    for (std::size_t t = 0; t < n_targets; ++t)
-      ws.y_t_[t] = std::min(
-          ws.y_t_[t], ws.x_t_[t] * params_.ratio / (1.0 - params_.ratio));
-
-    // Record per-second outcomes (shape_outcomes reserved every series:
-    // these push_backs never reallocate).
     for (std::size_t t = 0; t < n_targets; ++t) {
-      auto& out = ws.outcomes_[t];
-      const auto& target = targets[t];
-      // FFCHECK(HP03): x_bits reserved t_seconds at setup; no realloc.
-      out.x_bits.push_back(ws.x_t_[t]);
-      for (std::size_t i = 0; i < target.team.size(); ++i)
-        // FFCHECK(HP03): each series reserved t_seconds at setup.
-        out.x_by_measurer[i].push_back(ws.x_it_[ws.team_offset_[t] + i]);
-
-      double y_real = ws.y_t_[t];
-      double y_reported = y_real;
-      if (target.behavior == TargetBehavior::kLieAboutBackground) {
-        // The liar forwards no background at all (keeping its capacity for
-        // the measurement) but reports the maximum plausible amount.
-        y_reported = ws.relay_capacity_[t];
-      }
-      // FFCHECK(HP03): reserved t_seconds at setup; no realloc.
-      out.y_reported_bits.push_back(y_reported);
-      const double y_clamped =
-          clamp_background(y_reported, ws.x_t_[t], params_.ratio);
-      // FFCHECK(HP03): reserved t_seconds at setup; no realloc.
-      out.y_clamped_bits.push_back(y_clamped);
-      // FFCHECK(HP03): reserved t_seconds at setup; no realloc.
-      out.z_bits.push_back(ws.x_t_[t] + y_clamped);
+      // The liar forwards no background at all (keeping its capacity for
+      // the measurement) but reports the maximum plausible amount. The
+      // background an honest relay forwards also satisfies the ratio rule
+      // against the measurement traffic that actually materialized.
+      ws.y_reported_[row + t] =
+          targets[t].behavior == TargetBehavior::kLieAboutBackground
+              ? ws.relay_capacity_[t]
+              : std::min(ws.y_t_[t], ws.x_[row + t] * params_.ratio /
+                                         (1.0 - params_.ratio));
     }
   }
   // FF_HOT_END: per-second slot loop
@@ -484,11 +435,12 @@ const std::vector<SlotOutcome>& SlotRunner::run_concurrent(
 void SlotRunner::aggregate(std::span<const ConcurrentTarget> targets,
                            int min_usable_seconds, SlotWorkspace& ws) {
   const int t_seconds = params_.slot_seconds;
-  std::vector<double>& z_hat = ws.z_hat_;
+  const std::size_t n_targets = targets.size();
+  const std::size_t n_members = ws.team_offset_[n_targets];
 
   // FF_HOT_BEGIN: per-target aggregation — ffcheck rejects
   // allocation-shaped calls until the matching FF_HOT_END.
-  for (std::size_t t = 0; t < targets.size(); ++t) {
+  for (std::size_t t = 0; t < n_targets; ++t) {
     SlotOutcome& out = ws.outcomes_[t];
     const ConcurrentTarget& target = targets[t];
     const std::size_t off = ws.team_offset_[t];
@@ -511,15 +463,15 @@ void SlotRunner::aggregate(std::span<const ConcurrentTarget> targets,
     //
     // At full coverage this is exactly the plain BWAuth rule: x~_j adds
     // the member series in member order, the order the flows were built
-    // in, and members without a flow add +0.0, so x~_j == x_bits[j] bit
-    // for bit; a_alive, a_cov and total_alloc are the same sum, so the
-    // scale and coverage ratios are exactly 1.0.
-    z_hat.clear();
+    // in, and members without a flow add +0.0, so x~_j == x_j bit for
+    // bit; a_alive, a_cov and total_alloc are the same sum, so the scale
+    // and coverage ratios are exactly 1.0.
     double reported_bits = 0.0;   // evidence the spot check can cover
     double coverage_sum = 0.0;    // sum of per-second A_cov/A, usable secs
     int usable = 0;
     const int down = ws.relay_down_[t];
     for (int j = 0; j < t_seconds; ++j) {
+      const auto s = static_cast<std::size_t>(j);
       double a_alive = 0.0, a_cov = 0.0, x_tilde = 0.0;
       for (std::size_t i = 0; i < target.team.size(); ++i) {
         const std::size_t m = off + i;
@@ -527,7 +479,7 @@ void SlotRunner::aggregate(std::span<const ConcurrentTarget> targets,
         if (j < ws.member_crash_[m]) a_alive += a;
         if (j < ws.report_end_[m]) {
           a_cov += a;
-          x_tilde += out.x_by_measurer[i][static_cast<std::size_t>(j)];
+          x_tilde += ws.x_it_[s * n_members + m];
         }
       }
       reported_bits += x_tilde;
@@ -536,10 +488,8 @@ void SlotRunner::aggregate(std::span<const ConcurrentTarget> targets,
         continue;
       const double x_hat = x_tilde * (a_alive / a_cov);
       const double y_hat = clamp_background(
-          out.y_reported_bits[static_cast<std::size_t>(j)], x_hat,
-          params_.ratio);
-      // FFCHECK(HP03): z_hat reserved slot_seconds at setup; no realloc.
-      z_hat.push_back(x_hat + y_hat);
+          ws.y_reported_[s * n_targets + t], x_hat, params_.ratio);
+      ws.z_hat_[static_cast<std::size_t>(usable)] = x_hat + y_hat;
       // The ratio, not the raw allocation, so that a fully covered second
       // adds an exact 1.0 and an untouched relay's quality is exactly 1.
       coverage_sum += a_cov / total_alloc;
@@ -567,7 +517,9 @@ void SlotRunner::aggregate(std::span<const ConcurrentTarget> targets,
     } else if (!out.verification_failed) {
       // The median of the plain BWAuth rule, selected in z_hat's own
       // storage (metrics::median would copy and sort).
-      out.estimate_bits = metrics::percentile_in_place(z_hat, 50.0);
+      out.estimate_bits = metrics::percentile_in_place(
+          std::span(ws.z_hat_).first(static_cast<std::size_t>(usable)),
+          50.0);
     }
   }
   // FF_HOT_END: per-target aggregation

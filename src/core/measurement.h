@@ -58,6 +58,8 @@ enum class SlotFailure {
   kInsufficientEvidence,
 };
 
+/// One target's slot. SlotRunner::run_concurrent leaves the per-second
+/// series empty; SlotRunner::recorded fills them.
 struct SlotOutcome {
   std::vector<double> x_bits;          // per-second aggregated measurement
   std::vector<double> y_reported_bits; // per-second relay-reported normal
@@ -98,20 +100,19 @@ double offered_rate(const MeasurerSlot& m, const net::KernelProfile& kernel,
 /// Reusable scratch for SlotRunner::run_concurrent.
 ///
 /// Owns every buffer the slot pipeline needs — flat SoA arrays for the
-/// per-target capacities and x/y/z accumulators, a stride-indexed
-/// per-(target, measurer) arena (path factors and the per-second x_ij
-/// rates), a host→resource table indexed by host id, the hoisted
-/// fair-share flow set, the fair-share solver's scratch, the aggregation's
-/// median scratch, and the slot's outcomes themselves. A workspace is
-/// filled during slot setup and then reused across all slot_seconds
-/// iterations: the per-second loop performs no heap allocation.
+/// per-target capacities, a stride-indexed per-(target, measurer) arena
+/// (path factors), a host→resource table indexed by host id, the hoisted
+/// fair-share flow set, the fair-share solver's scratch, the second-major
+/// evidence arenas (x_j, reported y_j, x_ij) that the per-second loop
+/// writes by index, the aggregation's median scratch, and the slot's
+/// verdicts. A workspace is filled during slot setup and then reused
+/// across all slot_seconds iterations: the per-second loop performs no
+/// heap allocation.
 ///
 /// Reused across slots (campaign worker lanes hold one each), a workspace
-/// reaches steady-state zero allocation: once it has run slots of every
-/// shape a sequence holds, running that sequence again allocates nothing
-/// (tests/test_core_slot_workspace.cpp counts). Buffers are reshaped, never
-/// freed: outcomes and member series that a smaller slot does not use park
-/// in spare pools until a later slot needs them again.
+/// reaches steady-state zero allocation: once it has run its largest
+/// slot, no later slot grows a buffer (tests/test_core_slot_workspace.cpp
+/// counts).
 ///
 /// Results are bit-identical whether a workspace is fresh or reused; it is
 /// pure scratch, never carrying state between runs.
@@ -126,25 +127,18 @@ class SlotWorkspace {
  private:
   friend class SlotRunner;
 
-  /// Sizes outcomes_ to the targets and each x_by_measurer to its team
-  /// (both read from team_offset_), with every series empty and reserved
-  /// `n_seconds` and every scalar at its default.
-  void shape_outcomes(std::size_t n_seconds);
-
   // Per-target state (size: n_targets).
   std::vector<double> slot_factor_;
   std::vector<int> sockets_at_target_;
   std::vector<double> base_capacity_;   // ground_truth, hoisted per slot
   std::vector<double> relay_capacity_;  // this second, noise applied
-  std::vector<double> x_t_;
-  std::vector<double> y_t_;
+  std::vector<double> y_t_;             // background reserved this second
   /// Arena offsets: target t's members live at [team_offset_[t],
   /// team_offset_[t + 1]) in the per-member arenas below.
   std::vector<std::size_t> team_offset_;
 
   // Per-(target, measurer) arenas, stride-indexed via team_offset_.
   std::vector<double> path_factor_;
-  std::vector<double> x_it_;
   /// Member host ids, gathered per target so the path model's bulk
   /// fill_paths gets a contiguous span (one call per target per slot),
   /// and the characteristics it resolves.
@@ -191,17 +185,19 @@ class SlotWorkspace {
   std::vector<std::pair<std::size_t, std::size_t>> flow_ids_;  // (t, i)
   net::FairShareSolver solver_;
 
-  /// One target's usable z-hat seconds; the median selects in place.
+  // The slot's per-second evidence, second-major: second s of target t
+  // at [s * n_targets + t], of member m at [s * n_members + m].
+  std::vector<double> x_;           // x_j, the loop's sum of the flow rates
+  std::vector<double> y_reported_;  // y_j as the relay reports it
+  std::vector<double> x_it_;        // x_ij
+
+  /// One target's usable z-hat seconds, written from index 0; the median
+  /// selects in place among the first usable_seconds.
   std::vector<double> z_hat_;
-  /// The slot's outcomes, aligned with its targets: what run_concurrent
-  /// returns, valid until the next run on this workspace.
+  /// The slot's verdicts and evidence accounting, aligned with its
+  /// targets, every series empty: what run_concurrent returns, valid
+  /// until the next run on this workspace.
   std::vector<SlotOutcome> outcomes_;
-  /// Outcomes beyond the current slot's targets, last position on top, so
-  /// each returns to the position it left (and meets the teams it grew
-  /// its member list for).
-  std::vector<SlotOutcome> spare_outcomes_;
-  /// Member series no current outcome uses, kept with their capacity.
-  std::vector<std::vector<double>> spare_series_;
 };
 
 /// Runs one measurement slot against a single target.
@@ -216,7 +212,7 @@ class SlotRunner {
   SlotRunner(const net::Topology& topo, Params params, sim::Rng rng);
 
   /// One target on a runner-owned workspace (created on first use and
-  /// reused by later calls); returns a copy of its outcome.
+  /// reused by later calls); returns its recorded outcome.
   SlotOutcome run(const tor::RelayModel& relay, net::HostId relay_host,
                   std::span<const MeasurerSlot> team,
                   TargetBehavior behavior = TargetBehavior::kHonest);
@@ -241,11 +237,17 @@ class SlotRunner {
   };
   /// Runs on caller-owned scratch, and the outcomes stay in it: the
   /// reference is into `ws` and valid until the next run on `ws` (the
-  /// contract of net::FairShareSolver::solve). A campaign worker lane
-  /// keeps one SlotWorkspace for its lifetime, so its steady-state slots
-  /// allocate nothing.
+  /// contract of net::FairShareSolver::solve), with empty series. A
+  /// campaign worker lane keeps one SlotWorkspace for its lifetime, so
+  /// its steady-state slots allocate nothing.
   const std::vector<SlotOutcome>& run_concurrent(
       std::span<const ConcurrentTarget> targets, SlotWorkspace& ws);
+
+  /// Target t's outcome of the slot this runner last ran on `ws`, with
+  /// its per-second series copied out of the evidence arenas (y clamped
+  /// and z recomputed from them with the loop's own x_j). x_by_measurer
+  /// has one series per team member; a timed-out slot's are empty.
+  SlotOutcome recorded(const SlotWorkspace& ws, std::size_t t) const;
 
   /// Arms deterministic fault injection for subsequent run_concurrent
   /// calls: `slot` keys the plan's per-slot fault draws (the campaign
@@ -266,7 +268,8 @@ class SlotRunner {
   /// BWAuth aggregation of every slot: estimates from the surviving
   /// (reported, still-alive) allocation share, refusing seconds below the
   /// §4.2 headroom bar and targets with < `min_usable_seconds` left.
-  /// Writes each target's evidence fields into ws.outcomes_.
+  /// Reads the evidence arenas and writes each target's verdict into
+  /// ws.outcomes_.
   void aggregate(std::span<const ConcurrentTarget> targets,
                  int min_usable_seconds, SlotWorkspace& ws);
 

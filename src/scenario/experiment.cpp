@@ -52,7 +52,7 @@ Experiment::Result Experiment::run(campaign::SlotSink* sink,
   // Estimates can overshoot true capacity by a few percent (per-slot
   // noise), so feeding them forward unclamped could make a maximal relay
   // unschedulable next period; a real BWAuth saturates its team instead
-  // (§4.2 team_saturated).
+  // (§4.2).
   double team_capacity = 0.0;
   for (const double c : measurer_caps_) team_capacity += c;
   const double max_prior =

@@ -218,15 +218,16 @@ MaterializedScenario populate(const ScenarioSpec& spec,
 
 MaterializedScenario populate(const ScenarioSpec& spec,
                               const ShadowPopulationSpec& shadow) {
-  const auto network = shadowsim::make_shadow_net(shadow.params, shadow.seed);
+  auto network = shadowsim::make_shadow_net(shadow.params, shadow.seed);
   MaterializedScenario mat{.topology = shadowsim::shadow_topology(network)};
   mat.relays.reserve(network.relays.size());
   for (std::size_t i = 0; i < network.relays.size(); ++i) {
-    const auto& r = network.relays[i];
+    auto& r = network.relays[i];
     campaign::CampaignRelay relay;
+    // The topology reads no name, so the fingerprint moves into the model.
     relay.model = make_capacity_relay(
-        r.fingerprint, r.capacity_bits, r.capacity_bits * r.utilization,
-        spec.params.sockets);
+        std::move(r.fingerprint), r.capacity_bits,
+        r.capacity_bits * r.utilization, spec.params.sockets);
     relay.host = 3 + i;  // shadow_topology: hosts 0..2 are the measurers
     relay.prior_estimate_bits = r.advertised_bits;
     mat.relays.push_back(std::move(relay));

@@ -70,6 +70,17 @@ std::vector<SlotRunner::ConcurrentTarget> concurrent_pair(
   return targets;
 }
 
+/// Runs `targets` on `ws` and returns every target's recorded outcome.
+std::vector<SlotOutcome> run_recorded(
+    SlotRunner& runner,
+    std::span<const SlotRunner::ConcurrentTarget> targets,
+    SlotWorkspace& ws) {
+  const std::size_t n = runner.run_concurrent(targets, ws).size();
+  std::vector<SlotOutcome> outs;
+  for (std::size_t t = 0; t < n; ++t) outs.push_back(runner.recorded(ws, t));
+  return outs;
+}
+
 TEST(ClampBackground, Formula) {
   // y <= x * r / (1 - r)
   EXPECT_DOUBLE_EQ(clamp_background(100.0, 300.0, 0.25), 100.0);
@@ -199,7 +210,7 @@ TEST(SlotRunner, ConcurrentTargetsShareMeasurers) {
   std::vector<tor::RelayModel> models;
   const auto targets = concurrent_pair(topo, models);
   SlotWorkspace ws;
-  const auto& outs = runner.run_concurrent(targets, ws);
+  const auto outs = run_recorded(runner, targets, ws);
   ASSERT_EQ(outs.size(), 2u);
   for (const auto& out : outs) {
     const double gt = models[0].ground_truth(80);
@@ -285,9 +296,9 @@ TEST(SlotRunner, DisabledPlanMatchesNoPlan) {
     SlotRunner disarmed(topo, params, sim::Rng(seed));
     disarmed.arm_faults(nullptr, seed);
     SlotWorkspace ws;
-    const auto expected = plain.run_concurrent(targets, ws);
-    EXPECT_TRUE(armed.run_concurrent(targets, ws) == expected) << seed;
-    EXPECT_TRUE(disarmed.run_concurrent(targets, ws) == expected) << seed;
+    const auto expected = run_recorded(plain, targets, ws);
+    EXPECT_TRUE(run_recorded(armed, targets, ws) == expected) << seed;
+    EXPECT_TRUE(run_recorded(disarmed, targets, ws) == expected) << seed;
   }
 }
 
@@ -304,7 +315,7 @@ TEST(SlotRunner, DroppedReportsLeaveNoEvidence) {
   SlotRunner runner(topo, params, sim::Rng(16));
   runner.arm_faults(&plan, 0);
   SlotWorkspace ws;
-  for (const auto& out : runner.run_concurrent(targets, ws)) {
+  for (const auto& out : run_recorded(runner, targets, ws)) {
     EXPECT_TRUE(out.failed);
     EXPECT_EQ(out.failure, SlotFailure::kInsufficientEvidence);
     EXPECT_EQ(out.quality, 0.0);

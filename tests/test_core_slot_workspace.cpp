@@ -1,11 +1,11 @@
-// One SlotWorkspace reused across slots of changing shape: its outcomes
-// equal a fresh workspace's, a warm workspace allocates nothing, and the
-// in-place percentile the aggregation uses matches a sort bit for bit.
-// Setup builds a population with one allocation per relay.
+// One SlotWorkspace reused across slots of changing shape: its recorded
+// outcomes equal a fresh workspace's, a warm workspace allocates nothing,
+// and the in-place percentile the aggregation uses matches a sort bit for
+// bit. Setup builds a population with at most one allocation per relay.
 //
 // This binary replaces the global operator new/delete to count
 // allocations (see SlotWorkspaceReuse.WarmWorkspaceAllocatesNothing and
-// MaterializeAllocations.OneAllocationPerRelay).
+// the MaterializeAllocations tests).
 #include "core/measurement.h"
 
 #include <gtest/gtest.h>
@@ -245,16 +245,24 @@ TEST(SlotWorkspaceReuse, ReusedWorkspaceMatchesFresh) {
         fresh.run_concurrent(fx.targets[i], fresh_ws);
     ASSERT_EQ(got.size(), fx.targets[i].size());
     EXPECT_TRUE(got == want);
-    for (std::size_t t = 0; t < got.size(); ++t)
-      ASSERT_EQ(got[t].x_by_measurer.size(), fx.targets[i][t].team.size());
-    for (const SlotOutcome& out : got) {
+    for (std::size_t t = 0; t < got.size(); ++t) {
+      // The verdicts carry no series; the recorded outcomes, series
+      // included, match field for field.
+      EXPECT_TRUE(got[t].x_by_measurer.empty() && got[t].z_bits.empty());
+      const SlotOutcome out = warm.recorded(reused, t);
+      EXPECT_TRUE(out == fresh.recorded(fresh_ws, t)) << "target " << t;
+      ASSERT_EQ(out.x_by_measurer.size(), fx.targets[i][t].team.size());
       degraded += !out.failed && out.quality < 1.0;
       starved += out.failure == SlotFailure::kInsufficientEvidence;
       caught += out.verification_failed;
       if (out.failure == SlotFailure::kTimeout) {
         ++timed_out;
         EXPECT_TRUE(out.z_bits.empty());
+        EXPECT_TRUE(out.x_by_measurer.front().empty());
         EXPECT_EQ(out.estimate_bits, 0.0);
+      } else {
+        EXPECT_EQ(out.z_bits.size(),
+                  static_cast<std::size_t>(fx.params.slot_seconds));
       }
     }
   }
@@ -310,6 +318,20 @@ TEST(MaterializeAllocations, OneAllocationPerRelay) {
   ASSERT_EQ(mat.relays.size(), std::size_t{kRelays});
   EXPECT_LE(allocations, std::size_t{kRelays} + 64);
   EXPECT_GE(allocations, std::size_t{kRelays});  // the counter is live
+}
+
+TEST(MaterializeAllocations, ShadowPopulationMovesItsFingerprints) {
+  // The 328-relay Shadow network names each relay once, and the
+  // population takes those names over instead of copying them.
+  const scenario::ScenarioSpec spec{
+      .population = scenario::ShadowPopulationSpec{},
+      .team = {.capacity_bits = {net::gbit(1), net::gbit(1), net::gbit(1)}}};
+  const std::size_t before = g_allocations;
+  const scenario::MaterializedScenario mat = scenario::materialize(spec);
+  const std::size_t allocations = g_allocations - before;
+  ASSERT_EQ(mat.relays.size(), 328u);
+  EXPECT_LE(allocations, mat.relays.size() + 64);
+  EXPECT_GT(allocations, 0u);  // the counter is live
 }
 
 /// The percentile as the sort-based implementation computed it.

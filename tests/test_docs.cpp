@@ -10,7 +10,7 @@
 // Further tests keep the relative links inside docs/ and README.md
 // pointing at files that exist, hold src/ to docs/ARCHITECTURE.md's
 // rules that dependencies point downward and that every header has a
-// user outside the tests, and keep docs/determinism.md's list of ND06
+// user outside the tests, and keep docs/determinism.md's inventory of
 // suppressions equal to the markers in src/.
 //
 // FLASHFLOW_REPO_DIR is injected by CMake so the suite finds the
@@ -26,6 +26,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/sink.h"
@@ -352,11 +353,58 @@ TEST(DocsStaleness, DeterminismPageNamesTheSuppressionRules) {
   EXPECT_NE(doc.find("FF02"), std::string::npos);
 }
 
-TEST(DocsStaleness, DeterminismPageNamesEveryNd06Suppression) {
-  // docs/determinism.md names, in one sentence, each file whose unordered
-  // containers were audited and suppressed under ND06. The files it names
-  // and the src/ files carrying an `// FFCHECK(ND06)` marker must agree.
+TEST(DocsStaleness, DeterminismPageNamesEverySuppression) {
+  // docs/determinism.md inventories the library's suppressions, one table
+  // row per (file, rule), and the `// FFCHECK(...)` markers under src/
+  // must name exactly those pairs: a new justified suppression cannot
+  // arrive unseen. Lint's own prose spells the syntax with placeholders
+  // (`FFCHECK(RULE)`), which name no rule.
+  using Pairs = std::set<std::pair<std::string, std::string>>;
   const std::string doc = read_file(repo_dir() / "docs" / "determinism.md");
+  const std::regex row(
+      R"(^\| `([a-z_]+/[a-z_]+\.(h|cpp))` \| ([A-Z]{2}[0-9]{2}) \|)");
+  Pairs inventory;
+  std::istringstream lines(doc);
+  for (std::string line; std::getline(lines, line);) {
+    std::smatch m;
+    if (std::regex_search(line, m, row))
+      inventory.emplace(m[1].str(), m[3].str());
+  }
+
+  const std::regex marker(
+      R"(//\s*FFCHECK\(([A-Z]{2}[0-9]{2}(\s*,\s*[A-Z]{2}[0-9]{2})*)\))");
+  const std::regex rule_id("[A-Z]{2}[0-9]{2}");
+  const auto rules_of = [&](const std::string& text) {
+    std::set<std::string> rules;
+    for (std::sregex_iterator it(text.begin(), text.end(), marker), end;
+         it != end; ++it) {
+      const std::string list = (*it)[1];
+      for (std::sregex_iterator r(list.begin(), list.end(), rule_id), stop;
+           r != stop; ++r)
+        rules.insert(r->str());
+    }
+    return rules;
+  };
+  // The scan is live: the regex finds suppressions as ffcheck reads them,
+  // one rule or several, and skips the placeholder.
+  EXPECT_EQ(rules_of("// FFCHECK(ND06): x\n// FFCHECK(HP03, ND03): y"),
+            (std::set<std::string>{"HP03", "ND03", "ND06"}));
+  EXPECT_TRUE(rules_of("// FFCHECK(RULE): reason").empty());
+
+  const fs::path src = repo_dir() / "src";
+  Pairs marked;
+  for (const fs::directory_entry& entry :
+       fs::recursive_directory_iterator(src)) {
+    const fs::path& file = entry.path();
+    if (file.extension() != ".h" && file.extension() != ".cpp") continue;
+    for (const std::string& rule : rules_of(read_file(file)))
+      marked.emplace(fs::relative(file, src).generic_string(), rule);
+  }
+  EXPECT_EQ(inventory, marked)
+      << "docs/determinism.md's suppression inventory and src/'s markers";
+
+  // The ND06 audit sentence names, in one sentence, each file whose
+  // unordered containers were audited and suppressed under ND06.
   const std::size_t end = doc.find("suppressed under ND06");
   ASSERT_NE(end, std::string::npos) << "the ND06 audit sentence is gone";
   std::size_t begin = 0;
@@ -370,20 +418,10 @@ TEST(DocsStaleness, DeterminismPageNamesEveryNd06Suppression) {
   for (std::sregex_iterator it(sentence.begin(), sentence.end(), path), stop;
        it != stop; ++it)
     named.insert((*it)[1]);
-
-  const fs::path src = repo_dir() / "src";
-  const std::regex marker(R"(//\s*FFCHECK\(ND06\))");
-  std::set<std::string> marked;
-  for (const fs::directory_entry& entry :
-       fs::recursive_directory_iterator(src)) {
-    const fs::path& file = entry.path();
-    if (file.extension() != ".h" && file.extension() != ".cpp") continue;
-    if (std::regex_search(read_file(file), marker))
-      marked.insert(fs::relative(file, src).generic_string());
-  }
-  // The scan is live: the regex finds a suppression as ffcheck reads it.
-  EXPECT_TRUE(std::regex_search(std::string("// FFCHECK(ND06): x"), marker));
-  EXPECT_EQ(named, marked)
+  std::set<std::string> nd06;
+  for (const auto& [file, rule] : marked)
+    if (rule == "ND06") nd06.insert(file);
+  EXPECT_EQ(named, nd06)
       << "docs/determinism.md's ND06 sentence: \"" << sentence << "\"";
 }
 

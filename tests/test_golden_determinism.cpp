@@ -55,6 +55,8 @@
 #include "analysis/speedtest.h"
 #include "campaign/campaign.h"
 #include "campaign/sink.h"
+#include "core/measurement.h"
+#include "net/topology.h"
 #include "net/units.h"
 #include "scenario/experiment.h"
 #include "scenario/serialize.h"
@@ -63,6 +65,7 @@
 #include "sim/random.h"
 #include "telemetry/telemetry.h"
 #include "tor/cpu_model.h"
+#include "tor/relay.h"
 
 namespace flashflow {
 namespace {
@@ -98,6 +101,9 @@ constexpr std::uint64_t kFig9TransfersHash = 0xe8e1e1571cd5ed5dULL;
 // Recorded from the §3 analyses that kept one window object per relay,
 // window and series behind a std::map, before each relay became one row.
 constexpr std::uint64_t kArchiveAnalysesHash = 0x87df189672374b82ULL;
+// Recorded from the slot loop that appended each second's evidence to
+// the outcomes' own series, before it wrote the workspace by index.
+constexpr std::uint64_t kSlotSeriesHash = 0xa0e2d08a2df6a56eULL;
 
 /// serialize_scenario() of each checked-in scenarios/*.yaml file.
 struct ScenarioTextHash {
@@ -549,6 +555,85 @@ TEST(GoldenDeterminism, ArchiveAnalysesMatchRecordedBits) {
   append_series(bytes, speed_test.capacity_series_bits);
   append_series(bytes, speed_test.weight_error_series);
   expect_hash(bytes, kArchiveAnalysesHash, "§3 archive analyses");
+}
+
+/// Appends every series and verdict field of `out`.
+void append_outcome(std::string& bytes, const core::SlotOutcome& out) {
+  for (const auto* series : {&out.x_bits, &out.y_reported_bits,
+                             &out.y_clamped_bits, &out.z_bits})
+    append_series(bytes, *series);
+  append_bits(bytes, static_cast<std::uint64_t>(out.x_by_measurer.size()));
+  for (const auto& series : out.x_by_measurer) append_series(bytes, series);
+  append_bits(bytes, out.estimate_bits);
+  append_bits(bytes, static_cast<char>(out.verification_failed));
+  append_bits(bytes, out.quality);
+  append_bits(bytes, static_cast<std::int32_t>(out.usable_seconds));
+  append_bits(bytes, static_cast<char>(out.failed));
+  append_bits(bytes, static_cast<std::int32_t>(out.failure));
+}
+
+/// Every outcome that fig07, fault_smoke and golden_smoke stream with
+/// record_outcomes on. fault_smoke's include timeouts, crashes, dropped
+/// and truncated reports, liars and forgers.
+std::string scenario_outcome_bytes(int threads) {
+  struct OutcomeSink : campaign::SlotSink {
+    std::string bytes;
+    std::size_t outcomes = 0;
+    void slot_done(const campaign::SlotResult& slot) override {
+      for (const core::SlotOutcome& out : slot.outcomes)
+        append_outcome(bytes, out);
+      outcomes += slot.outcomes.size();
+    }
+  };
+  std::string bytes;
+  for (const char* file :
+       {"fig07.yaml", "fault_smoke.yaml", "golden_smoke.yaml"}) {
+    scenario::ScenarioSpec spec = scenario::load_scenario_file(
+        scenario::default_scenario_dir() + "/" + file);
+    spec.record_outcomes = true;
+    spec.threads = threads;
+    spec.shard_slots = forced_shard();
+    OutcomeSink sink;
+    scenario::Experiment(spec).run(&sink);
+    EXPECT_GT(sink.outcomes, 0u) << file;
+    bytes += sink.bytes;
+  }
+  return bytes;
+}
+
+TEST(GoldenDeterminism, SlotSeriesMatchRecordedBits) {
+  const int forced = forced_threads();
+  SCOPED_TRACE("threads=" + std::to_string(forced > 0 ? forced : 1) +
+               " shard=" + std::to_string(forced_shard()));
+  const std::string streamed = scenario_outcome_bytes(forced > 0 ? forced : 1);
+  std::string bytes = streamed;
+  // Single-target slots: honest, liar and forger, each rate-limited and
+  // unlimited, over a seed range.
+  const net::Topology topo = net::make_table1_hosts();
+  const std::vector<core::MeasurerSlot> team = {
+      {topo.find("US-E"), net::mbit(600), 80},
+      {topo.find("NL"), net::mbit(600), 80}};
+  for (const double limit_mbit : {0.0, 120.0}) {
+    tor::RelayModel relay;
+    relay.name = "series-relay";
+    relay.nic_up_bits = relay.nic_down_bits = net::mbit(954);
+    relay.rate_limit_bits = net::mbit(limit_mbit);
+    relay.cpu = tor::CpuModel::us_sw();
+    relay.background_demand_bits = net::mbit(40);
+    for (const auto behavior : {core::TargetBehavior::kHonest,
+                                core::TargetBehavior::kLieAboutBackground,
+                                core::TargetBehavior::kForgeEchoes}) {
+      for (std::uint64_t seed = 0; seed < 30; ++seed) {
+        core::SlotRunner runner(topo, core::Params{}, sim::Rng(seed));
+        append_outcome(bytes, runner.run(relay, topo.find("US-SW"), team,
+                                         behavior));
+      }
+    }
+  }
+  expect_hash(bytes, kSlotSeriesHash, "slot series");
+  if (forced <= 0) {
+    EXPECT_EQ(streamed, scenario_outcome_bytes(/*threads=*/8));
+  }
 }
 
 TEST(GoldenDeterminism, SerializedScenarioTextMatchesRecordedBaseline) {
